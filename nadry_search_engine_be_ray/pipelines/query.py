@@ -27,10 +27,12 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 from ..functions.scoring import paginate, rank_fast
 from ..functions.tokenizer import Tokenizer
@@ -40,14 +42,82 @@ from ..state.segments import PostingList, SegmentReader
 QUOTED = re.compile(r'"([^"]*)"')
 
 
+_DETAIL_COLS = ["doc_int", "repo", "path", "commit", "title", "description"]
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class _DocMaps:
+    """DocStore's lazy state, built in one pass over ``prepped/`` and
+    published as one object: the doc-details map plus a sorted
+    ``doc_int -> (file, row group, row)`` locator over memory-mapped
+    prepped files."""
+
+    details: dict[int, dict]
+    doc_ints: np.ndarray     # sorted, unique
+    file_idx: np.ndarray     # prepped file of each doc_ints entry
+    row_group: np.ndarray    # row group within that file
+    rg_row: np.ndarray       # row within that row group
+    files: list[pq.ParquetFile]
+
+    @classmethod
+    def load(cls, prepped_dir: str) -> "_DocMaps":
+        from ..stages.prep import derive_urls, doc_id_of
+
+        details: dict[int, dict] = {}
+        files: list[pq.ParquetFile] = []
+        ints, file_idx, row_group, rg_row = [_EMPTY], [_EMPTY], [_EMPTY], [_EMPTY]
+        for frag in pads.dataset(prepped_dir, format="parquet").get_fragments():
+            pf = pq.ParquetFile(frag.path, memory_map=True)
+            md = pf.metadata
+            if md.num_rows == 0:
+                continue
+            t = pf.read(columns=_DETAIL_COLS)
+            urls = derive_urls(t)  # url/doc_id derived, not stored (prep.py)
+            di = t["doc_int"].to_numpy(zero_copy_only=False).astype(np.int64)
+            for d, u, ti, de in zip(
+                di.tolist(), urls,
+                t["title"].to_pylist(), t["description"].to_pylist(),
+            ):
+                details[d] = {
+                    "doc_int": d, "doc_id": doc_id_of(u), "url": u,
+                    "title": ti, "description": de,
+                }
+            sizes = [md.row_group(g).num_rows for g in range(md.num_row_groups)]
+            ints.append(di)
+            file_idx.append(np.full(di.size, len(files), dtype=np.int64))
+            row_group.append(np.repeat(np.arange(len(sizes)), sizes))
+            rg_row.append(np.concatenate([np.arange(n) for n in sizes]))
+            files.append(pf)
+        di = np.concatenate(ints)
+        order = np.argsort(di, kind="stable")
+        # a doc_int seen twice keeps its last row, as the details map does
+        last = np.ones(di.size, dtype=bool)
+        last[:-1] = di[order[1:]] != di[order[:-1]]
+        order = order[last]
+        return cls(details, di[order], np.concatenate(file_idx)[order],
+                   np.concatenate(row_group)[order],
+                   np.concatenate(rg_row)[order], files)
+
+
 @dataclass
 class DocStore:
-    """doc_int-indexed arrays (sorted by doc_int) + lazy detail lookup."""
+    """doc_int-indexed arrays (sorted by doc_int) loaded eagerly, plus the
+    lazy ``_DocMaps``: per-doc details and a locator that reads a page's
+    content straight from its prepped row groups.
+
+    The prepped files stay memory-mapped once loaded, so a store keeps
+    serving the snapshot it opened even after ``purge_deletes`` replaces
+    ``prepped/`` on disk (the same as ``SegmentReader``)."""
 
     doc_ints: np.ndarray
     total_words: np.ndarray
     popularity: np.ndarray
     index_dir: str
+    _maps: _DocMaps | None = field(default=None, init=False, repr=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
 
     @classmethod
     def load(cls, index_dir: str) -> "DocStore":
@@ -80,48 +150,59 @@ class DocStore:
         pop = np.where(ok, self.popularity[idx_c], 0.0)
         return tw, pop
 
-    def _detail_maps(self):
-        """Lazy in-memory doc details WITHOUT content (~100 B/doc; the
-        production design shards this across doc-store actors by doc_int
-        range — S11/S12 analog).  Content stays on disk and is fetched
-        pushdown-filtered per visible page only (snippets)."""
-        if not hasattr(self, "_details"):
-            from ..stages.prep import derive_urls, doc_id_of
-
-            t = pads.dataset(
-                os.path.join(self.index_dir, "prepped"), format="parquet"
-            ).to_table(
-                columns=["doc_int", "repo", "path", "commit", "title", "description"]
-            )
-            urls = derive_urls(t)  # url/doc_id derived, not stored (prep.py)
-            self._details = {
-                int(di): {
-                    "doc_int": int(di), "doc_id": doc_id_of(u), "url": u,
-                    "title": ti, "description": de,
-                }
-                for di, u, ti, de in zip(
-                    t["doc_int"].to_pylist(), urls,
-                    t["title"].to_pylist(), t["description"].to_pylist(),
-                )
-            }
-        return self._details
+    def _detail_maps(self) -> _DocMaps:
+        """The lazy state, loaded exactly once even when many HTTP threads
+        share this store: one pass over the prepped files reads everything
+        but content (~100 B/doc of details; the production design shards
+        this across doc-store actors by doc_int range — S11/S12 analog) and
+        records where each doc_int's row lives.  Content stays on disk."""
+        maps = self._maps
+        if maps is None:
+            with self._lock:
+                if self._maps is None:
+                    self._maps = _DocMaps.load(
+                        os.path.join(self.index_dir, "prepped")
+                    )
+                maps = self._maps
+        return maps
 
     def details(self, doc_ints: list[int]) -> dict[int, dict]:
         """J4/S11: enrich only the visible page."""
-        m = self._detail_maps()
+        m = self._detail_maps().details
         return {d: m[d] for d in doc_ints if d in m}
 
     def content_for(self, doc_ints: list[int]) -> dict[int, str]:
-        """Pushdown-filtered content fetch for snippet generation (M11)."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
+        """Content of the visible page for snippet generation (M11).
 
-        ds = pads.dataset(os.path.join(self.index_dir, "prepped"), format="parquet")
-        t = ds.to_table(
-            columns=["doc_int", "content"],
-            filter=pc.field("doc_int").isin(pa.array(doc_ints, pa.int64())),
-        )
-        return dict(zip(t["doc_int"].to_pylist(), t["content"].to_pylist()))
+        Each known doc_int is located through the sorted locator, and each
+        touched row group is read once (``doc_int`` + ``content`` only) and
+        ``take``n at the page's rows; unknown doc_ints are omitted.  The
+        row group is the read unit, so its size (``build_index`` writes
+        prepped with 64K-row groups) bounds the bytes one lookup reads."""
+        m = self._detail_maps()
+        want = np.unique(np.asarray(doc_ints, dtype=np.int64))
+        idx = np.searchsorted(m.doc_ints, want)
+        known = idx < m.doc_ints.size
+        known[known] = m.doc_ints[idx[known]] == want[known]
+        idx = idx[known]
+        by_group: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        for d, f, g, r in zip(want[known].tolist(), m.file_idx[idx].tolist(),
+                              m.row_group[idx].tolist(), m.rg_row[idx].tolist()):
+            ids, rows = by_group.setdefault((f, g), ([], []))
+            ids.append(d)
+            rows.append(r)
+        out: dict[int, str] = {}
+        for (f, g), (ids, rows) in by_group.items():
+            t = m.files[f].read_row_group(
+                g, columns=["doc_int", "content"], use_threads=False
+            ).take(rows)
+            got = t["doc_int"].to_pylist()
+            if got != ids:
+                raise RuntimeError(
+                    f"prepped file {f} row group {g}: located {ids}, read {got}"
+                )
+            out.update(zip(got, t["content"].to_pylist()))
+        return out
 
 
 class SearchEngine:
@@ -186,6 +267,12 @@ class SearchEngine:
             page = 0
         if page_size <= 0:
             page_size = 10
+        key = ("p", phrase, page, page_size)
+        if key not in self._cache:
+            self._cache[key] = self._phrase_page(phrase, page, page_size)
+        return self._cache[key]
+
+    def _phrase_page(self, phrase: str, page: int, page_size: int) -> dict:
         tokens = self.tokenizer.tokenize(phrase)
         if not tokens:
             return {"results": [], "total_results": 0, "total_pages": 0, "page": page}

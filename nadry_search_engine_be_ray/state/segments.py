@@ -26,6 +26,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,25 +152,35 @@ class SegmentReader:
         self._files: list[_SegFile] = []
         self._rg_cache: dict = {}
         self._loaded: set[int] = set()
+        self._load_lock = threading.Lock()
         if not lazy:
             self._load_all()
 
     def _load_shard(self, shard: int) -> None:
+        """Fault in one shard's dictionary exactly once, even when HTTP
+        threads share this reader: its terms become visible whole, and the
+        shard counts as loaded only after they are."""
         if shard in self._loaded or shard not in self.shards:
             return
-        self._loaded.add(shard)
-        files = sorted(
-            glob.glob(os.path.join(self._seg_root, f"shard={shard}", "*.parquet"))
-        )
-        for fp in files:
-            sf = _SegFile(fp, self.lazy_payload)
-            ti = len(self._files)
-            self._files.append(sf)
-            for row, (term, salt) in enumerate(zip(sf.terms, sf.salts)):
-                self._term_index.setdefault(term, []).append((ti, row, salt))
-        # order runs by salt so concatenation preserves doc_int order
-        for rows in self._term_index.values():
-            rows.sort(key=lambda r: r[2])
+        with self._load_lock:
+            if shard in self._loaded:
+                return
+            files = sorted(glob.glob(
+                os.path.join(self._seg_root, f"shard={shard}", "*.parquet")
+            ))
+            # a term routes to one shard, so this shard's runs are all of it
+            index: dict[str, list[tuple[int, int, int]]] = {}
+            for fp in files:
+                sf = _SegFile(fp, self.lazy_payload)
+                ti = len(self._files)
+                self._files.append(sf)
+                for row, (term, salt) in enumerate(zip(sf.terms, sf.salts)):
+                    index.setdefault(term, []).append((ti, row, salt))
+            # order runs by salt so concatenation preserves doc_int order
+            for rows in index.values():
+                rows.sort(key=lambda r: r[2])
+            self._term_index.update(index)
+            self._loaded.add(shard)
 
     def _load_all(self) -> None:
         for shard in self.shards:

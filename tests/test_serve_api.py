@@ -1,13 +1,25 @@
 """Batch query actor pool + API facade tests."""
 
+import dataclasses
+import json
+import os
+import random
+import shutil
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 import pyarrow as pa
+import pyarrow.dataset as pads
 import pytest
 import ray.data
 
 from nadry_search_engine_be_ray.pipelines.api import SearchAPI, find_first_context_match
-from nadry_search_engine_be_ray.pipelines.query import SearchEngine
+from nadry_search_engine_be_ray.pipelines.query import SearchEngine, _DocMaps
 from nadry_search_engine_be_ray.pipelines.serve import batch_search
 from nadry_search_engine_be_ray.sources.corpus import reference_queries
+from nadry_search_engine_be_ray.stages.prep import derive_urls, doc_id_of
 
 
 def test_batch_search_matches_single(ray_session, built_index):
@@ -62,6 +74,137 @@ def test_api_response_shape(ray_session, built_index):
     # quoted phrase path
     res2 = api.search('"item order"', page=1, limit=5)
     assert res2["totalResults"] >= 1
+
+
+def _prepped_scan(index_dir, columns):
+    return pads.dataset(
+        os.path.join(index_dir, "prepped"), format="parquet"
+    ).to_table(columns=columns)
+
+
+def _content_scan(index_dir) -> dict:
+    t = _prepped_scan(index_dir, ["doc_int", "content"])
+    return dict(zip(t["doc_int"].to_pylist(), t["content"].to_pylist()))
+
+
+def test_content_for_matches_full_scan(built_index):
+    """The doc_int locator returns exactly what a full scan of every
+    prepped file finds, for any page shape."""
+    assert len(pads.dataset(os.path.join(built_index, "prepped"),
+                            format="parquet").files) > 1
+    truth = _content_scan(built_index)
+    ids = sorted(truth)
+    unknown = [i for i in (0, 1, -1, 2 ** 60 - 1, max(ids) + 1)
+               if i not in truth]
+    docs = SearchEngine(built_index).docs
+    rng = random.Random(0)
+    for size in (1, 3, 10, 10, 10, 50, len(ids)):
+        page = rng.sample(ids, size)
+        assert docs.content_for(page) == {d: truth[d] for d in page}
+    assert docs.content_for([]) == {}
+    assert docs.content_for(unknown) == {}
+    a, b = ids[3], ids[-2]
+    assert docs.content_for([a, unknown[0], b, a, a, unknown[-1]]) == {
+        a: truth[a], b: truth[b]}
+
+    t = _prepped_scan(built_index, ["doc_int", "repo", "path", "commit",
+                                    "title", "description"])
+    exp = {
+        int(d): {"doc_int": int(d), "doc_id": doc_id_of(u), "url": u,
+                 "title": ti, "description": de}
+        for d, u, ti, de in zip(t["doc_int"].to_pylist(), derive_urls(t),
+                                t["title"].to_pylist(),
+                                t["description"].to_pylist())
+    }
+    assert docs.details(ids + unknown) == exp
+
+    # a locator pointing at the wrong row raises instead of mis-snippeting
+    m = docs._detail_maps()
+    i, j = np.flatnonzero((m.file_idx == m.file_idx[0])
+                          & (m.row_group == m.row_group[0]))[:2]
+    rows = m.rg_row.copy()
+    rows[[i, j]] = rows[[j, i]]
+    docs._maps = dataclasses.replace(m, rg_row=rows)
+    with pytest.raises(RuntimeError, match="located"):
+        docs.content_for([int(m.doc_ints[i])])
+
+
+def test_content_for_serves_its_snapshot_across_purge(ray_session,
+                                                      built_index, tmp_path):
+    """A store that loaded its locator keeps reading the prepped files it
+    opened after purge replaces them; a fresh store sees the purge."""
+    from nadry_search_engine_be_ray.pipelines.deletes import (
+        delete_docs, purge_deletes,
+    )
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(built_index, idx)
+    truth = _content_scan(idx)
+    ids = sorted(truth)
+    victims = ids[::10]
+    warm = SearchEngine(idx).docs
+    assert warm.content_for(ids[:1]) == {ids[0]: truth[ids[0]]}
+
+    delete_docs(idx, victims)
+    assert purge_deletes(idx)["n_purged"] > 0
+
+    assert warm.content_for(ids) == truth
+    fresh = SearchEngine(idx).docs
+    assert fresh.content_for(victims) == {}
+    survivors = sorted(set(ids) - set(victims))
+    assert fresh.content_for(survivors) == {d: truth[d] for d in survivors}
+
+
+def test_search_api_concurrent_cold_engine_matches_serial(built_index,
+                                                          monkeypatch):
+    """Eight threads sharing one cold SearchAPI (as ThreadingHTTPServer
+    does) get the same bodies as serial calls."""
+    reqs = [(q["query"], page) for q in reference_queries()
+            for page in (1, 2)]
+
+    def body(api, query, page):
+        res = api.search(query, page=page, limit=10)
+        res.pop("searchTimeSec")
+        return json.dumps(res)  # the HTTP body; NaN scores compare equal
+
+    serial = SearchAPI(built_index)
+    exp = [body(serial, q, p) for q, p in reqs]
+
+    loads = []
+    load = _DocMaps.load
+    monkeypatch.setattr(_DocMaps, "load",
+                        lambda d: loads.append(d) or load(d))
+    shared = SearchAPI(built_index)
+    start = threading.Barrier(8, timeout=60)
+
+    def worker(k):
+        start.wait()
+        order = reqs[k:] + reqs[:k]
+        return {r: body(shared, *r) for r in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to expose races
+    try:
+        with ThreadPoolExecutor(8) as ex:
+            futs = [ex.submit(worker, k) for k in range(8)]
+            outs = [f.result(timeout=300) for f in futs]
+    finally:
+        sys.setswitchinterval(interval)
+    for out in outs:
+        assert [out[r] for r in reqs] == exp
+    assert len(loads) == 1
+
+
+def test_phrase_results_are_cached(built_index):
+    """Repeated phrase queries, empty results included, come from the
+    query cache and equal a fresh engine's answer."""
+    eng = SearchEngine(built_index)
+    for phrase in ("item order", "order arrived late", "zzzznotaterm item"):
+        first = eng.phrase_search(phrase, 0, 10)
+        assert ("p", phrase, 0, 10) in eng._cache
+        assert eng.phrase_search(phrase, 0, 10) is first
+        assert json.dumps(first) == json.dumps(
+            SearchEngine(built_index).phrase_search(phrase, 0, 10))
 
 
 def test_champion_topk_converges_to_bm25f(built_index):
