@@ -25,57 +25,27 @@ def _corpus_docs_for(sf_dir: str) -> int:
     return max(200, int(sf * 200_000))
 
 
-def _built_index(sf_dir: str):
-    """Build (once, cached in /tmp) the synthetic corpus + index for sf_dir."""
+# bump when the build's on-disk format changes: keys every /tmp entry index
+_INDEX_FORMAT = "v5"
+
+
+def _built_index(sf_dir: str, docs_codec: str = "varint"):
+    """Build (once, cached in /tmp) the synthetic corpus + index for sf_dir
+    with the given posting docs codec (BuildConfig.docs_codec: 'varint',
+    'bitpack' or 'ef'); each (n_docs, codec) pair has its own cache dir."""
     from nadry_search_engine_be_ray.config import BuildConfig
     from nadry_search_engine_be_ray.pipelines.build import build_index
     from nadry_search_engine_be_ray.sources.corpus import write_corpus
 
     n_docs = _corpus_docs_for(sf_dir)
-    key = hashlib.sha256(f"v2:{n_docs}".encode()).hexdigest()[:12]
+    key = hashlib.sha256(
+        f"{_INDEX_FORMAT}:{n_docs}:{docs_codec}".encode()).hexdigest()[:12]
     root = f"/tmp/nadry_entry/{key}"
     corpus_dir = os.path.join(root, "corpus")
     index_dir = os.path.join(root, "index")
     write_corpus(corpus_dir, n_docs=n_docs, seed=42)
-    build_index(corpus_dir, index_dir, BuildConfig(num_shards=8, salt_bits=2))
-    return corpus_dir, index_dir
-
-
-def _built_index_bitpack(sf_dir: str):
-    """Like :func:`_built_index` but with the write-once bitpack docs codec
-    (BuildConfig.docs_codec='bitpack'); separately cached in /tmp."""
-    from nadry_search_engine_be_ray.config import BuildConfig
-    from nadry_search_engine_be_ray.pipelines.build import build_index
-    from nadry_search_engine_be_ray.sources.corpus import write_corpus
-
-    n_docs = _corpus_docs_for(sf_dir)
-    # v4bp: docs_codec="bitpack" covers docs + tfs + pos_offsets — the key
-    # bump invalidates /tmp caches built with earlier bitpack formats
-    key = hashlib.sha256(f"v4bp:{n_docs}".encode()).hexdigest()[:12]
-    root = f"/tmp/nadry_entry/{key}"
-    corpus_dir = os.path.join(root, "corpus")
-    index_dir = os.path.join(root, "index")
-    write_corpus(corpus_dir, n_docs=n_docs, seed=42)
-    build_index(corpus_dir, index_dir,
-                BuildConfig(num_shards=8, salt_bits=2, docs_codec="bitpack"))
-    return corpus_dir, index_dir
-
-
-def _built_index_ef(sf_dir: str):
-    """Like :func:`_built_index` but with the quasi-succinct Elias-Fano
-    docs codec (BuildConfig.docs_codec='ef'); separately cached in /tmp."""
-    from nadry_search_engine_be_ray.config import BuildConfig
-    from nadry_search_engine_be_ray.pipelines.build import build_index
-    from nadry_search_engine_be_ray.sources.corpus import write_corpus
-
-    n_docs = _corpus_docs_for(sf_dir)
-    key = hashlib.sha256(f"v1ef:{n_docs}".encode()).hexdigest()[:12]
-    root = f"/tmp/nadry_entry/{key}"
-    corpus_dir = os.path.join(root, "corpus")
-    index_dir = os.path.join(root, "index")
-    write_corpus(corpus_dir, n_docs=n_docs, seed=42)
-    build_index(corpus_dir, index_dir,
-                BuildConfig(num_shards=8, salt_bits=2, docs_codec="ef"))
+    build_index(corpus_dir, index_dir, BuildConfig(
+        num_shards=8, salt_bits=2, docs_codec=docs_codec))
     return corpus_dir, index_dir
 
 
@@ -1836,12 +1806,17 @@ def _q_index_term_df_real(sf_dir: str):
     """Real-tokenizer per-term df from the built SEGMENTS; the SQL oracle
     recomputes df from the dumped pre-shuffle token stream, so the hash
     compare covers the posting shuffle + encode + merge + read path."""
+    return _term_df(sf_dir, "varint")
+
+
+def _term_df(sf_dir: str, docs_codec: str):
+    """Per-term df read back from the ``docs_codec`` tier's segments."""
     import pandas as pd
 
     from nadry_search_engine_be_ray.state.segments import SegmentReader
 
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
+    _, index_dir = _built_index(sf_dir, docs_codec)
+    _main_dump(sf_dir)  # tok.parquet is codec-independent (pre-shuffle)
     r = SegmentReader(index_dir)
     rows = [(t, int(r.postings(t).df)) for t in sorted(r.terms())]
     return pd.DataFrame({"term": [t for t, _ in rows],
@@ -1870,16 +1845,7 @@ def _q_index_df_bitpack(sf_dir: str):
     'bitpack', the write-once block code) — same oracle recompute as
     index_term_df_real, so the driver hash-checks the bitpack build's
     encode + decode_sorted_bitpack read path end-to-end."""
-    import pandas as pd
-
-    from nadry_search_engine_be_ray.state.segments import SegmentReader
-
-    _, index_dir = _built_index_bitpack(sf_dir)
-    _main_dump(sf_dir)  # tok.parquet is codec-independent (pre-shuffle)
-    r = SegmentReader(index_dir)
-    rows = [(t, int(r.postings(t).df)) for t in sorted(r.terms())]
-    return pd.DataFrame({"term": [t for t, _ in rows],
-                         "df": pd.array([d for _, d in rows], dtype="int64")})
+    return _term_df(sf_dir, "bitpack")
 
 
 def _q_index_df_ef(sf_dir: str):
@@ -1887,16 +1853,7 @@ def _q_index_df_ef(sf_dir: str):
     'ef', the quasi-succinct monotone code) — same oracle recompute as
     index_term_df_real, so the driver hash-checks the ef build's
     encode_ef + decode_ef read path end-to-end."""
-    import pandas as pd
-
-    from nadry_search_engine_be_ray.state.segments import SegmentReader
-
-    _, index_dir = _built_index_ef(sf_dir)
-    _main_dump(sf_dir)  # tok.parquet is codec-independent (pre-shuffle)
-    r = SegmentReader(index_dir)
-    rows = [(t, int(r.postings(t).df)) for t in sorted(r.terms())]
-    return pd.DataFrame({"term": [t for t, _ in rows],
-                         "df": pd.array([d for _, d in rows], dtype="int64")})
+    return _term_df(sf_dir, "ef")
 
 
 def _q_proximity_pairs(sf_dir: str):
@@ -2351,64 +2308,25 @@ def _q_champion_topk(sf_dir: str):
     top-k / Persin impact ordering): each term contributes only its top-3
     postings by accumulated field weight, scored with the exact bm25f
     expression — per-query candidate work is bounded by tokens x m
-    regardless of posting length (serve.ChampionEvalActor reads the
+    regardless of posting length (serve mode 'champion' reads the
     sorted champion parquet with a term-pruned row-group read and never
     decodes a posting payload).  The oracle replays the identical
     semantics (row_number <= m over the dumped tokw table + the shared
     BM25 expression tree), so the approximation contract is hash-checked,
     not hand-waved."""
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import (
-        ChampionEvalActor, ensure_champion_tier,
-    )
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
-    ensure_champion_tier(index_dir, m=3)
-    qs = [q["query"] for q in reference_queries()
-          if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(
-        pa.table({"query": pa.array(qs, pa.string())})
-    )
-    out = qds.map_batches(
-        ChampionEvalActor, fn_constructor_args=(index_dir, 3, 10),
-        batch_format="pyarrow", batch_size=16, concurrency=2,
-    ).to_pandas()
-    out["score"] = out["score"].round(9)
-    return out.sort_values(["query", "rank"]).reset_index(drop=True)
+    return _serve_eval(sf_dir, "champion", m=3, k=10)
 
 
 def _q_highlight_spans(sf_dir: str):
-    """Match-offset extraction for highlighting (serve.HighlightEvalActor,
+    """Match-offset extraction for highlighting (serve mode 'highlight',
     the UnifiedHighlighter analog the reference's snippet marker consumes):
     BM25 top-3 docs per query, then every (term, field, position)
     occurrence of each query term in each top doc, decoded from the
     positions payload of just the query terms' lists.  Oracle = the shared
     BM25 CTE rank window joined to the exploded pos dump, so the positions
     codec's decode path is hash-checked against the map-side stream."""
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import HighlightEvalActor
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
-    qs = [q["query"] for q in reference_queries()
-          if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(
-        pa.table({"query": pa.array(qs, pa.string())})
-    )
-    out = qds.map_batches(
-        HighlightEvalActor, fn_constructor_args=(index_dir, 3),
-        batch_format="pyarrow", batch_size=16, concurrency=2,
-    ).to_pandas()
-    return out.sort_values(
-        ["query", "rank", "term", "field", "pos"]
-    ).reset_index(drop=True)
+    return _serve_eval(sf_dir, "highlight", k=3,
+                       sort=("query", "rank", "term", "field", "pos"))
 
 
 def _highlight_sql(k: int = 3) -> str:
@@ -2509,64 +2427,23 @@ def _q_tiered_topk(sf_dir: str):
     """Tiered retrieval (IR-book §7.2.1): tier 1 = champion lists (top-3
     by field weight per term); a query with >= 10 distinct tier-1
     candidates is answered from tier 1 alone (champion scoring, bounded
-    work), else full bm25f evaluation — serve.TieredEvalActor, with the
+    work), else full bm25f evaluation — serve mode 'tiered', with the
     fired tier emitted per row so the oracle hash-checks the LADDER
     decision, not just the ranking."""
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import (
-        TieredEvalActor, ensure_champion_tier,
-    )
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
     # m=8: single-term queries (<= 8 distinct tier-1 candidates) fall
     # back while multi-term queries fill tier 1 — BOTH ladder branches
     # fire on the reference query set, so the oracle checks each
-    ensure_champion_tier(index_dir, m=8)
-    qs = [q["query"] for q in reference_queries()
-          if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(
-        pa.table({"query": pa.array(qs, pa.string())})
-    )
-    out = qds.map_batches(
-        TieredEvalActor, fn_constructor_args=(index_dir, 8, 10),
-        batch_format="pyarrow", batch_size=16, concurrency=2,
-    ).to_pandas()
-    out["score"] = out["score"].round(9)
-    return out.sort_values(["query", "rank"]).reset_index(drop=True)
+    return _serve_eval(sf_dir, "tiered", m=8, k=10)
 
 
 def _q_min_should_match(sf_dir: str):
     """Minimum-should-match retrieval (Lucene/ES minimum_should_match):
     candidates must match >= ceil(0.5 x n_distinct_query_terms) DISTINCT
     query terms; survivors get the full BM25 score over all their matched
-    terms (serve.MinShouldMatchEvalActor).  Oracle = the shared BM25 CTE
+    terms (serve mode 'min_should_match').  Oracle = the shared BM25 CTE
     + a per-doc distinct-term-count gate, both replayed in SQL with the
     per-plan constant threshold."""
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import (
-        MinShouldMatchEvalActor,
-    )
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
-    qs = [q["query"] for q in reference_queries()
-          if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(
-        pa.table({"query": pa.array(qs, pa.string())})
-    )
-    out = qds.map_batches(
-        MinShouldMatchEvalActor, fn_constructor_args=(index_dir, 0.5, 10),
-        batch_format="pyarrow", batch_size=16, concurrency=2,
-    ).to_pandas()
-    out["score"] = out["score"].round(9)
-    return out.sort_values(["query", "rank"]).reset_index(drop=True)
+    return _serve_eval(sf_dir, "min_should_match", ratio=0.5, k=10)
 
 
 def _min_should_match_sql(ratio: float = 0.5, k: int = 10) -> str:
@@ -2721,44 +2598,46 @@ def _q_posting_codec_sizes_dense(sf_dir: str):
     return posting_codec_sizes(index_dir, dense_remap=True)
 
 
-def _q_search_reference(sf_dir: str):
+def _serve_eval(sf_dir: str, mode: str, *, query_set: str = "plain",
+                index=None, sort=("query", "rank"), **params):
+    """Run the reference queries through ``serve.batch_search(mode,
+    **params)`` and return the rows sorted by ``sort`` (scores rounded to
+    9 dp like the SQL oracles).  ``query_set``: "plain" = the non-phrase
+    queries, "paged" = every query with its page/page_size; ``index`` maps
+    sf_dir to the index dir (default: the shared varint build)."""
     import pyarrow as pa
     import ray.data
 
-    from nadry_search_engine_be_ray.pipelines.serve import batch_search
+    from nadry_search_engine_be_ray.pipelines.serve import (
+        batch_search, ensure_champion_tier,
+    )
     from nadry_search_engine_be_ray.sources.corpus import reference_queries
 
-    _, index_dir = _built_index(sf_dir)
     _main_dump(sf_dir)  # popularity made deterministic + oracle tables
+    index_dir = index(sf_dir) if index else _built_index(sf_dir)[1]
+    if mode in ("champion", "tiered"):
+        ensure_champion_tier(index_dir, m=params["m"])
     qs = reference_queries()
-    qds = ray.data.from_arrow(
-        pa.table(
-            {
-                "query": pa.array([q["query"] for q in qs], pa.string()),
-                "page": pa.array([q["page"] for q in qs], pa.int32()),
-                "page_size": pa.array([q["page_size"] for q in qs], pa.int32()),
-            }
-        )
-    )
-    out = batch_search(qds, index_dir, mode="reference", concurrency=2).to_pandas()
-    out["score"] = out["score"].round(9)  # same rounding as the SQL oracle
-    return out.sort_values(["query", "rank"]).reset_index(drop=True)
+    if query_set == "plain":
+        qs = [q for q in qs if not q["query"].startswith('"')]
+    cols = {"query": pa.array([q["query"] for q in qs], pa.string())}
+    if query_set == "paged":
+        cols.update({c: pa.array([q[c] for q in qs], pa.int32())
+                     for c in ("page", "page_size")})
+    tbl = pa.table(cols)
+    out = batch_search(ray.data.from_arrow(tbl), index_dir, mode,
+                       concurrency=2, **params).to_pandas()
+    if "score" in out:
+        out["score"] = out["score"].round(9)
+    return out.sort_values(list(sort)).reset_index(drop=True)
+
+
+def _q_search_reference(sf_dir: str):
+    return _serve_eval(sf_dir, "reference", query_set="paged")
 
 
 def _q_search_bm25(sf_dir: str):
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import batch_search
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
-    qs = [q["query"] for q in reference_queries() if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(pa.table({"query": pa.array(qs, pa.string())}))
-    out = batch_search(qds, index_dir, mode="bm25", concurrency=2).to_pandas()
-    out["score"] = out["score"].round(9)  # same rounding as the SQL oracle
-    return out.sort_values(["query", "rank"]).reset_index(drop=True)
+    return _serve_eval(sf_dir, "bm25")
 
 
 def _q_search_bm25_plus(sf_dir: str):
@@ -2766,21 +2645,7 @@ def _q_search_bm25_plus(sf_dir: str):
     added inside the idf product — fixes plain BM25's long-document tf
     underflow; engine path = the same TAAT accumulator with scorer
     'bm25plus', oracle = the generated BM25 SQL with delta = 1.0."""
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import batch_search
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
-    qs = [q["query"] for q in reference_queries()
-          if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(pa.table({"query": pa.array(qs, pa.string())}))
-    out = batch_search(qds, index_dir, mode="bm25plus",
-                       concurrency=2).to_pandas()
-    out["score"] = out["score"].round(9)
-    return out.sort_values(["query", "rank"]).reset_index(drop=True)
+    return _serve_eval(sf_dir, "bm25plus")
 
 
 def _q_search_after(sf_dir: str):
@@ -2789,76 +2654,22 @@ def _q_search_after(sf_dir: str):
     engine's own page-1 tail (SearchEngine.search_after) — page-N cost
     equals page-1 cost, no offset-sized sort; oracle = rank window
     [10, 20) under the identical total order."""
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import SearchAfterEvalActor
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
-    qs = [q["query"] for q in reference_queries()
-          if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(
-        pa.table({"query": pa.array(qs, pa.string())})
-    )
-    out = qds.map_batches(
-        SearchAfterEvalActor, fn_constructor_args=(index_dir,),
-        batch_format="pyarrow", batch_size=16, concurrency=2,
-    ).to_pandas()
-    out["score"] = out["score"].round(9)
-    return out.sort_values(["query", "rank"]).reset_index(drop=True)
+    return _serve_eval(sf_dir, "search_after")
 
 
 def _q_collapse_by_repo(sf_dir: str):
     """Field-collapsed search (Lucene/ES collapse): at most one hit per
     repo — best doc per repo by (score DESC, doc_int ASC), global top-10
-    over the winners (pipelines/serve.CollapseEvalActor; the doc->repo
+    over the winners (serve mode 'collapse'; the doc->repo
     mapping is the per-actor doc-values column)."""
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import CollapseEvalActor
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
-    qs = [q["query"] for q in reference_queries()
-          if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(
-        pa.table({"query": pa.array(qs, pa.string())})
-    )
-    out = qds.map_batches(
-        CollapseEvalActor, fn_constructor_args=(index_dir,),
-        batch_format="pyarrow", batch_size=16, concurrency=2,
-    ).to_pandas()
-    out["score"] = out["score"].round(9)
-    return out.sort_values(["query", "rank"]).reset_index(drop=True)
+    return _serve_eval(sf_dir, "collapse")
 
 
 def _q_synonym_search(sf_dir: str):
-    """Synonym-expanded BM25 (serve.SynonymEvalActor): thesaurus terms OR
+    """Synonym-expanded BM25 (serve mode 'synonym'): thesaurus terms OR
     in at weight 0.4; the oracle shares the expansion code (config) and
     recomputes scoring in SQL."""
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import SynonymEvalActor
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
-    qs = [q["query"] for q in reference_queries()
-          if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(
-        pa.table({"query": pa.array(qs, pa.string())})
-    )
-    out = qds.map_batches(
-        SynonymEvalActor, fn_constructor_args=(index_dir,),
-        batch_format="pyarrow", batch_size=16, concurrency=2,
-    ).to_pandas()
-    out["score"] = out["score"].round(9)
-    return out.sort_values(["query", "rank"]).reset_index(drop=True)
+    return _serve_eval(sf_dir, "synonym")
 
 
 def _q_field_search_desc(sf_dir: str):
@@ -2866,50 +2677,16 @@ def _q_field_search_desc(sf_dir: str):
     field with query-term coverage in the code corpus; titles are short
     path-derived names): per-field
     tf derived at query time from the positions payload's field masks
-    (serve.FieldSearchEvalActor); oracle recomputes from the tokf dump."""
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import FieldSearchEvalActor
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
-    qs = [q["query"] for q in reference_queries()
-          if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(
-        pa.table({"query": pa.array(qs, pa.string())})
-    )
-    out = qds.map_batches(
-        FieldSearchEvalActor, fn_constructor_args=(index_dir, 1),
-        batch_format="pyarrow", batch_size=16, concurrency=2,
-    ).to_pandas()
-    out["score"] = out["score"].round(9)
-    return out.sort_values(["query", "rank"]).reset_index(drop=True)
+    (serve mode 'field'); oracle recomputes from the tokf dump."""
+    return _serve_eval(sf_dir, "field", field=1)
 
 
 def _q_explain_scores(sf_dir: str):
-    """Explain API (serve.ExplainEvalActor): factor breakdown per
+    """Explain API (serve mode 'explain'): factor breakdown per
     (query, top-3 doc, term); the oracle recomputes tf/df/idf/saturation
     independently from the dumps."""
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import ExplainEvalActor
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
-    qs = [q["query"] for q in reference_queries()
-          if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(
-        pa.table({"query": pa.array(qs, pa.string())})
-    )
-    out = qds.map_batches(
-        ExplainEvalActor, fn_constructor_args=(index_dir,),
-        batch_format="pyarrow", batch_size=16, concurrency=2,
-    ).to_pandas()
-    return out.sort_values(["query", "doc_id", "term"]).reset_index(drop=True)
+    return _serve_eval(sf_dir, "explain",
+                       sort=("query", "doc_id", "term"))
 
 
 def _q_sloppy_phrase(sf_dir: str):
@@ -3056,49 +2833,15 @@ def _q_search_bm25f(sf_dir: str):
     one BM25 saturation — the engine reads the stored accumulated field
     weight per posting (zero extra decode); oracle = same generated SQL
     over the tokw dump (weight replaces tf, df unchanged)."""
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import batch_search
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
-    qs = [q["query"] for q in reference_queries()
-          if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(
-        pa.table({"query": pa.array(qs, pa.string())})
-    )
-    out = batch_search(qds, index_dir, mode="bm25f",
-                       concurrency=2).to_pandas()
-    out["score"] = out["score"].round(9)
-    return out.sort_values(["query", "rank"]).reset_index(drop=True)
+    return _serve_eval(sf_dir, "bm25f")
 
 
 def _q_rocchio(sf_dir: str):
-    """Rocchio pseudo-relevance feedback (serve.RocchioEvalActor): top-5
+    """Rocchio pseudo-relevance feedback (serve mode 'rocchio'): top-5
     BM25 hits are pseudo-relevant, 3 integer-selected expansion terms at
     weight 0.5 join the query, candidates re-scored with the weighted
     multiset; the oracle replays the whole chain in SQL."""
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import RocchioEvalActor
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _, index_dir = _built_index(sf_dir)
-    _main_dump(sf_dir)
-    qs = [q["query"] for q in reference_queries()
-          if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(
-        pa.table({"query": pa.array(qs, pa.string())})
-    )
-    out = qds.map_batches(
-        RocchioEvalActor, fn_constructor_args=(index_dir,),
-        batch_format="pyarrow", batch_size=16, concurrency=2,
-    ).to_pandas()
-    out["score"] = out["score"].round(9)
-    return out.sort_values(["query", "rank"]).reset_index(drop=True)
+    return _serve_eval(sf_dir, "rocchio")
 
 
 def _q_pagerank(sf_dir: str):
@@ -5527,23 +5270,7 @@ def _q_delete_stale_bm25(sf_dir: str):
     deletes) and n_docs/avgdl stay the full-build values; the oracle
     replays exactly that asymmetry in SQL (unfiltered df CTE + stale
     stats.parquet, WHERE-filtered candidate rows)."""
-    import pyarrow as pa
-    import ray.data
-
-    from nadry_search_engine_be_ray.pipelines.serve import batch_search
-    from nadry_search_engine_be_ray.sources.corpus import reference_queries
-
-    _main_dump(sf_dir)
-    index_dir = _deleted_index(sf_dir)
-    qs = [q["query"] for q in reference_queries()
-          if not q["query"].startswith('"')]
-    qds = ray.data.from_arrow(
-        pa.table({"query": pa.array(qs, pa.string())})
-    )
-    out = batch_search(qds, index_dir, mode="bm25",
-                       concurrency=2).to_pandas()
-    out["score"] = out["score"].round(9)
-    return out.sort_values(["query", "rank"]).reset_index(drop=True)
+    return _serve_eval(sf_dir, "bm25", index=_deleted_index)
 
 
 def _q_delete_merge_df(sf_dir: str):
@@ -6080,7 +5807,7 @@ def _rocchio_sql(r: int = 5, e: int = 3, beta: float = 0.5) -> str:
     docs -> candidate terms from their token rows -> integer-only
     selection (tf-sum DESC, global df ASC, term ASC) LIMIT e excluding
     the original tokens -> re-score with weights (orig multiplicity at
-    1.0, expansion at beta) -> top-10.  Mirrors serve.RocchioEvalActor."""
+    1.0, expansion at beta) -> top-10.  Mirrors serve mode 'rocchio'."""
     from collections import Counter
 
     D = _MAIN_DUMP_DIR
@@ -6209,7 +5936,7 @@ def _synonym_sql(gamma: float = 0.4) -> str:
 def _field_search_sql(field: int = 0) -> str:
     """Fielded-search oracle: BM25 over the per-field tf rows (tokf dump),
     field-restricted df, whole-doc length norm — mirrors
-    serve.FieldSearchEvalActor's positions-derived numbers."""
+    serve.field_postings' positions-derived numbers."""
     from collections import Counter
 
     D = _MAIN_DUMP_DIR

@@ -223,43 +223,27 @@ def main() -> None:
     from nadry_search_engine_be_ray.pipelines.query import (
         prefix_suggest_kgram, spell_correct_kgram,
     )
-    from nadry_search_engine_be_ray.pipelines.serve import (
-        ChampionEvalActor, HighlightEvalActor, ensure_champion_tier,
-    )
+    from nadry_search_engine_be_ray.pipelines.serve import ensure_champion_tier
 
     spell_correct_kgram(index_dir, ["serch", "documnt", "indx", "tokken"])
     prefix_suggest_kgram(index_dir, ["se", "ind", "tok"], k=5)
     ensure_champion_tier(index_dir, m=3)
     _hl_q = pa.table({"query": pa.array(
         ["search engine", "index merge", "national community"], pa.string())})
-    ray.data.from_arrow(_hl_q).map_batches(
-        ChampionEvalActor, fn_constructor_args=(index_dir, 3, 10),
-        batch_format="pyarrow", batch_size=16, concurrency=2).to_pandas()
-    ray.data.from_arrow(_hl_q).map_batches(
-        HighlightEvalActor, fn_constructor_args=(index_dir, 3),
-        batch_format="pyarrow", batch_size=16, concurrency=2).to_pandas()
+    batch_search(ray.data.from_arrow(_hl_q), index_dir, "champion",
+                 m=3, k=10).to_pandas()
+    batch_search(ray.data.from_arrow(_hl_q), index_dir, "highlight",
+                 k=3).to_pandas()
     extra_timings["search_features"] = time.time() - t0
 
     # --- ranked-retrieval variants over the live index (non-headline) ------
-    import pyarrow as _pa
-
-    from nadry_search_engine_be_ray.pipelines.serve import (
-        CollapseEvalActor, ExplainEvalActor, RocchioEvalActor,
-        SearchAfterEvalActor, SynonymEvalActor, batch_search,
-    )
-
     t0 = time.time()
-    qtbl = _pa.table({"query": _pa.array(
+    qtbl = pa.table({"query": pa.array(
         ["search engine", "item order arrived", "national community",
-         "index merge", "running university"] * 8, _pa.string())})
-    for actor in (SearchAfterEvalActor, CollapseEvalActor, RocchioEvalActor,
-                  SynonymEvalActor, ExplainEvalActor):
-        ray.data.from_arrow(qtbl).map_batches(
-            actor, fn_constructor_args=(index_dir,),
-            batch_format="pyarrow", batch_size=16, concurrency=2,
-        ).to_pandas()
-    batch_search(ray.data.from_arrow(qtbl), index_dir,
-                 mode="bm25f", concurrency=2).to_pandas()
+         "index merge", "running university"] * 8, pa.string())})
+    for mode in ("search_after", "collapse", "rocchio", "synonym", "explain",
+                 "bm25f"):
+        batch_search(ray.data.from_arrow(qtbl), index_dir, mode).to_pandas()
     extra_timings["ranked_variants"] = time.time() - t0
     shutil.rmtree(index_dir, ignore_errors=True)
 

@@ -16,8 +16,8 @@ implements the Lucene delete lifecycle over immutable parquet segments:
   else masked and re-encoded with the index's own codec tier.  Side
   tables (doc_stats / prepped / postings / popularity) stream through a
   vectorized live-mask filter; stats.json is recomputed; derived kgram
-  dirs are invalidated (they rebuild lazily behind their _DONE marker);
-  the tombstone file is cleared last.
+  and champion-tier dirs are invalidated (they rebuild behind their _DONE
+  marker); the tombstone file is cleared last.
 
 After a purge the index is EQUIVALENT to a fresh build over the surviving
 corpus — doc_ints are content-derived (stages/prep.py M2), so posting
@@ -242,8 +242,10 @@ def purge_deletes(index_dir: str, *, concurrency: int | None = None,
     with open(stats_path, "w") as f:
         json.dump(stats, f, indent=2)
 
-    for kd in glob.glob(os.path.join(index_dir, "kgram_*")):
-        shutil.rmtree(kd, ignore_errors=True)  # rebuilds lazily on demand
+    # derived tiers would keep serving purged docs; they rebuild on demand
+    for kd in (glob.glob(os.path.join(index_dir, "kgram_*"))
+               + glob.glob(os.path.join(index_dir, "champions_*"))):
+        shutil.rmtree(kd, ignore_errors=True)
 
     deletes_state.clear_tombstones(index_dir)
     return {

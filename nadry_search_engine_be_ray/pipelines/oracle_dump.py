@@ -128,7 +128,7 @@ def dump_index_tables(index_dir: str, dump_dir: str,
 
     # tokf: per-(term, doc, FIELD) tf — the fielded-search oracle's input
     # (the engine derives the same numbers from the positions payload's
-    # field masks at query time, pipelines/serve.FieldSearchEvalActor)
+    # field masks at query time, pipelines/serve.field_postings)
     tokf = (
         real.select(["term", "doc_int", "field", "tf"])
         .group_by(["term", "doc_int", "field"])

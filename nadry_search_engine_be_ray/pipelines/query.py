@@ -15,9 +15,9 @@ Implements the reference's three query paths (SURVEY.md §3.3):
                       tests)
 
 State layout (T5 analog): a ``SearchEngine`` owns SegmentReader(s) plus
-doc-stat arrays loaded once.  ``ScorerActor``/``batch_search`` wrap it in a
-Ray actor pool for distributed batch query evaluation; the per-query math
-stays identical because both call this class.
+doc-stat arrays loaded once.  ``serve.QueryEvalActor``/``batch_search``
+wrap it in a Ray actor pool for distributed batch query evaluation; the
+per-query math stays identical because both call this class.
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ reexpressed Ray-Data-first, two layers:
   full ``SearchEngine`` (segments mmap'd + doc stats) built ONCE in
   ``__init__`` (T5: state loaded once per worker).  Per-query math is
   byte-identical to the single-query path because both call the same
-  SearchEngine.
+  SearchEngine.  ``QueryEvalActor`` is the only batch actor: its ``mode``
+  names a retriever set-up in :data:`MODES`, ``(engine, index_dir,
+  **params) -> (fields, run)``; ``run(query, page, page_size)`` returns
+  that query's rows in ``fields`` order, typed into one table per batch.
 * ``ShardedSearchEngine``: the MULTI-NODE serving design made concrete —
   one ``ShardSegmentActor`` per segment shard (each holding a page-lazy
   SegmentReader for ONLY its shard, S9/S10 as a shared mutable-cache
@@ -25,115 +28,80 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import ray.data
 
+from ..functions.codec import decode_doc_positions_flat
 from ..stages.tokenize import term_shard
+from ..state.deletes import live_mask
 from ..state.segments import PostingList
 from .query import SearchEngine
 
-
-class QueryEvalActor:
-    def __init__(self, index_dir: str, mode: str = "reference"):
-        self.engine = SearchEngine(index_dir)
-        self.mode = mode
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        queries = batch["query"].to_pylist()
-        pages = batch["page"].to_pylist() if "page" in batch.column_names else [0] * len(queries)
-        sizes = (
-            batch["page_size"].to_pylist()
-            if "page_size" in batch.column_names
-            else [10] * len(queries)
-        )
-        out_q, out_rank, out_doc, out_score, out_total = [], [], [], [], []
-        for q, p, s in zip(queries, pages, sizes):
-            if self.mode == "reference":
-                res = self.engine.search_auto(q, int(p), int(s))
-                rows = [(r["doc_id"], r["score"]) for r in res["results"]]
-                total = res["total_results"]
-            elif self.mode in ("bm25", "bm25f", "bm25plus"):
-                # TAAT is the fast path at in-memory posting sizes; WAND wins
-                # when lists are disk-resident/huge (kept for that regime and
-                # verified equal in tests).  bm25f scores the stored
-                # accumulated field weight through the same saturation.
-                hits = self.engine.topk_taat(q, k=int(s), scorer=self.mode)
-                rows = [(f"{d:015x}", sc) for d, sc in hits]
-                total = len(rows)
-            else:  # additive
-                hits = self.engine.additive_search(q, k=int(s), use_wand=False)
-                rows = [(f"{d:015x}", sc) for d, sc in hits]
-                total = len(rows)
-            for rank_i, (doc, score) in enumerate(rows):
-                out_q.append(q)
-                out_rank.append(rank_i)
-                out_doc.append(doc)
-                out_score.append(float(score))
-                out_total.append(total)
-        return pa.table(
-            {
-                "query": pa.array(out_q, pa.string()),
-                "rank": pa.array(out_rank, pa.int32()),
-                "doc_id": pa.array(out_doc, pa.string()),
-                "score": pa.array(out_score, pa.float64()),
-                "total_results": pa.array(out_total, pa.int64()),
-            }
-        )
+_RANK = ("rank", pa.int32())
+_DOC = ("doc_id", pa.string())
+_SCORE = ("score", pa.float64())
+_RANKED = [_RANK, _DOC, _SCORE]
 
 
-def batch_search(
-    queries_ds: "ray.data.Dataset",
-    index_dir: str,
-    mode: str = "reference",
-    concurrency: int = 2,
-    batch_size: int = 16,
-) -> "ray.data.Dataset":
-    """Evaluate a Dataset of queries against the index with an actor pool."""
-    return queries_ds.map_batches(
-        QueryEvalActor,
-        fn_constructor_args=(index_dir, mode),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def _top(docs: np.ndarray, acc: np.ndarray, k: int, *extra) -> list[tuple]:
+    """Top-``k`` ``(rank, hex doc_id, score, *extra)`` rows by (score DESC,
+    doc_int ASC); ``extra`` are int arrays aligned with ``docs``."""
+    order = np.lexsort((docs, -acc))[:k]
+    return [(i, f"{int(docs[j]):015x}", float(acc[j]),
+             *(int(x[j]) for x in extra)) for i, j in enumerate(order)]
 
 
-class SearchAfterEvalActor:
+def _idf(n: int, df: int) -> float:
+    """BM25 idf (Lucene's +1 variant, never negative)."""
+    return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+
+
+def _reference(engine, index_dir):
+    """The reference request path (``SearchEngine.search_auto``: quoted
+    queries go to phrase search, the rest to ``search``), paged by the
+    row's ``page``/``page_size``."""
+    def run(q, page, size):
+        res = engine.search_auto(q, page, size)
+        return [(i, r["doc_id"], float(r["score"]), res["total_results"])
+                for i, r in enumerate(res["results"])]
+    return _RANKED + [("total_results", pa.int64())], run
+
+
+def _taat(scorer):
+    """Set-up for the exact TAAT top-``page_size`` page under ``scorer``;
+    ``total_results`` is the number of hits returned."""
+    def setup(engine, index_dir):
+        def run(q, page, size):
+            hits = engine.topk_taat(q, k=size, scorer=scorer)
+            return [(i, f"{d:015x}", float(s), len(hits))
+                    for i, (d, s) in enumerate(hits)]
+        return _RANKED + [("total_results", pa.int64())], run
+    return setup
+
+
+def _search_after(engine, index_dir, k=10, scorer="bm25"):
     """Keyset-pagination evaluator: page 1 (top-k) establishes the cursor,
     page 2 is fetched with SearchEngine.search_after — the deep-pagination
     path whose cost does not grow with the offset."""
-
-    def __init__(self, index_dir: str, k: int = 10, scorer: str = "bm25"):
-        self.engine = SearchEngine(index_dir)
-        self.k = k
-        self.scorer = scorer
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_rank, out_doc, out_score = [], [], [], []
-        for q in batch["query"].to_pylist():
-            page1 = self.engine.search_after(q, None, k=self.k,
-                                             scorer=self.scorer)
-            if len(page1) < self.k:
-                continue  # no page 2
-            cursor = (page1[-1][1], page1[-1][0])  # (score, doc_int)
-            page2 = self.engine.search_after(q, cursor, k=self.k,
-                                             scorer=self.scorer)
-            for i, (d, s) in enumerate(page2):
-                out_q.append(q)
-                out_rank.append(self.k + i)
-                out_doc.append(f"{d:015x}")
-                out_score.append(float(s))
-        return pa.table(
-            {"query": pa.array(out_q, pa.string()),
-             "rank": pa.array(out_rank, pa.int32()),
-             "doc_id": pa.array(out_doc, pa.string()),
-             "score": pa.array(out_score, pa.float64())}
-        )
+    def run(q, page, size):
+        page1 = engine.search_after(q, None, k=k, scorer=scorer)
+        if len(page1) < k:
+            return []  # no page 2
+        cursor = (page1[-1][1], page1[-1][0])  # (score, doc_int)
+        page2 = engine.search_after(q, cursor, k=k, scorer=scorer)
+        return [(k + i, f"{d:015x}", float(s))
+                for i, (d, s) in enumerate(page2)]
+    return _RANKED, run
 
 
-class CollapseEvalActor:
+def _collapse(engine, index_dir, group_col="repo", k=10, scorer="bm25"):
     """Field-collapsed search (Lucene/ES collapse, web-search site
     collapsing): at most one result per ``group_col`` value, best doc per
     group by (score DESC, doc_int ASC), then global top-k over the group
@@ -144,53 +112,32 @@ class CollapseEvalActor:
     index's prepped table (12 B/doc; at 100 TB this column is loaded per
     index shard by the sharded serve path, not the whole corpus per
     actor)."""
+    t = pads.dataset(
+        os.path.join(index_dir, "prepped"), format="parquet"
+    ).to_table(columns=["doc_int", group_col])
+    di = t["doc_int"].to_numpy(zero_copy_only=False).astype(np.int64)
+    de = t[group_col].combine_chunks().dictionary_encode()
+    by_doc = np.argsort(di, kind="stable")
+    doc_ints = di[by_doc]
+    doc_codes = de.indices.to_numpy(
+        zero_copy_only=False).astype(np.int64)[by_doc]
+    names = de.dictionary.to_pylist()
 
-    def __init__(self, index_dir: str, group_col: str = "repo",
-                 k: int = 10, scorer: str = "bm25"):
-        import pyarrow.dataset as pads
-
-        self.engine = SearchEngine(index_dir)
-        self.k = k
-        self.scorer = scorer
-        t = pads.dataset(
-            os.path.join(index_dir, "prepped"), format="parquet"
-        ).to_table(columns=["doc_int", group_col])
-        di = t["doc_int"].to_numpy(zero_copy_only=False).astype(np.int64)
-        de = t[group_col].combine_chunks().dictionary_encode()
-        order = np.argsort(di, kind="stable")
-        self.doc_ints = di[order]
-        self.codes = de.indices.to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)[order]
-        self.group_names = de.dictionary.to_pylist()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_rank, out_doc, out_group, out_score = [], [], [], [], []
-        for q in batch["query"].to_pylist():
-            docs, acc = self.engine.all_scores(q, self.scorer)
-            if not docs.size:
-                continue
-            codes = self.codes[np.searchsorted(self.doc_ints, docs)]
-            order = np.lexsort((docs, -acc))
-            # first occurrence of each group in rank order = group winner
-            _, first = np.unique(codes[order], return_index=True)
-            win = order[np.sort(first)][: self.k]
-            for i, j in enumerate(win):
-                out_q.append(q)
-                out_rank.append(i)
-                out_doc.append(f"{int(docs[j]):015x}")
-                out_group.append(self.group_names[int(codes[j])])
-                out_score.append(float(acc[j]))
-        return pa.table(
-            {"query": pa.array(out_q, pa.string()),
-             "rank": pa.array(out_rank, pa.int32()),
-             "doc_id": pa.array(out_doc, pa.string()),
-             "group": pa.array(out_group, pa.string()),
-             "score": pa.array(out_score, pa.float64())}
-        )
+    def run(q, page, size):
+        docs, acc = engine.all_scores(q, scorer)
+        if not docs.size:
+            return []
+        codes = doc_codes[np.searchsorted(doc_ints, docs)]
+        order = np.lexsort((docs, -acc))
+        # first occurrence of each group in rank order = group winner
+        _, first = np.unique(codes[order], return_index=True)
+        win = order[np.sort(first)][:k]
+        return [(i, f"{int(docs[j]):015x}", names[int(codes[j])],
+                 float(acc[j])) for i, j in enumerate(win)]
+    return [_RANK, _DOC, ("group", pa.string()), _SCORE], run
 
 
-class RocchioEvalActor:
+def _rocchio(engine, index_dir, r=5, e=3, beta=0.5):
     """Pseudo-relevance feedback (Rocchio, SMART retrieval): take the
     top-``r`` BM25 hits as pseudo-relevant, pick the ``e`` most
     representative NEW terms from their term vectors — INTEGER-ONLY
@@ -203,22 +150,11 @@ class RocchioEvalActor:
     predicate pushdown (Lucene's stored term vectors analog); at 100 TB
     this is a forward-index point lookup per feedback doc, never a scan.
     """
+    vectors = pads.dataset(os.path.join(index_dir, "postings"),
+                           format="parquet", partitioning="hive")
 
-    def __init__(self, index_dir: str, r: int = 5, e: int = 3,
-                 beta: float = 0.5):
-        self.engine = SearchEngine(index_dir)
-        self.index_dir = index_dir
-        self.r, self.e, self.beta = r, e, beta
-
-    def _expansion_terms(self, fb_docs: np.ndarray,
-                         exclude: set[str]) -> list[str]:
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-
-        tv = pads.dataset(
-            os.path.join(self.index_dir, "postings"), format="parquet",
-            partitioning="hive",
-        ).to_table(
+    def expansion_terms(fb_docs: np.ndarray, exclude: set[str]) -> list[str]:
+        tv = vectors.to_table(
             columns=["term", "doc_int", "field", "tf"],
             filter=pc.field("doc_int").isin(fb_docs.tolist())
             & (pc.field("field") >= 0),
@@ -226,42 +162,25 @@ class RocchioEvalActor:
         if tv.num_rows == 0:
             return []
         agg = tv.group_by("term").aggregate([("tf", "sum")])
-        terms = agg["term"].to_pylist()
-        tfs = agg["tf_sum"].to_pylist()
-        cand = [(t, tf) for t, tf in zip(terms, tfs) if t not in exclude]
+        cand = [(t, tf) for t, tf in zip(agg["term"].to_pylist(),
+                                         agg["tf_sum"].to_pylist())
+                if t not in exclude]
         scored = sorted(
-            ((-tf, self.engine.reader.postings(t).df_stale, t)
-             for t, tf in cand)
-        )[: self.e]
+            (-tf, engine.reader.postings(t).df_stale, t) for t, tf in cand
+        )[:e]
         return [t for _, _, t in scored]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        out_q, out_rank, out_doc, out_score = [], [], [], []
-        for q in batch["query"].to_pylist():
-            docs, acc = self.engine.all_scores(q, "bm25")
-            if not docs.size:
-                continue
-            order = np.lexsort((docs, -acc))[: self.r]
-            fb_docs = docs[order]
-            tokens = self.engine.tokenizer.tokenize(q)
-            weights = {t: float(m) for t, m in Counter(tokens).items()}
-            for t in self._expansion_terms(fb_docs, set(tokens)):
-                weights[t] = self.beta
-            rdocs, racc = self.engine.all_scores_weighted(weights, "bm25")
-            ro = np.lexsort((rdocs, -racc))[:10]
-            for i, j in enumerate(ro):
-                out_q.append(q)
-                out_rank.append(i)
-                out_doc.append(f"{int(rdocs[j]):015x}")
-                out_score.append(float(racc[j]))
-        return pa.table(
-            {"query": pa.array(out_q, pa.string()),
-             "rank": pa.array(out_rank, pa.int32()),
-             "doc_id": pa.array(out_doc, pa.string()),
-             "score": pa.array(out_score, pa.float64())}
-        )
+    def run(q, page, size):
+        docs, acc = engine.all_scores(q, "bm25")
+        if not docs.size:
+            return []
+        fb_docs = docs[np.lexsort((docs, -acc))[:r]]
+        tokens = engine.tokenizer.tokenize(q)
+        weights = {t: float(m) for t, m in Counter(tokens).items()}
+        for t in expansion_terms(fb_docs, set(tokens)):
+            weights[t] = beta
+        return _top(*engine.all_scores_weighted(weights, "bm25"), 10)
+    return _RANKED, run
 
 
 def expand_with_synonyms(tokens: list[str], syn: dict[str, list[str]],
@@ -271,8 +190,6 @@ def expand_with_synonyms(tokens: list[str], syn: dict[str, list[str]],
     of each token (weights merge when a synonym collides with another
     query term) — deterministic, shared verbatim by the SQL-oracle
     generator."""
-    from collections import Counter
-
     weights = {t: float(m) for t, m in Counter(tokens).items()}
     for t, m in sorted(Counter(tokens).items()):
         for s in syn.get(t, []):
@@ -300,187 +217,377 @@ def stem_thesaurus(thesaurus: dict[str, list[str]], tokenizer) \
     return syn
 
 
-class SynonymEvalActor:
+def _synonym(engine, index_dir, thesaurus=None, gamma=0.4):
     """Query-time synonym expansion (Lucene SynonymGraphFilter analog):
     each query term ORs in its thesaurus synonyms at a discounted weight
     ``gamma``, scored through the weighted BM25 accumulator.  The stemmed
     mapping is built once per actor; expansion itself is a pure dict
     rewrite — no extra index structure."""
+    from ..sources.corpus import QUERY_THESAURUS
 
-    def __init__(self, index_dir: str, thesaurus: dict | None = None,
-                 gamma: float = 0.4):
-        from ..sources.corpus import QUERY_THESAURUS
+    syn = stem_thesaurus(
+        thesaurus if thesaurus is not None else QUERY_THESAURUS,
+        engine.tokenizer,
+    )
 
-        self.engine = SearchEngine(index_dir)
-        self.syn = stem_thesaurus(
-            thesaurus if thesaurus is not None else QUERY_THESAURUS,
-            self.engine.tokenizer,
-        )
-        self.gamma = gamma
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_rank, out_doc, out_score = [], [], [], []
-        for q in batch["query"].to_pylist():
-            tokens = self.engine.tokenizer.tokenize(q)
-            if not tokens:
-                continue
-            weights = expand_with_synonyms(tokens, self.syn, self.gamma)
-            docs, acc = self.engine.all_scores_weighted(weights, "bm25")
-            if not docs.size:
-                continue
-            order = np.lexsort((docs, -acc))[:10]
-            for i, j in enumerate(order):
-                out_q.append(q)
-                out_rank.append(i)
-                out_doc.append(f"{int(docs[j]):015x}")
-                out_score.append(float(acc[j]))
-        return pa.table(
-            {"query": pa.array(out_q, pa.string()),
-             "rank": pa.array(out_rank, pa.int32()),
-             "doc_id": pa.array(out_doc, pa.string()),
-             "score": pa.array(out_score, pa.float64())}
-        )
+    def run(q, page, size):
+        tokens = engine.tokenizer.tokenize(q)
+        if not tokens:
+            return []
+        weights = expand_with_synonyms(tokens, syn, gamma)
+        return _top(*engine.all_scores_weighted(weights, "bm25"), 10)
+    return _RANKED, run
 
 
-class FieldSearchEvalActor:
+def field_postings(engine, term: str, field: int):
+    """Per-field posting list of ``term``: ``(docs, tf_f, idf_f)`` or
+    None.  The index stores no per-field posting lists — the positions
+    payload's field masks double as field storage (the FieldInfo analog),
+    so per-field tf is one vectorized flat-decode + bincount per posting
+    list: tf_f[doc] = |positions of the term in field f|.  df and idf are
+    field-restricted (docs where tf_f > 0)."""
+    pl = engine.reader.postings(term)
+    if pl is None or pl.df == 0:
+        return None
+    dr, f, _ = decode_doc_positions_flat(
+        pl.positions_buf, pl.pos_offsets, np.arange(pl.df)
+    )
+    tf = np.bincount(dr[f == field], minlength=pl.df)
+    keep = tf > 0
+    if not keep.any():
+        return None
+    docs = pl.docs[keep]
+    return docs, tf[keep].astype(np.float64), _idf(engine.stats["n_docs"],
+                                                   docs.size)
+
+
+def _field(engine, index_dir, field=0, k=10):
     """Fielded search (Lucene ``title:term``): BM25 over the tf of ONE
-    field only.  The index stores no per-field posting lists — the
-    positions payload's field masks double as field storage (the FieldInfo
-    analog), so per-field tf is one vectorized flat-decode + bincount per
-    posting list: tf_f[doc] = |positions of the term in field f|.  df and
-    idf are field-restricted (docs where tf_f > 0); dl stays the whole-doc
-    length (documented simple variant — per-field length norms would need
-    a per-field doc_stats column).
+    field only (:func:`field_postings`); dl stays the whole-doc length
+    (documented simple variant — per-field length norms would need a
+    per-field doc_stats column).
 
     100 TB note: a production fielded tier would materialize per-field
     posting lists at build time; this query-time derivation trades one
     positions decode per (term, query) for zero extra index bytes."""
+    avgdl = engine.stats["avgdl"] or 1.0
 
-    def __init__(self, index_dir: str, field: int = 0, k: int = 10):
-        self.engine = SearchEngine(index_dir)
-        self.field = field
-        self.k = k
-
-    def _field_postings(self, term: str):
-        import math
-
-        from ..functions.codec import decode_doc_positions_flat
-
-        pl = self.engine.reader.postings(term)
-        if pl is None or pl.df == 0:
-            return None
-        dr, f, _ = decode_doc_positions_flat(
-            pl.positions_buf, pl.pos_offsets, np.arange(pl.df)
-        )
-        tf = np.bincount(dr[f == self.field], minlength=pl.df)
-        keep = tf > 0
-        if not keep.any():
-            return None
-        docs = pl.docs[keep]
-        tff = tf[keep].astype(np.float64)
-        n = self.engine.stats["n_docs"]
-        idf = math.log((n - docs.size + 0.5) / (docs.size + 0.5) + 1.0)
-        return docs, tff, idf
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_rank, out_doc, out_score = [], [], [], []
-        avgdl = self.engine.stats["avgdl"] or 1.0
-        for q in batch["query"].to_pylist():
-            tokens = self.engine.tokenizer.tokenize(q)
-            parts = []
-            for t in tokens:  # duplicates keep duplicate contribution
-                fp = self._field_postings(t)
-                if fp is not None:
-                    parts.append(fp)
-            if not parts:
-                continue
-            all_docs = np.unique(np.concatenate([d for d, _, _ in parts]))
-            acc = np.zeros(all_docs.size, dtype=np.float64)
-            for docs, tff, idf in parts:
-                tw, _ = self.engine.docs.lookup(docs)
-                dl = tw.astype(np.float64)
-                # written as (1.2 + 1) / (1 - 0.75 + ...) to stay
-                # bit-identical with the SQL oracle's expression tree
-                s = idf * (tff * (1.2 + 1)) / (
-                    tff + 1.2 * (1 - 0.75 + 0.75 * dl / avgdl)
-                )
-                np.add.at(acc, np.searchsorted(all_docs, docs), s)
-            order = np.lexsort((all_docs, -acc))[: self.k]
-            for i, j in enumerate(order):
-                out_q.append(q)
-                out_rank.append(i)
-                out_doc.append(f"{int(all_docs[j]):015x}")
-                out_score.append(float(acc[j]))
-        return pa.table(
-            {"query": pa.array(out_q, pa.string()),
-             "rank": pa.array(out_rank, pa.int32()),
-             "doc_id": pa.array(out_doc, pa.string()),
-             "score": pa.array(out_score, pa.float64())}
-        )
+    def run(q, page, size):
+        # duplicates keep duplicate contribution
+        parts = [fp for t in engine.tokenizer.tokenize(q)
+                 if (fp := field_postings(engine, t, field)) is not None]
+        if not parts:
+            return []
+        all_docs = np.unique(np.concatenate([d for d, _, _ in parts]))
+        acc = np.zeros(all_docs.size, dtype=np.float64)
+        for docs, tff, idf in parts:
+            tw, _ = engine.docs.lookup(docs)
+            dl = tw.astype(np.float64)
+            # written as (1.2 + 1) / (1 - 0.75 + ...) to stay
+            # bit-identical with the SQL oracle's expression tree
+            s = idf * (tff * (1.2 + 1)) / (
+                tff + 1.2 * (1 - 0.75 + 0.75 * dl / avgdl)
+            )
+            np.add.at(acc, np.searchsorted(all_docs, docs), s)
+        return _top(all_docs, acc, k)
+    return _RANKED, run
 
 
-class ExplainEvalActor:
+def _explain(engine, index_dir, n_docs=3):
     """Score explanation (Lucene's explain API): for each query's top-n
     BM25 hits, one row per contributing term with the full factor
     breakdown (tf, stale df, idf, saturated tf part, weighted
     contribution) — the rows sum to the hit's score, which the oracle
     recomputes independently term-by-term."""
+    n = engine.stats["n_docs"]
+    avgdl = engine.stats["avgdl"] or 1.0
 
-    def __init__(self, index_dir: str, n_docs: int = 3, k: int = 10):
+    def run(q, page, size):
+        hits = engine.topk_taat(q, k=n_docs, scorer="bm25")
+        if not hits:
+            return []
+        top_docs = np.array(sorted(d for d, _ in hits), dtype=np.int64)
+        rows = []
+        for t, m in sorted(Counter(engine.tokenizer.tokenize(q)).items()):
+            pl = engine.reader.postings(t)
+            if pl is None:
+                continue
+            idf = _idf(n, pl.df_stale)
+            idx = np.searchsorted(pl.docs, top_docs)
+            idx[idx == pl.docs.size] = 0
+            hit = pl.docs[idx] == top_docs
+            if not hit.any():
+                continue
+            docs_h = top_docs[hit]
+            tf = pl.tfs[idx[hit]].astype(np.float64)
+            tw, _ = engine.docs.lookup(docs_h)
+            dl = tw.astype(np.float64)
+            contrib = float(m) * idf * (tf * (1.2 + 1)) / (
+                tf + 1.2 * (1 - 0.75 + 0.75 * dl / avgdl)
+            )
+            rows += [(f"{int(d):015x}", t, int(tf[j]), int(pl.df_stale),
+                      round(idf, 9), round(float(contrib[j]), 9))
+                     for j, d in enumerate(docs_h)]
+        return rows
+    return [_DOC, ("term", pa.string()), ("tf", pa.int64()),
+            ("df", pa.int64()), ("idf", pa.float64()),
+            ("contribution", pa.float64())], run
+
+
+def ensure_champion_tier(index_dir: str, m: int = 3) -> str:
+    """Build (once, `_DONE`-checkpointed) the champion-list parquet tier
+    for ``index_dir`` — per term, the top-``m`` postings by accumulated
+    field weight (pipelines/build.champion_lists), written sorted so a
+    query's pruned read touches only its terms' row groups.  Called once
+    before spawning ``champion``/``tiered`` actor pools so concurrent
+    actors never race the build."""
+    from .build import champion_lists
+
+    champ_dir = os.path.join(index_dir, f"champions_{m}")
+    done = os.path.join(champ_dir, "_DONE")
+    if not os.path.exists(done):
+        shutil.rmtree(champ_dir, ignore_errors=True)
+        tbl = champion_lists(index_dir, m=m)
+        os.makedirs(champ_dir, exist_ok=True)
+        pq.write_table(
+            tbl.sort_by([("term", "ascending"), ("w_rank", "ascending")]),
+            os.path.join(champ_dir, "champions.parquet"),
+            row_group_size=4096,
+        )
+        with open(done, "w") as f:
+            f.write("champion tier")
+    return champ_dir
+
+
+def _champion_tier(engine, index_dir, m):
+    """Tier-1 access shared by the ``champion`` and ``tiered`` modes: the
+    champion dataset is opened once per actor; ``read(mult)`` returns one
+    query's LIVE tier-1 rows (tombstoned docs masked like every posting
+    read) and ``score(mult, rows, k)`` ranks them."""
+    champ_dir = os.path.join(index_dir, f"champions_{m}")
+    if not os.path.exists(os.path.join(champ_dir, "_DONE")):
+        raise RuntimeError("champion tier missing — call "
+                           "ensure_champion_tier() before the actors start")
+    tier = pads.dataset(champ_dir, format="parquet")
+    n = engine.stats["n_docs"]
+    avgdl = engine.stats["avgdl"] or 1.0
+
+    def read(mult: Counter):
+        tbl = tier.to_table(
+            columns=["term", "doc_int", "weight"],
+            filter=pc.field("term").isin(pa.array(sorted(mult), pa.string())),
+        )
+        docs = tbl["doc_int"].to_numpy(zero_copy_only=False).astype(np.int64)
+        live = live_mask(docs, engine.reader.deleted)
+        return (np.asarray(tbl["term"].to_pylist(), dtype=object)[live],
+                docs[live],
+                tbl["weight"].to_numpy(zero_copy_only=False)[live])
+
+    def score(mult: Counter, rows, k: int) -> list[tuple]:
+        terms_col, docs_col, w_col = rows
+        if not docs_col.size:
+            return []
+        cand = np.unique(docs_col)
+        tws, _ = engine.docs.lookup(cand)
+        dl = tws.astype(np.float64)
+        acc = np.zeros(cand.size, dtype=np.float64)
+        for t in sorted(mult):   # fixed term order -> deterministic
+            sel = terms_col == t
+            if not sel.any():
+                continue
+            pl = engine.reader.postings(t)
+            idf = _idf(n, pl.df_stale if pl is not None else 0)
+            idx = np.searchsorted(cand, docs_col[sel])
+            w = w_col[sel]
+            sat = (w * (1.2 + 1)) / (
+                w + 1.2 * (1 - 0.75 + 0.75 * dl[idx] / avgdl)
+            )
+            np.add.at(acc, idx, mult[t] * idf * sat)
+        return _top(cand, acc, k)
+    return read, score
+
+
+def _champion(engine, index_dir, m=3, k=10):
+    """Champion-list early-termination retrieval (Manning/Raghavan/
+    Schütze IR §7.1.3; Persin-style impact ordering): each query term
+    contributes ONLY its top-``m`` postings by accumulated field weight —
+    the build-side champion tier — so a query's candidate work is bounded
+    by ``len(tokens) × m`` REGARDLESS of posting-list length.  The score
+    of a surviving entry is the exact bm25f expression (weight-saturated,
+    stale-df idf), i.e. at m → ∞ the ranking equals the engine's bm25f
+    mode; at finite m it is the declared inexact-top-k semantics, which
+    the SQL oracle replays exactly (row_number ≤ m over the dumped
+    tokw table), so the approximation is hash-checked, not hand-waved.
+
+    100 TB note: the query path reads the champion parquet with a
+    term-pruned row-group read (the tier is sorted by term) and never
+    decodes a posting payload; df comes from the dictionary.  Production
+    would store df beside the champion rows to avoid the dictionary
+    lookup per term."""
+    read, score = _champion_tier(engine, index_dir, m)
+
+    def run(q, page, size):
+        mult = Counter(engine.tokenizer.tokenize(q))
+        return score(mult, read(mult), k) if mult else []
+    return _RANKED, run
+
+
+def _tiered(engine, index_dir, m=3, k=10):
+    """Tiered retrieval (IR-book §7.2.1 tiered indexes): tier 1 is the
+    champion parquet (per term, top-``m`` postings by field weight); if
+    tier 1 yields at least ``k`` DISTINCT candidate docs the query is
+    answered from tier 1 alone with the champion scoring (bounded work),
+    otherwise it falls back to full bm25f evaluation over the complete
+    posting lists — the classic accuracy/latency ladder, with the tier
+    choice emitted per row so the oracle hash-checks WHICH tier fired,
+    not just the ranking.  One tier-1 read per query serves both the
+    gate and the scoring."""
+    read, score = _champion_tier(engine, index_dir, m)
+
+    def run(q, page, size):
+        mult = Counter(engine.tokenizer.tokenize(q))
+        if not mult:
+            return []
+        rows = read(mult)
+        if np.unique(rows[1]).size >= k:
+            return [(*r, 1) for r in score(mult, rows, k)]
+        return [(*r, 2)  # tier-1 under-filled: full evaluation
+                for r in _top(*engine.all_scores(q, "bm25f"), k)]
+    return _RANKED + [("tier", pa.int32())], run
+
+
+def _highlight(engine, index_dir, k=3):
+    """Match-offset extraction for result highlighting (the Lucene
+    UnifiedHighlighter analog; the reference's snippet marker consumes
+    exactly this data, SearchWrapper.java:566-638): for each query, the
+    engine's BM25 top-``k`` docs, then every (term, field, position)
+    occurrence of each query term in each top doc, decoded from the
+    positions payload of just the query terms' posting lists — per-query
+    work is bounded by tokens × k docs × occurrences, never corpus size.
+
+    Output (query, rank, doc_id, term, field, pos); a top doc missing a
+    term (multi-term queries) simply contributes no rows for it."""
+    def run(q, page, size):
+        docs, acc = engine.all_scores(q, "bm25")
+        if not docs.size:
+            return []
+        top_docs = docs[np.lexsort((docs, -acc))[:k]]
+        rows = []
+        for t in sorted(set(engine.tokenizer.tokenize(q))):
+            pl = engine.reader.postings(t)
+            if pl is None:
+                continue
+            idx_c = np.minimum(np.searchsorted(pl.docs, top_docs),
+                               pl.docs.size - 1)
+            hit = pl.docs[idx_c] == top_docs
+            for rank in np.flatnonzero(hit):
+                d = f"{int(top_docs[rank]):015x}"
+                for field, poss in sorted(
+                    pl.positions_for(int(idx_c[rank])).items()
+                ):
+                    rows += [(int(rank), d, t, int(field), int(p_))
+                             for p_ in poss.tolist()]
+        return rows
+    return [_RANK, _DOC, ("term", pa.string()), ("field", pa.int32()),
+            ("pos", pa.int64())], run
+
+
+def _min_should_match(engine, index_dir, ratio=0.5, k=10):
+    """Minimum-should-match retrieval (the Lucene/ES ``minimum_should_
+    match`` parameter): a candidate must match at least ``ceil(ratio ×
+    n_distinct_query_terms)`` DISTINCT query terms to be scored; the
+    survivors get the full BM25 score over all their matched terms, top-k
+    by (score DESC, doc_int ASC).  Kills the low-precision single-term
+    tail of OR semantics without AND's recall cliff.
+
+    Per query the distinct-match count is one searchsorted membership
+    accumulation over the candidate array (no re-decode: the per-term
+    posting arrays are already in hand from scoring)."""
+    def run(q, page, size):
+        distinct = sorted(set(engine.tokenizer.tokenize(q)))
+        if not distinct:
+            return []
+        required = max(1, math.ceil(ratio * len(distinct)))
+        docs, acc = engine.all_scores(q, "bm25")
+        if not docs.size:
+            return []
+        nmatch = np.zeros(docs.size, dtype=np.int64)
+        for t in distinct:
+            pl = engine.reader.postings(t)
+            if pl is None:
+                continue
+            idx_c = np.minimum(np.searchsorted(docs, pl.docs), docs.size - 1)
+            hit = docs[idx_c] == pl.docs
+            nmatch[idx_c[hit]] += 1
+        keep = nmatch >= required
+        return _top(docs[keep], acc[keep], k, nmatch[keep])
+    return _RANKED + [("n_matched", pa.int64())], run
+
+
+# mode -> set-up ``(engine, index_dir, **params) -> (fields, run)``.
+# TAAT is the fast path at in-memory posting sizes; WAND wins when lists
+# are disk-resident/huge (kept for that regime and verified equal in
+# tests).  bm25f scores the stored accumulated field weight through the
+# same saturation.
+MODES = {
+    "reference": _reference,
+    "bm25": _taat("bm25"),
+    "bm25f": _taat("bm25f"),
+    "bm25plus": _taat("bm25plus"),
+    "additive": _taat("additive"),
+    "search_after": _search_after,
+    "collapse": _collapse,
+    "rocchio": _rocchio,
+    "synonym": _synonym,
+    "field": _field,
+    "explain": _explain,
+    "champion": _champion,
+    "tiered": _tiered,
+    "highlight": _highlight,
+    "min_should_match": _min_should_match,
+}
+
+
+class QueryEvalActor:
+    """Batch actor: one ``SearchEngine`` per actor, one retriever ``mode``
+    (see :data:`MODES`) with its ``params``.  Each output batch is
+    ``query`` followed by the mode's fields, typed even when empty; the
+    optional ``page``/``page_size`` input columns default to 0/10."""
+
+    def __init__(self, index_dir: str, mode: str = "reference", **params):
+        if mode not in MODES:
+            raise ValueError(
+                f"unknown mode {mode!r}; valid modes: {', '.join(MODES)}")
         self.engine = SearchEngine(index_dir)
-        self.n_docs = n_docs
-        self.k = k
+        fields, self._run = MODES[mode](self.engine, index_dir, **params)
+        self.schema = pa.schema([("query", pa.string()), *fields])
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import math
-        from collections import Counter
+        queries = batch["query"].to_pylist()
+        n, names = len(queries), batch.column_names
+        pages = batch["page"].to_pylist() if "page" in names else [0] * n
+        sizes = batch["page_size"].to_pylist() if "page_size" in names else [10] * n
+        rows = [(q, *r) for q, p, s in zip(queries, pages, sizes)
+                for r in self._run(q, int(p), int(s))]
+        cols = list(zip(*rows)) or [()] * len(self.schema)
+        return pa.table([pa.array(list(c), f.type)
+                         for c, f in zip(cols, self.schema)],
+                        schema=self.schema)
 
-        cols = {c: [] for c in ("query", "doc_id", "term", "tf", "df",
-                                "idf", "contribution")}
-        n = self.engine.stats["n_docs"]
-        avgdl = self.engine.stats["avgdl"] or 1.0
-        for q in batch["query"].to_pylist():
-            hits = self.engine.topk_taat(q, k=self.n_docs, scorer="bm25")
-            if not hits:
-                continue
-            top_docs = np.array(sorted(d for d, _ in hits), dtype=np.int64)
-            tokens = self.engine.tokenizer.tokenize(q)
-            for t, m in sorted(Counter(tokens).items()):
-                pl = self.engine.reader.postings(t)
-                if pl is None:
-                    continue
-                idf = math.log(
-                    (n - pl.df_stale + 0.5) / (pl.df_stale + 0.5) + 1.0
-                )
-                idx = np.searchsorted(pl.docs, top_docs)
-                idx[idx == pl.docs.size] = 0
-                hit = pl.docs[idx] == top_docs
-                if not hit.any():
-                    continue
-                docs_h = top_docs[hit]
-                tf = pl.tfs[idx[hit]].astype(np.float64)
-                tw, _ = self.engine.docs.lookup(docs_h)
-                dl = tw.astype(np.float64)
-                contrib = float(m) * idf * (tf * (1.2 + 1)) / (
-                    tf + 1.2 * (1 - 0.75 + 0.75 * dl / avgdl)
-                )
-                for j, d in enumerate(docs_h):
-                    cols["query"].append(q)
-                    cols["doc_id"].append(f"{int(d):015x}")
-                    cols["term"].append(t)
-                    cols["tf"].append(int(tf[j]))
-                    cols["df"].append(int(pl.df_stale))
-                    cols["idf"].append(round(idf, 9))
-                    cols["contribution"].append(round(float(contrib[j]), 9))
-        return pa.table(
-            {"query": pa.array(cols["query"], pa.string()),
-             "doc_id": pa.array(cols["doc_id"], pa.string()),
-             "term": pa.array(cols["term"], pa.string()),
-             "tf": pa.array(cols["tf"], pa.int64()),
-             "df": pa.array(cols["df"], pa.int64()),
-             "idf": pa.array(cols["idf"], pa.float64()),
-             "contribution": pa.array(cols["contribution"], pa.float64())}
-        )
+
+def batch_search(queries_ds: "ray.data.Dataset", index_dir: str,
+                 mode: str = "reference", concurrency: int = 2,
+                 batch_size: int = 16, **params) -> "ray.data.Dataset":
+    """Evaluate a Dataset of queries against the index with an actor pool
+    of ``QueryEvalActor(index_dir, mode, **params)``."""
+    return queries_ds.map_batches(
+        QueryEvalActor,
+        fn_constructor_args=(index_dir, mode),
+        fn_constructor_kwargs=params,
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=concurrency,
+    )
 
 
 def _make_shard_actor():
@@ -572,8 +679,6 @@ class ShardedSearchEngine(SearchEngine):
     engine exactly."""
 
     def __init__(self, index_dir: str):
-        import os
-
         import ray
 
         super().__init__(index_dir, shards=[])   # no local segment state
@@ -608,296 +713,3 @@ class ShardedSearchEngine(SearchEngine):
     def additive_search(self, query: str, k: int = 10, **kw):
         self._prefetch_query(query)
         return super().additive_search(query, k=k, **kw)
-
-
-def ensure_champion_tier(index_dir: str, m: int = 3) -> str:
-    """Build (once, `_DONE`-checkpointed) the champion-list parquet tier
-    for ``index_dir`` — per term, the top-``m`` postings by accumulated
-    field weight (pipelines/build.champion_lists), written sorted so a
-    query's pruned read touches only its terms' row groups.  Called from
-    the DRIVER before spawning ChampionEvalActor pools so concurrent
-    actors never race the build."""
-    import os
-    import shutil
-
-    from .build import champion_lists
-
-    champ_dir = os.path.join(index_dir, f"champions_{m}")
-    done = os.path.join(champ_dir, "_DONE")
-    if not os.path.exists(done):
-        shutil.rmtree(champ_dir, ignore_errors=True)
-        tbl = champion_lists(index_dir, m=m)
-        import pyarrow.parquet as pq
-
-        os.makedirs(champ_dir, exist_ok=True)
-        pq.write_table(
-            tbl.sort_by([("term", "ascending"), ("w_rank", "ascending")]),
-            os.path.join(champ_dir, "champions.parquet"),
-            row_group_size=4096,
-        )
-        with open(done, "w") as f:
-            f.write("champion tier")
-    return champ_dir
-
-
-class ChampionEvalActor:
-    """Champion-list early-termination retrieval (Manning/Raghavan/
-    Schütze IR §7.1.3; Persin-style impact ordering): each query term
-    contributes ONLY its top-``m`` postings by accumulated field weight —
-    the build-side champion tier — so a query's candidate work is bounded
-    by ``len(tokens) × m`` REGARDLESS of posting-list length.  The score
-    of a surviving entry is the exact bm25f expression (weight-saturated,
-    stale-df idf), i.e. at m → ∞ the ranking equals the engine's bm25f
-    mode; at finite m it is the declared inexact-top-k semantics, which
-    the driver oracle replays exactly (row_number ≤ m over the dumped
-    tokw table), so the approximation is hash-checked, not hand-waved.
-
-    100 TB note: the query path reads the champion parquet with a
-    term-pruned row-group read (the tier is sorted by term) and never
-    decodes a posting payload; df comes from the dictionary.  Production
-    would store df beside the champion rows to avoid the dictionary
-    lookup per term."""
-
-    def __init__(self, index_dir: str, m: int = 3, k: int = 10):
-        import os
-
-        self.engine = SearchEngine(index_dir)
-        self.m = m
-        self.k = k
-        self.champ_dir = os.path.join(index_dir, f"champions_{m}")
-        if not os.path.exists(os.path.join(self.champ_dir, "_DONE")):
-            raise RuntimeError(
-                "champion tier missing — call ensure_champion_tier() "
-                "from the driver first"
-            )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-
-        eng = self.engine
-        n = eng.stats["n_docs"]
-        avgdl = eng.stats["avgdl"] or 1.0
-        out_q, out_rank, out_doc, out_score = [], [], [], []
-        for q in batch["query"].to_pylist():
-            tokens = eng.tokenizer.tokenize(q)
-            if not tokens:
-                continue
-            mult = Counter(tokens)
-            tbl = pads.dataset(self.champ_dir, format="parquet").to_table(
-                columns=["term", "doc_int", "weight"],
-                filter=pc.field("term").isin(
-                    pa.array(sorted(mult), pa.string())),
-            )
-            if tbl.num_rows == 0:
-                continue
-            terms_col = np.asarray(tbl["term"].to_pylist(), dtype=object)
-            docs_col = tbl["doc_int"].to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            w_col = tbl["weight"].to_numpy(zero_copy_only=False)
-            cand = np.unique(docs_col)
-            tws, _ = eng.docs.lookup(cand)
-            dl = tws.astype(np.float64)
-            acc = np.zeros(cand.size, dtype=np.float64)
-            for t in sorted(mult):   # fixed term order -> deterministic
-                sel = terms_col == t
-                if not sel.any():
-                    continue
-                pl = eng.reader.postings(t)
-                df = pl.df_stale if pl is not None else 0
-                idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-                idx = np.searchsorted(cand, docs_col[sel])
-                w = w_col[sel]
-                sat = (w * (1.2 + 1)) / (
-                    w + 1.2 * (1 - 0.75 + 0.75 * dl[idx] / avgdl)
-                )
-                np.add.at(acc, idx, mult[t] * idf * sat)
-            order = np.lexsort((cand, -acc))[: self.k]
-            for i, j in enumerate(order):
-                out_q.append(q)
-                out_rank.append(i)
-                out_doc.append(f"{int(cand[j]):015x}")
-                out_score.append(float(acc[j]))
-        return pa.table(
-            {"query": pa.array(out_q, pa.string()),
-             "rank": pa.array(out_rank, pa.int32()),
-             "doc_id": pa.array(out_doc, pa.string()),
-             "score": pa.array(out_score, pa.float64())}
-        )
-
-
-class HighlightEvalActor:
-    """Match-offset extraction for result highlighting (the Lucene
-    UnifiedHighlighter analog; the reference's snippet marker consumes
-    exactly this data, SearchWrapper.java:566-638): for each query, the
-    engine's BM25 top-``k`` docs, then every (term, field, position)
-    occurrence of each query term in each top doc, decoded from the
-    positions payload of just the query terms' posting lists — per-query
-    work is bounded by tokens × k docs × occurrences, never corpus size.
-
-    Output (query, rank, doc_id, term, field, pos); a top doc missing a
-    term (multi-term queries) simply contributes no rows for it."""
-
-    def __init__(self, index_dir: str, k: int = 3):
-        self.engine = SearchEngine(index_dir)
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        eng = self.engine
-        out = {"query": [], "rank": [], "doc_id": [], "term": [],
-               "field": [], "pos": []}
-        for q in batch["query"].to_pylist():
-            docs, acc = eng.all_scores(q, "bm25")
-            if not docs.size:
-                continue
-            order = np.lexsort((docs, -acc))[: self.k]
-            top_docs = docs[order]
-            for t in sorted(set(eng.tokenizer.tokenize(q))):
-                pl = eng.reader.postings(t)
-                if pl is None:
-                    continue
-                idx = np.searchsorted(pl.docs, top_docs)
-                idx_c = np.minimum(idx, pl.docs.size - 1)
-                hit = pl.docs[idx_c] == top_docs
-                for rank in np.flatnonzero(hit):
-                    d = int(top_docs[rank])
-                    for field, poss in sorted(
-                        pl.positions_for(int(idx_c[rank])).items()
-                    ):
-                        for p_ in poss.tolist():
-                            out["query"].append(q)
-                            out["rank"].append(int(rank))
-                            out["doc_id"].append(f"{d:015x}")
-                            out["term"].append(t)
-                            out["field"].append(int(field))
-                            out["pos"].append(int(p_))
-        return pa.table(
-            {"query": pa.array(out["query"], pa.string()),
-             "rank": pa.array(out["rank"], pa.int32()),
-             "doc_id": pa.array(out["doc_id"], pa.string()),
-             "term": pa.array(out["term"], pa.string()),
-             "field": pa.array(out["field"], pa.int32()),
-             "pos": pa.array(out["pos"], pa.int64())}
-        )
-
-
-class TieredEvalActor:
-    """Tiered retrieval (IR-book §7.2.1 tiered indexes): tier 1 is the
-    champion parquet (per term, top-``m`` postings by field weight); if
-    tier 1 yields at least ``k`` DISTINCT candidate docs the query is
-    answered from tier 1 alone with the champion scoring (bounded work),
-    otherwise it falls back to full bm25f evaluation over the complete
-    posting lists — the classic accuracy/latency ladder, with the tier
-    choice emitted per row so the oracle hash-checks WHICH tier fired,
-    not just the ranking."""
-
-    def __init__(self, index_dir: str, m: int = 3, k: int = 10):
-        self.champ = ChampionEvalActor(index_dir, m=m, k=k)
-        self.engine = self.champ.engine
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-
-        eng = self.engine
-        out = {"query": [], "rank": [], "doc_id": [], "score": [],
-               "tier": []}
-        for q in batch["query"].to_pylist():
-            tokens = eng.tokenizer.tokenize(q)
-            if not tokens:
-                continue
-            terms = sorted(set(tokens))
-            t1 = pads.dataset(
-                self.champ.champ_dir, format="parquet"
-            ).to_table(
-                columns=["doc_int"],
-                filter=pc.field("term").isin(pa.array(terms, pa.string())),
-            )
-            n_cand = len(pc.unique(t1["doc_int"].combine_chunks()))
-            if n_cand >= self.k:
-                one = self.champ(pa.table(
-                    {"query": pa.array([q], pa.string())}))
-                for r in range(one.num_rows):
-                    out["query"].append(q)
-                    out["rank"].append(int(one["rank"][r].as_py()))
-                    out["doc_id"].append(one["doc_id"][r].as_py())
-                    out["score"].append(float(one["score"][r].as_py()))
-                    out["tier"].append(1)
-            else:   # tier-1 under-filled: full evaluation
-                docs, acc = eng.all_scores(q, "bm25f")
-                if not docs.size:
-                    continue
-                order = np.lexsort((docs, -acc))[: self.k]
-                for i, j in enumerate(order):
-                    out["query"].append(q)
-                    out["rank"].append(i)
-                    out["doc_id"].append(f"{int(docs[j]):015x}")
-                    out["score"].append(float(acc[j]))
-                    out["tier"].append(2)
-        return pa.table(
-            {"query": pa.array(out["query"], pa.string()),
-             "rank": pa.array(out["rank"], pa.int32()),
-             "doc_id": pa.array(out["doc_id"], pa.string()),
-             "score": pa.array(out["score"], pa.float64()),
-             "tier": pa.array(out["tier"], pa.int32())}
-        )
-
-
-class MinShouldMatchEvalActor:
-    """Minimum-should-match retrieval (the Lucene/ES ``minimum_should_
-    match`` parameter): a candidate must match at least ``ceil(ratio ×
-    n_distinct_query_terms)`` DISTINCT query terms to be scored; the
-    survivors get the full BM25 score over all their matched terms, top-k
-    by (score DESC, doc_int ASC).  Kills the low-precision single-term
-    tail of OR semantics without AND's recall cliff.
-
-    Per query the distinct-match count is one searchsorted membership
-    accumulation over the candidate array (no re-decode: the per-term
-    posting arrays are already in hand from scoring)."""
-
-    def __init__(self, index_dir: str, ratio: float = 0.5, k: int = 10):
-        self.engine = SearchEngine(index_dir)
-        self.ratio = ratio
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        eng = self.engine
-        out_q, out_rank, out_doc, out_score, out_nm = [], [], [], [], []
-        for q in batch["query"].to_pylist():
-            tokens = eng.tokenizer.tokenize(q)
-            if not tokens:
-                continue
-            distinct = sorted(set(tokens))
-            required = max(1, math.ceil(self.ratio * len(distinct)))
-            docs, acc = eng.all_scores(q, "bm25")
-            if not docs.size:
-                continue
-            nmatch = np.zeros(docs.size, dtype=np.int64)
-            for t in distinct:
-                pl = eng.reader.postings(t)
-                if pl is None:
-                    continue
-                idx = np.searchsorted(docs, pl.docs)
-                idx_c = np.minimum(idx, docs.size - 1)
-                hit = docs[idx_c] == pl.docs
-                nmatch[idx_c[hit]] += 1
-            keep = np.flatnonzero(nmatch >= required)
-            if keep.size == 0:
-                continue
-            order = keep[np.lexsort((docs[keep], -acc[keep]))][: self.k]
-            for i, j in enumerate(order):
-                out_q.append(q)
-                out_rank.append(i)
-                out_doc.append(f"{int(docs[j]):015x}")
-                out_score.append(float(acc[j]))
-                out_nm.append(int(nmatch[j]))
-        return pa.table(
-            {"query": pa.array(out_q, pa.string()),
-             "rank": pa.array(out_rank, pa.int32()),
-             "doc_id": pa.array(out_doc, pa.string()),
-             "score": pa.array(out_score, pa.float64()),
-             "n_matched": pa.array(out_nm, pa.int64())}
-        )

@@ -258,7 +258,7 @@ def reference_queries() -> list[dict]:
 
 # query-time synonym thesaurus (RAW words; both sides tokenize/stem them).
 # A thesaurus is CONFIG, not computation — the oracle shares the table and
-# recomputes only the scoring (pipelines/serve.SynonymEvalActor).
+# recomputes only the scoring (pipelines/serve mode 'synonym').
 QUERY_THESAURUS = {
     "item": ["object", "article"],
     "order": ["purchase", "request"],

@@ -98,18 +98,23 @@ class _SegFile:
         self.terms = small["term"].to_pylist()
         self.salts = small["salt"].to_pylist()
 
-    def row(self, row: int, rg_cache: dict, cache_cap: int) -> pa.Table:
-        """The 1-row payload slice for ``row`` (all payload columns)."""
+    def row(self, row: int, rg_cache: dict, cache_cap: int,
+            lock: threading.Lock) -> pa.Table:
+        """The 1-row payload slice for ``row`` (all payload columns).
+        ``lock`` guards every ``rg_cache`` mutation, so threads sharing the
+        reader never evict the same entry twice."""
         if not self.lazy:
             return self.table.slice(row, 1)
         g = int(np.searchsorted(self.rg_offsets, row, side="right") - 1)
         key = (id(self), g)
-        tbl = rg_cache.pop(key, None)   # pop + reinsert = true LRU recency
+        with lock:
+            tbl = rg_cache.pop(key, None)  # pop + reinsert = true LRU recency
         if tbl is None:
             tbl = self.pf.read_row_group(g, columns=_PAYLOAD_COLS)
-            if len(rg_cache) >= cache_cap:
+        with lock:
+            if key not in rg_cache and len(rg_cache) >= cache_cap:
                 rg_cache.pop(next(iter(rg_cache)))
-        rg_cache[key] = tbl
+            rg_cache[key] = tbl
         return tbl.slice(row - int(self.rg_offsets[g]), 1)
 
 
@@ -153,6 +158,7 @@ class SegmentReader:
         self._rg_cache: dict = {}
         self._loaded: set[int] = set()
         self._load_lock = threading.Lock()
+        self._cache_lock = threading.Lock()  # guards both cache evictions
         if not lazy:
             self._load_all()
 
@@ -206,7 +212,8 @@ class SegmentReader:
         pos_bufs: list[bytes] = []
         off_parts: list[np.ndarray] = []
         row_tbls = [
-            self._files[ti].row(row, self._rg_cache, self.rg_cache_cap)
+            self._files[ti].row(row, self._rg_cache, self.rg_cache_cap,
+                                self._cache_lock)
             for ti, row, _salt in rows
         ]
         shift = 0
@@ -257,9 +264,10 @@ class SegmentReader:
             df_total=df_total,
         )
         # bounded decoded-posting cache (Zipfian term reuse across queries)
-        if len(self._pl_cache) >= 512:
-            self._pl_cache.pop(next(iter(self._pl_cache)))
-        self._pl_cache[term] = pl
+        with self._cache_lock:
+            if len(self._pl_cache) >= 512:
+                self._pl_cache.pop(next(iter(self._pl_cache)))
+            self._pl_cache[term] = pl
         return pl
 
     def shard_for(self, term: str) -> int:

@@ -547,7 +547,7 @@ def test_search_after_empty_and_tail(engine):
 
 
 def test_collapse_by_group_matches_bruteforce(built_index):
-    """CollapseEvalActor == pandas groupby-idxmax brute force: one winner
+    """mode="collapse" == pandas groupby-idxmax brute force: one winner
     per repo by (score DESC, doc_int ASC), global top-k over winners."""
     import pandas as pd
     import pyarrow as pa
@@ -555,14 +555,12 @@ def test_collapse_by_group_matches_bruteforce(built_index):
     import ray.data
 
     from nadry_search_engine_be_ray.pipelines.query import SearchEngine
-    from nadry_search_engine_be_ray.pipelines.serve import CollapseEvalActor
+    from nadry_search_engine_be_ray.pipelines.serve import batch_search
 
     qs = ["search engine query", "document the", "alpha beta"]
-    out = ray.data.from_arrow(
-        pa.table({"query": pa.array(qs, pa.string())})
-    ).map_batches(
-        CollapseEvalActor, fn_constructor_args=(built_index,),
-        batch_format="pyarrow", batch_size=16, concurrency=2,
+    out = batch_search(
+        ray.data.from_arrow(pa.table({"query": pa.array(qs, pa.string())})),
+        built_index, "collapse", concurrency=2,
     ).to_pandas()
 
     eng = SearchEngine(built_index)
@@ -606,21 +604,17 @@ def test_rocchio_expansion_changes_ranking(built_index):
     import pyarrow as pa
     import ray.data
 
-    from nadry_search_engine_be_ray.pipelines.serve import RocchioEvalActor
+    from nadry_search_engine_be_ray.pipelines.serve import batch_search
 
     qds = ray.data.from_arrow(
         pa.table({"query": pa.array(["search engine query"], pa.string())})
     )
-    out = qds.map_batches(
-        RocchioEvalActor, fn_constructor_args=(built_index,),
-        batch_format="pyarrow", batch_size=4, concurrency=1,
-    ).to_pandas()
+    out = batch_search(qds, built_index, "rocchio", concurrency=1,
+                       batch_size=4).to_pandas()
     assert len(out) > 0
 
-    zero = qds.map_batches(
-        RocchioEvalActor, fn_constructor_args=(built_index, 5, 3, 0.0),
-        batch_format="pyarrow", batch_size=4, concurrency=1,
-    ).to_pandas()
+    zero = batch_search(qds, built_index, "rocchio", concurrency=1,
+                        batch_size=4, r=5, e=3, beta=0.0).to_pandas()
     eng = SearchEngine(built_index)
     plain = eng.topk_taat("search engine query", k=10, scorer="bm25")
     assert zero["doc_id"].tolist() == [f"{d:015x}" for d, _ in plain]
@@ -661,15 +655,13 @@ def test_synonym_expansion_gamma_zero_is_plain(built_index):
     import pyarrow as pa
     import ray.data
 
-    from nadry_search_engine_be_ray.pipelines.serve import SynonymEvalActor
+    from nadry_search_engine_be_ray.pipelines.serve import batch_search
 
     qds = ray.data.from_arrow(
         pa.table({"query": pa.array(["search engine"], pa.string())})
     )
-    out = qds.map_batches(
-        SynonymEvalActor, fn_constructor_args=(built_index, None, 0.0),
-        batch_format="pyarrow", batch_size=4, concurrency=1,
-    ).to_pandas()
+    out = batch_search(qds, built_index, "synonym", concurrency=1,
+                       batch_size=4, thesaurus=None, gamma=0.0).to_pandas()
     eng = SearchEngine(built_index)
     plain = eng.topk_taat("search engine", k=10, scorer="bm25")
     assert out["doc_id"].tolist() == [f"{d:015x}" for d, _ in plain]
@@ -693,7 +685,7 @@ def test_stem_thesaurus_drops_multi_token_and_self(built_index):
 
 
 def test_field_search_matches_postings_dump(built_index):
-    """FieldSearchEvalActor's positions-derived per-field tf must equal
+    """serve.field_postings' positions-derived per-field tf must equal
     the build's postings-phase parquet rows (the same numbers the SQL
     oracle reads)."""
     import pyarrow as pa
@@ -701,18 +693,15 @@ def test_field_search_matches_postings_dump(built_index):
     import pyarrow.dataset as pads
     import ray.data
 
-    from nadry_search_engine_be_ray.pipelines.serve import FieldSearchEvalActor
+    from nadry_search_engine_be_ray.pipelines.serve import field_postings
 
-    a = FieldSearchEvalActor.__new__(FieldSearchEvalActor)
-    a.engine = SearchEngine(built_index)
-    a.field = 1
-    a.k = 10
+    eng = SearchEngine(built_index)
     post = pads.dataset(
         os.path.join(built_index, "postings"), format="parquet",
         partitioning="hive",
     )
     for term in ["search", "engin", "queri"]:
-        fp = a._field_postings(term)
+        fp = field_postings(eng, term, 1)
         rows = post.to_table(
             columns=["doc_int", "tf"],
             filter=(pc.field("term") == term) & (pc.field("field") == 1),
@@ -732,14 +721,12 @@ def test_explain_contributions_sum_to_score(built_index):
     import pyarrow as pa
     import ray.data
 
-    from nadry_search_engine_be_ray.pipelines.serve import ExplainEvalActor
+    from nadry_search_engine_be_ray.pipelines.serve import batch_search
 
     q = "search engine query"
-    out = ray.data.from_arrow(
-        pa.table({"query": pa.array([q], pa.string())})
-    ).map_batches(
-        ExplainEvalActor, fn_constructor_args=(built_index,),
-        batch_format="pyarrow", batch_size=4, concurrency=1,
+    out = batch_search(
+        ray.data.from_arrow(pa.table({"query": pa.array([q], pa.string())})),
+        built_index, "explain", concurrency=1, batch_size=4,
     ).to_pandas()
     assert len(out) > 0
     eng = SearchEngine(built_index)

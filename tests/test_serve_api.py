@@ -1,6 +1,7 @@
 """Batch query actor pool + API facade tests."""
 
 import dataclasses
+import glob
 import json
 import os
 import random
@@ -10,11 +11,13 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pytest
 import ray.data
 
+from nadry_search_engine_be_ray.pipelines import serve
 from nadry_search_engine_be_ray.pipelines.api import SearchAPI, find_first_context_match
 from nadry_search_engine_be_ray.pipelines.query import SearchEngine, _DocMaps
 from nadry_search_engine_be_ray.pipelines.serve import batch_search
@@ -217,7 +220,7 @@ def test_champion_topk_converges_to_bm25f(built_index):
 
     from nadry_search_engine_be_ray.pipelines.query import SearchEngine
     from nadry_search_engine_be_ray.pipelines.serve import (
-        ChampionEvalActor, ensure_champion_tier,
+        QueryEvalActor, ensure_champion_tier,
     )
 
     eng = SearchEngine(built_index)
@@ -226,7 +229,7 @@ def test_champion_topk_converges_to_bm25f(built_index):
 
     big_m = 1_000_000
     ensure_champion_tier(built_index, m=big_m)
-    full = ChampionEvalActor(built_index, m=big_m, k=10)(batch)
+    full = QueryEvalActor(built_index, "champion", m=big_m, k=10)(batch)
 
     for q in queries:
         docs, acc = eng.all_scores(q, "bm25f")
@@ -240,7 +243,7 @@ def test_champion_topk_converges_to_bm25f(built_index):
         assert got == want, q
 
     ensure_champion_tier(built_index, m=2)
-    small = ChampionEvalActor(built_index, m=2, k=10)(batch)
+    small = QueryEvalActor(built_index, "champion", m=2, k=10)(batch)
     full_scores = {(q, d): s for q, d, s in zip(
         full["query"].to_pylist(), full["doc_id"].to_pylist(),
         full["score"].to_pylist())}
@@ -259,7 +262,7 @@ def test_tiered_topk_matches_declared_ladder(built_index):
 
     from nadry_search_engine_be_ray.pipelines.query import SearchEngine
     from nadry_search_engine_be_ray.pipelines.serve import (
-        ChampionEvalActor, TieredEvalActor, ensure_champion_tier,
+        QueryEvalActor, ensure_champion_tier,
     )
 
     eng = SearchEngine(built_index)
@@ -267,8 +270,8 @@ def test_tiered_topk_matches_declared_ladder(built_index):
                "university"]
     batch = pa.table({"query": pa.array(queries, pa.string())})
     ensure_champion_tier(built_index, m=8)
-    tiered = TieredEvalActor(built_index, m=8, k=10)(batch)
-    champ = ChampionEvalActor(built_index, m=8, k=10)(batch)
+    tiered = QueryEvalActor(built_index, "tiered", m=8, k=10)(batch)
+    champ = QueryEvalActor(built_index, "champion", m=8, k=10)(batch)
     champ_rows = {
         (q, r): (d, round(s, 9))
         for q, r, d, s in zip(champ["query"].to_pylist(),
@@ -305,9 +308,7 @@ def test_min_should_match_gate(built_index):
     import pyarrow as pa
 
     from nadry_search_engine_be_ray.pipelines.query import SearchEngine
-    from nadry_search_engine_be_ray.pipelines.serve import (
-        MinShouldMatchEvalActor,
-    )
+    from nadry_search_engine_be_ray.pipelines.serve import QueryEvalActor
 
     eng = SearchEngine(built_index)
     q = "item order arrived"
@@ -330,11 +331,133 @@ def test_min_should_match_gate(built_index):
                  int(nm[j])) for j in order]
 
     for ratio in (0.5, 1.0):
-        got = MinShouldMatchEvalActor(built_index, ratio, 10)(batch)
+        got = QueryEvalActor(built_index, "min_should_match", ratio=ratio,
+                             k=10)(batch)
         rows = [(d, round(s, 9), n) for d, s, n in
                 zip(got["doc_id"].to_pylist(), got["score"].to_pylist(),
                     got["n_matched"].to_pylist())]
         assert rows == brute(ratio), ratio
-    full = MinShouldMatchEvalActor(built_index, 1.0, 10)(batch)
+    full = QueryEvalActor(built_index, "min_should_match", ratio=1.0,
+                          k=10)(batch)
     n_terms = len(set(eng.tokenizer.tokenize(q)))
     assert all(n == n_terms for n in full["n_matched"].to_pylist())
+
+
+@pytest.mark.parametrize("mode", sorted(serve.MODES))
+def test_mode_empty_batch_has_declared_schema(built_index, mode):
+    """Every retriever mode answers an empty batch with zero rows typed
+    exactly like its non-empty output."""
+    serve.ensure_champion_tier(built_index, m=3)
+    actor = serve.QueryEvalActor(built_index, mode)
+    empty = actor(pa.table({"query": pa.array([], pa.string())}))
+    assert empty.num_rows == 0
+    assert empty.schema == actor.schema
+    assert empty.schema.names[0] == "query"
+    full = actor(pa.table({"query": pa.array(
+        ["search engine query", "item order arrived"], pa.string())}))
+    assert full.schema == actor.schema
+
+
+def test_unknown_mode_lists_valid_modes(built_index):
+    with pytest.raises(ValueError) as err:
+        serve.QueryEvalActor(built_index, "no_such_mode")
+    assert all(m in str(err.value) for m in serve.MODES)
+
+
+@pytest.mark.parametrize("mode,params", [
+    ("collapse", {"group_col": "repo"}),
+    ("min_should_match", {"ratio": 1.0}),
+])
+def test_batch_search_pool_equals_in_process_actor(ray_session, built_index,
+                                                   mode, params):
+    """``batch_search`` forwards ``params`` to every pooled actor: the
+    pool's rows equal one in-process actor's (NaN-aware compare)."""
+    qs = [q["query"] for q in reference_queries()
+          if not q["query"].startswith('"')]
+    tbl = pa.table({"query": pa.array(qs, pa.string())})
+    blocks = ray.data.from_arrow(tbl).repartition(4)   # both actors work
+    pooled = serve.batch_search(blocks, built_index, mode, concurrency=2,
+                                batch_size=4, **params)
+    local = serve.QueryEvalActor(built_index, mode, **params)(tbl)
+    assert len(local) > 0
+
+    def canon(df):
+        return df.sort_values(["query", "rank"]).reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(canon(pooled.to_pandas()),
+                                  canon(local.to_pandas()))
+
+
+def test_segment_reader_concurrent_eviction_matches_serial(built_index):
+    """Eight threads on one cold reader whose row-group LRU holds two
+    entries and whose posting cache overflows: every thread gets the
+    serial reader's postings and no eviction raises."""
+    from nadry_search_engine_be_ray.state.segments import SegmentReader
+
+    serial = SegmentReader(built_index)
+    terms = sorted(serial.terms())[:600]
+    assert len(terms) > 512   # overflows the decoded-posting cache too
+
+    def arrays(pl):
+        return (pl.docs.tolist(), pl.tfs.tolist(), pl.weights.tolist(),
+                pl.block_max.tolist(), pl.positions_buf,
+                pl.pos_offsets.tolist(), pl.df_total)
+
+    exp = {t: arrays(serial.postings(t)) for t in terms}
+
+    def worker(shared, start, k):
+        start.wait()
+        order = terms[k * 75:] + terms[:k * 75]
+        return {t: arrays(shared.postings(t)) for t in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to expose races
+    try:
+        for _ in range(3):   # a fresh cold reader each round
+            shared = SegmentReader(built_index, rg_cache_cap=2)
+            start = threading.Barrier(8, timeout=60)
+            with ThreadPoolExecutor(8) as ex:
+                outs = [f.result(timeout=300) for f in [
+                    ex.submit(worker, shared, start, k) for k in range(8)]]
+            assert all(out == exp for out in outs)
+            assert len(shared._rg_cache) <= 2
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_champion_tiers_never_serve_deleted_docs(ray_session, built_index,
+                                                 tmp_path):
+    """Tombstoned docs drop out of champion and tiered rows at once, and
+    purge removes the stale tier so a rebuilt one cannot serve them."""
+    from nadry_search_engine_be_ray.pipelines.deletes import (
+        delete_docs, purge_deletes,
+    )
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(built_index, idx)
+    for d in glob.glob(os.path.join(idx, "champions_*")):
+        shutil.rmtree(d)
+    batch = pa.table({"query": pa.array(
+        ["search engine", "item order arrived", "university", "search"],
+        pa.string())})
+
+    def served(mode):
+        out = serve.QueryEvalActor(idx, mode, m=8, k=10)(batch)
+        return {int(d, 16) for d in out["doc_id"].to_pylist()}
+
+    serve.ensure_champion_tier(idx, m=8)
+    victims = sorted(served("champion"))[::2]
+    assert victims
+    delete_docs(idx, victims)
+    for mode in ("champion", "tiered"):
+        got = served(mode)
+        assert got and not got & set(victims), mode
+
+    purge_deletes(idx)
+    assert not glob.glob(os.path.join(idx, "champions_*"))
+    with pytest.raises(RuntimeError, match="champion tier missing"):
+        serve.QueryEvalActor(idx, "champion", m=8)
+    serve.ensure_champion_tier(idx, m=8)
+    for mode in ("champion", "tiered"):
+        got = served(mode)
+        assert got and not got & set(victims), mode
