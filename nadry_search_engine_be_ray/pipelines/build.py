@@ -53,6 +53,7 @@ from ..config import BuildConfig
 from ..stages.encode import encode_part_dirs, merge_shard_dirs, merge_shard_runs
 from ..stages.prep import make_loser_filter, prep_batch
 from ..stages.tokenize import TokenizeBatch
+from ..state.segments import segment_root
 
 PREPPED = "prepped"
 LOSERS = "dup_losers"
@@ -707,11 +708,7 @@ def build_kgram_index(index_dir: str, k: int = 3, *,
         return out_dir
     _fresh(out_dir)
 
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        compacted = json.load(f)["compacted"]
-    seg_root = os.path.join(
-        index_dir, "segments_merged" if compacted else "segments"
-    )
+    seg_root = segment_root(index_dir)
 
     def explode(batch: pa.Table) -> pa.Table:
         gs, ts, dfs = [], [], []
@@ -824,11 +821,7 @@ def build_permuterm_index(index_dir: str, *, concurrency: int = 2) -> str:
         return out_dir
     _fresh(out_dir)
 
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        compacted = json.load(f)["compacted"]
-    seg_root = os.path.join(
-        index_dir, "segments_merged" if compacted else "segments"
-    )
+    seg_root = segment_root(index_dir)
 
     def explode(batch: pa.Table) -> pa.Table:
         rs, ts = [], []
@@ -878,11 +871,7 @@ def index_lineage(index_dir: str, *, concurrency: int = 2):
     import ray.data
     from ray.data.aggregate import Sum
 
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        compacted = json.load(f)["compacted"]
-    seg_root = os.path.join(
-        index_dir, "segments_merged" if compacted else "segments"
-    )
+    seg_root = segment_root(index_dir)
 
     def partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or "term" not in batch.column_names:

@@ -15,9 +15,9 @@ implements the Lucene delete lifecycle over immutable parquet segments:
   — only the cheap docs-stream decode + one searchsorted probe is paid),
   else masked and re-encoded with the index's own codec tier.  Side
   tables (doc_stats / prepped / postings / popularity) stream through a
-  vectorized live-mask filter; stats.json is recomputed; derived kgram
-  and champion-tier dirs are invalidated (they rebuild behind their _DONE
-  marker); the tombstone file is cleared last.
+  vectorized live-mask filter; stats.json is recomputed; derived kgram,
+  permuterm and champion-tier dirs are invalidated (they rebuild behind
+  their _DONE marker); the tombstone file is cleared last.
 
 After a purge the index is EQUIVALENT to a fresh build over the surviving
 corpus — doc_ints are content-derived (stages/prep.py M2), so posting
@@ -55,6 +55,7 @@ from ..stages.encode import (
 )
 from ..state import deletes as deletes_state
 from ..state.deletes import live_mask
+from ..state.segments import segment_root
 from .build import _done, _mark_done
 
 _SIDE_TABLES = ("doc_stats", "prepped", "postings", "popularity")
@@ -148,8 +149,7 @@ def purge_deletes(index_dir: str, *, concurrency: int | None = None,
             "n_term_rows_after": stats.get("n_term_rows", 0),
         }
 
-    seg_name = "segments_merged" if stats["compacted"] else "segments"
-    seg_root = os.path.join(index_dir, seg_name)
+    seg_root = segment_root(index_dir)
     num_shards = int(stats["num_shards"])
     docs_codec = stats.get("docs_codec", "varint")
     block_size = int(stats.get("block_size", codec.BLOCK_SIZE))
@@ -242,9 +242,11 @@ def purge_deletes(index_dir: str, *, concurrency: int | None = None,
     with open(stats_path, "w") as f:
         json.dump(stats, f, indent=2)
 
-    # derived tiers would keep serving purged docs; they rebuild on demand
+    # derived tiers would keep serving purged docs or terms; they rebuild
+    # on demand
     for kd in (glob.glob(os.path.join(index_dir, "kgram_*"))
-               + glob.glob(os.path.join(index_dir, "champions_*"))):
+               + glob.glob(os.path.join(index_dir, "champions_*"))
+               + [os.path.join(index_dir, "permuterm")]):
         shutil.rmtree(kd, ignore_errors=True)
 
     deletes_state.clear_tombstones(index_dir)

@@ -240,15 +240,14 @@ def dump_index_tables(index_dir: str, dump_dir: str,
     # seg: per-row segment-tier facts (shard, term, df, payload octet
     # lengths — payloads themselves never leave the index) for the
     # index_lineage oracle's SQL aggregation
-    with open(stats_path) as f:
-        _compacted = json.load(f)["compacted"]
-    seg_root = os.path.join(
-        index_dir, "segments_merged" if _compacted else "segments"
-    )
     import pyarrow.compute as _pc
 
-    seg = pads.dataset(seg_root, format="parquet", partitioning="hive")         .to_table(columns=["shard", "term", "df", "docs", "tfs",
-                           "weights", "positions"])
+    from ..state.segments import segment_root
+
+    seg = pads.dataset(
+        segment_root(index_dir), format="parquet", partitioning="hive"
+    ).to_table(columns=["shard", "term", "df", "docs", "tfs", "weights",
+                        "positions"])
     pq.write_table(
         pa.table(
             {

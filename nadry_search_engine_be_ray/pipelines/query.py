@@ -22,6 +22,7 @@ per-query math stays identical because both call this class.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -31,12 +32,14 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from ..functions.scoring import paginate, rank_fast
 from ..functions.tokenizer import Tokenizer
-from ..state.segments import PostingList, SegmentReader
+from ..state.segments import PostingList, SegmentReader, segment_root
 
 # SearchController.java:129 — first quoted phrase switches to phrase search
 QUOTED = re.compile(r'"([^"]*)"')
@@ -558,56 +561,6 @@ class SearchEngine:
         order = np.lexsort((docs, -acc))[:k]
         return [(int(docs[i]), float(acc[i])) for i in order]
 
-    def topk_maxscore(self, query: str, k: int = 10,
-                      scorer: str = "additive") -> list[tuple[int, float]]:
-        """Vectorized MaxScore (exact top-k): terms processed in decreasing
-        max-contribution order; once the remaining terms' max-score sum can
-        no longer lift an unseen doc past the current kth score, those terms
-        stop admitting NEW docs and only update existing accumulators (a
-        sorted-array intersection) — so a stop-like head term with a huge
-        posting list costs an O(|acc|) update, not an O(df) accumulation.
-        Sound because docs admitted only from the essential prefix: a doc
-        absent from every essential term has upper bound <= threshold.
-        Beats the classic per-doc WAND loop in this runtime (numpy kernels
-        vs Python iteration) while using the same block-max metadata idea
-        at term granularity."""
-        pls, avgdl = self._term_arrays(query, scorer)
-        if not pls:
-            return []
-        scores = [self._scores_for(pl, idf, scorer, avgdl) for pl, idf in pls]
-        maxs = np.array([float(s.max()) if s.size else 0.0 for s in scores])
-        order = np.argsort(-maxs, kind="stable")
-        suffix = np.zeros(len(pls) + 1)
-        suffix[:-1] = np.cumsum(maxs[order][::-1])[::-1]
-
-        acc_docs = np.empty(0, dtype=np.int64)
-        acc = np.empty(0, dtype=np.float64)
-        threshold = -math.inf
-        for rank, t in enumerate(order):
-            docs, s = pls[t][0].docs, scores[t]
-            # strict <: a pruned doc's bound equal to the threshold could
-            # tie the kth score and win the (score desc, doc asc) tiebreak
-            if suffix[rank] < threshold and acc_docs.size:
-                # non-essential: update existing accumulators only
-                idx = np.searchsorted(docs, acc_docs)
-                idx[idx == docs.size] = 0
-                hit = docs[idx] == acc_docs
-                acc[hit] += s[idx[hit]]
-            else:
-                # essential: merge this term's docs into the accumulator
-                merged = np.union1d(acc_docs, docs)
-                new_acc = np.zeros(merged.size, dtype=np.float64)
-                if acc_docs.size:
-                    new_acc[np.searchsorted(merged, acc_docs)] = acc
-                np.add.at(new_acc, np.searchsorted(merged, docs), s)
-                acc_docs, acc = merged, new_acc
-            if acc.size >= k:
-                threshold = float(
-                    np.partition(acc, acc.size - k)[acc.size - k]
-                )
-        order_f = np.lexsort((acc_docs, -acc))[:k]
-        return [(int(acc_docs[i]), float(acc[i])) for i in order_f]
-
     def topk_wand(self, query: str, k: int = 10, scorer: str = "additive") -> list[tuple[int, float]]:
         """Block-max WAND document-at-a-time evaluation (A9 fast path).
 
@@ -693,25 +646,16 @@ class SearchEngine:
         out = sorted(((-d, s) for s, d in heap), key=lambda x: (-x[1], x[0]))
         return [(int(d), float(s)) for d, s in out]
 
-    def _topk_method(self, method: str):
-        return {"taat": self.topk_taat, "wand": self.topk_wand,
-                "maxscore": self.topk_maxscore}[method]
-
-    # Default method choice is MEASURED, not assumed: at bench scale the
+    # Default evaluator choice is MEASURED, not assumed: at bench scale the
     # fully vectorized TAAT (1.9 ms/q) beats the per-doc Python WAND loop
-    # (24 ms/q) and ties vectorized MaxScore; MaxScore becomes the right
-    # default when head-term df dwarfs |top-k accumulator| (its non-
-    # essential terms cost O(|acc|) instead of O(df)).  All three are
-    # exact and conformance-tested identical.
-    def additive_search(self, query: str, k: int = 10, use_wand: bool = False,
-                        method: str | None = None):
-        method = method or ("wand" if use_wand else "taat")
-        return self._topk_method(method)(query, k, "additive")
+    # (24 ms/q).  Both are exact and conformance-tested identical.
+    def additive_search(self, query: str, k: int = 10, use_wand: bool = False):
+        return (self.topk_wand if use_wand else self.topk_taat)(
+            query, k, "additive")
 
-    def bm25_search(self, query: str, k: int = 10, use_wand: bool = False,
-                    method: str | None = None):
-        method = method or ("wand" if use_wand else "taat")
-        return self._topk_method(method)(query, k, "bm25")
+    def bm25_search(self, query: str, k: int = 10, use_wand: bool = False):
+        return (self.topk_wand if use_wand else self.topk_taat)(
+            query, k, "bm25")
 
 
 def proximity_pairs(index_dir: str, terms: list[str], window: int,
@@ -1097,9 +1041,6 @@ def significant_terms(index_dir: str, terms: list[str], k: int = 20,
     docs_codec = reader.stats.get("docs_codec", "varint")
     matched_ref = ray.put(np.ascontiguousarray(matched, dtype=np.int64))
 
-    seg_name = "segments_merged" if reader.stats.get("compacted") \
-        else "segments"
-
     def partial(batch: pa.Table) -> pa.Table:
         ids = ray.get(matched_ref)
         terms_b = batch["term"].to_pylist()
@@ -1126,10 +1067,8 @@ def significant_terms(index_dir: str, terms: list[str], k: int = 20,
 
     parts = pa.concat_tables(
         [out_schema.empty_table()] + list(ray.get(
-            ray.data.read_parquet(
-                os.path.join(index_dir, seg_name),
-                columns=["term", "docs"],
-            )
+            ray.data.read_parquet(segment_root(index_dir),
+                                  columns=["term", "docs"])
             .map_batches(partial, batch_format="pyarrow",
                          concurrency=concurrency)
             .to_arrow_refs()
@@ -1237,6 +1176,119 @@ def _levenshtein_vec(word: bytes, cand_mat: np.ndarray,
     return prev[np.arange(m), cand_lens]
 
 
+# ---- term-dictionary family: spell / prefix / wildcard lookups ----------
+
+_SPELL_SCHEMA = pa.schema(
+    [("query", pa.string()), ("suggestion", pa.string()),
+     ("distance", pa.int64()), ("df", pa.int64())]
+)
+_PREFIX_SCHEMA = pa.schema(
+    [("prefix", pa.string()), ("term", pa.string()),
+     ("df", pa.int64()), ("rank", pa.int64())]
+)
+_WILDCARD_SCHEMA = pa.schema(
+    [("pattern", pa.string()), ("term", pa.string()), ("df", pa.int64())]
+)
+
+
+def _rows(schema: pa.Schema, rows) -> pa.Table:
+    """A typed table from row tuples given in schema order."""
+    cols = list(zip(*rows)) or [()] * len(schema)
+    return pa.table([pa.array(c, f.type) for c, f in zip(cols, schema)],
+                    schema=schema)
+
+
+def _scan_dictionary(index_dir: str, kernel, schema: pa.Schema,
+                     concurrency: int) -> pa.Table:
+    """Stream the segment tier's (term, df) dictionary columns — never the
+    posting payloads — through ``kernel(batch, compacted)``, whose rows
+    follow ``schema`` with ``df`` last, and sum df over the other columns:
+    an uncompacted tier splits a term's df across salt runs that may land
+    in different batches, so both tiers answer identically."""
+    import ray
+    import ray.data
+
+    with open(os.path.join(index_dir, "stats.json")) as f:
+        compacted = json.load(f)["compacted"]
+    parts = (
+        ray.data.read_parquet(segment_root(index_dir), columns=["term", "df"])
+        .map_batches(functools.partial(kernel, compacted=compacted),
+                     batch_format="pyarrow", concurrency=concurrency)
+    )
+    combined = pa.concat_tables(
+        [schema.empty_table()] + ray.get(parts.to_arrow_refs())
+    )
+    keys = schema.names[:-1]
+    merged = combined.group_by(keys).aggregate([("df", "sum")])
+    return merged.select(keys + ["df_sum"]).rename_columns(schema.names)
+
+
+def _edit_matches(word: str, tbytes: list[bytes], max_distance: int):
+    """(indices, distances) of the UTF-8 terms ``tbytes`` within
+    ``max_distance`` byte edits of ``word``; the length gap bounds the
+    distance from below, so only in-range lengths reach the DP."""
+    wb = word.encode("utf-8")
+    lens = np.fromiter(map(len, tbytes), dtype=np.int64, count=len(tbytes))
+    sel = np.flatnonzero(np.abs(lens - len(wb)) <= max_distance)
+    if sel.size == 0:
+        return sel, sel
+    mat = np.zeros((sel.size, int(lens[sel].max())), dtype=np.uint8)
+    for r, i in enumerate(sel.tolist()):
+        mat[r, : lens[i]] = np.frombuffer(tbytes[i], dtype=np.uint8)
+    dist = _levenshtein_vec(wb, mat, lens[sel])
+    ok = dist <= max_distance
+    return sel[ok], dist[ok]
+
+
+def _best_suggestion(cands: pa.Table) -> pa.Table:
+    """Per query, the (distance asc, df desc, suggestion asc) best row of
+    a spell-candidate table, sorted by query."""
+    cands = cands.sort_by([("query", "ascending"), ("distance", "ascending"),
+                           ("df", "descending"), ("suggestion", "ascending")])
+    qs = cands["query"].to_pylist()
+    return cands.take([i for i, q in enumerate(qs) if i == 0 or q != qs[i - 1]])
+
+
+def _prefix_topk(prefixes, terms, dfs, k: int) -> pa.Table:
+    """Per prefix, the top-``k`` terms by (df desc, term asc) with their
+    1-based rank, sorted by (prefix, rank)."""
+    by_prefix: dict[str, list] = {}
+    for p, t, d in zip(prefixes, terms, dfs):
+        by_prefix.setdefault(p, []).append((-int(d), t))
+    return _rows(_PREFIX_SCHEMA, [
+        (p, t, -nd, rank) for p in sorted(by_prefix)
+        for rank, (nd, t) in enumerate(sorted(by_prefix[p])[:k], start=1)
+    ])
+
+
+def _gram_candidates(index_dir: str, grams: dict[str, set],
+                     need: dict[str, int], k: int) -> dict[str, list[str]]:
+    """The one k-gram candidate filter: per word ``w``, the sorted terms
+    sharing at least ``need[w]`` of its distinct grams ``grams[w]``.  The
+    gram-sorted k-gram index is read once, at the union of all grams
+    (row-group predicate pushdown), and its (gram, term) rows are
+    deduplicated first — the index repeats them per salt run and per
+    repeated gram occurrence — so a count is of DISTINCT matched grams."""
+    from .build import build_kgram_index
+
+    wanted = _rows(pa.schema([("word", pa.string()), ("gram", pa.string())]),
+                   [(w, g) for w, gs in grams.items() for g in sorted(gs)])
+    idx = pads.dataset(build_kgram_index(index_dir, k),
+                       format="parquet").to_table(
+        columns=["gram", "term"],
+        filter=pc.field("gram").isin(pc.unique(wanted["gram"])),
+    )
+    hits = (wanted.join(idx.group_by(["gram", "term"]).aggregate([]),
+                        "gram", join_type="inner")
+            .group_by(["word", "term"]).aggregate([("gram", "count")]))
+    out: dict[str, list[str]] = {w: [] for w in grams}
+    for w, t, c in zip(hits["word"].to_pylist(), hits["term"].to_pylist(),
+                       hits["gram_count"].to_pylist()):
+        if c >= need[w]:
+            out[w].append(t)
+    return {w: sorted(ts) for w, ts in out.items()}
+
+
 def spell_correct(index_dir: str, words: list[str], *,
                   max_distance: int = 2, concurrency: int = 2):
     """Query spell correction ("did you mean"): for each normalized query
@@ -1261,98 +1313,30 @@ def spell_correct(index_dir: str, words: list[str], *,
     Returns an Arrow table (query, suggestion, distance, df) sorted by
     query — one row per word that has a candidate.
     """
-    import os
-
-    import pyarrow as pa
-    import ray
-    import ray.data
-
-    out_schema = pa.schema(
-        [("query", pa.string()), ("suggestion", pa.string()),
-         ("distance", pa.int64()), ("df", pa.int64())]
-    )
     qs = sorted(set(words))
     if not qs:
-        return out_schema.empty_table()
+        return _SPELL_SCHEMA.empty_table()
 
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        compacted = json.load(f)["compacted"]
-    seg_root = os.path.join(
-        index_dir, "segments_merged" if compacted else "segments"
-    )
-
-    def _candidates(batch: pa.Table) -> pa.Table:
+    def _candidates(batch: pa.Table, compacted: bool) -> pa.Table:
         terms = batch["term"].to_pylist()
         tbytes = [t.encode("utf-8") for t in terms]
-        dfs = batch["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lens = np.array([len(b) for b in tbytes], dtype=np.int64)
-        rq, rs, rd, rf = [], [], [], []
+        dfs = batch["df"].to_pylist()
+        rows = []
         for w in qs:
-            wb = w.encode("utf-8")
-            sel = np.flatnonzero(np.abs(lens - len(wb)) <= max_distance)
-            if sel.size == 0:
-                continue
-            cand = [terms[i] for i in sel.tolist()]
-            cb = [tbytes[i] for i in sel.tolist()]
-            L = max(len(b) for b in cb)
-            mat = np.zeros((len(cb), L), dtype=np.uint8)
-            for r, b in enumerate(cb):
-                mat[r, : len(b)] = np.frombuffer(b, dtype=np.uint8)
-            dist = _levenshtein_vec(wb, mat, lens[sel])
-            ok = np.flatnonzero(dist <= max_distance)
-            if ok.size == 0:
-                continue
+            idx, dist = _edit_matches(w, tbytes, max_distance)
+            hits = sorted((d, -dfs[i], terms[i])
+                          for i, d in zip(idx.tolist(), dist.tolist()))
             # compacted: one (term -> total df) row per term exists, so the
             # local best per word is safe — one row per (word, batch).
             # uncompacted: a term's df is SPLIT across salt rows that may
             # land in different batches, so every in-range candidate must
             # reach the driver for the df sum before ranking.
-            order = sorted(
-                ok.tolist(),
-                key=lambda i: (int(dist[i]), -int(dfs[sel[i]]), cand[i]),
-            )
-            for i in (order[:1] if compacted else order):
-                rq.append(w)
-                rs.append(cand[i])
-                rd.append(int(dist[i]))
-                rf.append(int(dfs[sel[i]]))
-        return pa.table(
-            {"query": pa.array(rq, pa.string()),
-             "suggestion": pa.array(rs, pa.string()),
-             "distance": pa.array(rd, pa.int64()),
-             "df": pa.array(rf, pa.int64())},
-            schema=out_schema,
-        )
+            rows += [(w, t, d, -nf)
+                     for d, nf, t in (hits[:1] if compacted else hits)]
+        return _rows(_SPELL_SCHEMA, rows)
 
-    parts = (
-        ray.data.read_parquet(seg_root, columns=["term", "df"])
-        .map_batches(_candidates, batch_format="pyarrow",
-                     concurrency=concurrency)
-    )
-    combined = pa.concat_tables(
-        [out_schema.empty_table()] + list(ray.get(parts.to_arrow_refs()))
-    )
-    if combined.num_rows == 0:
-        return combined
-    # uncompacted tiers: same term appears once per salt run — sum df
-    merged = combined.group_by(
-        ["query", "suggestion", "distance"]
-    ).aggregate([("df", "sum")])
-    best: dict[str, tuple] = {}
-    for q, s, d, f in zip(merged["query"].to_pylist(),
-                          merged["suggestion"].to_pylist(),
-                          merged["distance"].to_pylist(),
-                          merged["df_sum"].to_pylist()):
-        key = (int(d), -int(f), s)
-        if q not in best or key < best[q][0]:
-            best[q] = (key, s, int(d), int(f))
-    rows = sorted(best.items())
-    return pa.table(
-        {"query": pa.array([q for q, _ in rows], pa.string()),
-         "suggestion": pa.array([v[1] for _, v in rows], pa.string()),
-         "distance": pa.array([v[2] for _, v in rows], pa.int64()),
-         "df": pa.array([v[3] for _, v in rows], pa.int64())},
-        schema=out_schema,
+    return _best_suggestion(
+        _scan_dictionary(index_dir, _candidates, _SPELL_SCHEMA, concurrency)
     )
 
 
@@ -1379,98 +1363,35 @@ def spell_correct_kgram(index_dir: str, words: list[str], *,
 
     A candidate surviving the gram filter still gets the exact
     byte-level DP verify and the (distance asc, df desc, term asc)
-    ranking of :func:`spell_correct`; df is the authoritative on-disk
-    dictionary count (``df_stale``, the wildcard_terms_kgram contract).
+    ranking of :func:`spell_correct`; df is the on-disk dictionary count
+    (``SegmentReader.df``, the wildcard_terms_kgram contract).
 
     Returns an Arrow table (query, suggestion, distance, df) sorted by
     query — one row per word that has a candidate.
     """
-    import os
+    from .build import kgram_of
 
-    import pyarrow as pa
-    import pyarrow.compute as pc_mod
-    import pyarrow.dataset as pads_mod
-
-    from ..pipelines.build import build_kgram_index, kgram_of
-    from ..state.segments import SegmentReader
-
-    out_schema = pa.schema(
-        [("query", pa.string()), ("suggestion", pa.string()),
-         ("distance", pa.int64()), ("df", pa.int64())]
-    )
     qs = sorted(set(words))
-    if not qs:
-        return out_schema.empty_table()
-
-    grams_of = {w: sorted(set(kgram_of(w, k))) for w in qs}
-    thresh = {w: len(grams_of[w]) - k * max_distance for w in qs}
-    pruned_words = [w for w in qs if thresh[w] > 0]
-    fallback_words = [w for w in qs if thresh[w] <= 0]
-
-    pieces = []
-    if fallback_words:   # too short to gram-prune: the stream-scan path
-        pieces.append(spell_correct(index_dir, fallback_words,
+    grams = {w: set(kgram_of(w, k)) for w in qs}
+    need = {w: len(grams[w]) - k * max_distance for w in qs}
+    pruned = [w for w in qs if need[w] > 0]
+    fallback = [w for w in qs if need[w] <= 0]
+    rows = []
+    if pruned:
+        reader = SegmentReader(index_dir)
+        cands = _gram_candidates(index_dir, {w: grams[w] for w in pruned},
+                                 need, k)
+        for w, terms in cands.items():
+            idx, dist = _edit_matches(
+                w, [t.encode("utf-8") for t in terms], max_distance)
+            rows += [(w, terms[i], d, reader.df(terms[i]))
+                     for i, d in zip(idx.tolist(), dist.tolist())]
+    pieces = [_rows(_SPELL_SCHEMA, rows)]
+    if fallback:   # too short to gram-prune: the stream-scan path
+        pieces.append(spell_correct(index_dir, fallback,
                                     max_distance=max_distance,
                                     concurrency=concurrency))
-
-    if pruned_words:
-        gram_dir = build_kgram_index(index_dir, k)
-        reader = SegmentReader(index_dir)
-        all_grams = sorted({g for w in pruned_words for g in grams_of[w]})
-        idx = pads_mod.dataset(gram_dir, format="parquet").to_table(
-            columns=["gram", "term"],
-            filter=pc_mod.field("gram").isin(
-                pa.array(all_grams, pa.string())),
-        )
-        # DISTINCT (gram, term) matches (the index duplicates rows per
-        # salt run and per repeated gram occurrence)
-        by_gram: dict[str, set] = {}
-        for g, t in zip(idx["gram"].to_pylist(), idx["term"].to_pylist()):
-            by_gram.setdefault(g, set()).add(t)
-
-        rq, rs, rd, rf = [], [], [], []
-        for w in pruned_words:
-            counts: dict[str, int] = {}
-            for g in grams_of[w]:
-                for t in by_gram.get(g, ()):
-                    counts[t] = counts.get(t, 0) + 1
-            wb = w.encode("utf-8")
-            cand = sorted(
-                t for t, c in counts.items()
-                if c >= thresh[w]
-                and abs(len(t.encode("utf-8")) - len(wb)) <= max_distance
-            )
-            if not cand:
-                continue
-            cb = [t.encode("utf-8") for t in cand]
-            lens = np.array([len(b) for b in cb], dtype=np.int64)
-            mat = np.zeros((len(cb), int(lens.max())), dtype=np.uint8)
-            for r, b in enumerate(cb):
-                mat[r, : len(b)] = np.frombuffer(b, dtype=np.uint8)
-            dist = _levenshtein_vec(wb, mat, lens)
-            ok = np.flatnonzero(dist <= max_distance)
-            if ok.size == 0:
-                continue
-            dfs = {t: int(reader.postings(t).df_stale)
-                   for t in (cand[i] for i in ok.tolist())}
-            best_i = min(
-                ok.tolist(),
-                key=lambda i: (int(dist[i]), -dfs[cand[i]], cand[i]),
-            )
-            rq.append(w)
-            rs.append(cand[best_i])
-            rd.append(int(dist[best_i]))
-            rf.append(dfs[cand[best_i]])
-        pieces.append(pa.table(
-            {"query": pa.array(rq, pa.string()),
-             "suggestion": pa.array(rs, pa.string()),
-             "distance": pa.array(rd, pa.int64()),
-             "df": pa.array(rf, pa.int64())},
-            schema=out_schema,
-        ))
-
-    out = pa.concat_tables([out_schema.empty_table()] + pieces)
-    return out.sort_by("query")
+    return _best_suggestion(pa.concat_tables(pieces))
 
 
 def prefix_suggest(index_dir: str, prefixes: list[str], *, k: int = 5,
@@ -1490,74 +1411,24 @@ def prefix_suggest(index_dir: str, prefixes: list[str], *, k: int = 5,
     Returns an Arrow table (prefix, term, df, rank) sorted by
     (prefix, rank).
     """
-    import pyarrow as pa
-    import ray
-    import ray.data
-
-    out_schema = pa.schema(
-        [("prefix", pa.string()), ("term", pa.string()),
-         ("df", pa.int64()), ("rank", pa.int64())]
-    )
     ps = sorted(set(prefixes))
     if not ps or k <= 0:
-        return out_schema.empty_table()
+        return _PREFIX_SCHEMA.empty_table()
 
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        compacted = json.load(f)["compacted"]
-    seg_root = os.path.join(
-        index_dir, "segments_merged" if compacted else "segments"
-    )
-    part_schema = pa.schema(
-        [("prefix", pa.string()), ("term", pa.string()), ("df", pa.int64())]
-    )
+    partial_schema = pa.schema(list(_PREFIX_SCHEMA)[:3])
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        terms = batch["term"].to_pylist()
-        dfs = batch["df"].to_pylist()
-        rp, rt, rf = [], [], []
+    def _partial(batch: pa.Table, compacted: bool) -> pa.Table:
+        pairs = list(zip(batch["term"].to_pylist(), batch["df"].to_pylist()))
+        rows = []
         for p in ps:
-            hits = [(t, int(d)) for t, d in zip(terms, dfs)
-                    if t.startswith(p)]
-            hits.sort(key=lambda x: (-x[1], x[0]))
-            for t, d in (hits[:k] if compacted else hits):
-                rp.append(p)
-                rt.append(t)
-                rf.append(d)
-        return pa.table(
-            {"prefix": pa.array(rp, pa.string()),
-             "term": pa.array(rt, pa.string()),
-             "df": pa.array(rf, pa.int64())},
-            schema=part_schema,
-        )
+            hits = sorted((-d, t) for t, d in pairs if t.startswith(p))
+            rows += [(p, t, -nd) for nd, t in (hits[:k] if compacted else hits)]
+        return _rows(partial_schema, rows)
 
-    parts = (
-        ray.data.read_parquet(seg_root, columns=["term", "df"])
-        .map_batches(_partial, batch_format="pyarrow",
-                     concurrency=concurrency)
-    )
-    combined = pa.concat_tables(
-        [part_schema.empty_table()] + list(ray.get(parts.to_arrow_refs()))
-    )
-    merged = combined.group_by(["prefix", "term"]).aggregate([("df", "sum")])
-    by_prefix: dict[str, list] = {}
-    for p, t, d in zip(merged["prefix"].to_pylist(),
-                       merged["term"].to_pylist(),
-                       merged["df_sum"].to_pylist()):
-        by_prefix.setdefault(p, []).append((-int(d), t))
-    rp, rt, rf, rr = [], [], [], []
-    for p in sorted(by_prefix):
-        for rank, (nd, t) in enumerate(sorted(by_prefix[p])[:k], start=1):
-            rp.append(p)
-            rt.append(t)
-            rf.append(-nd)
-            rr.append(rank)
-    return pa.table(
-        {"prefix": pa.array(rp, pa.string()),
-         "term": pa.array(rt, pa.string()),
-         "df": pa.array(rf, pa.int64()),
-         "rank": pa.array(rr, pa.int64())},
-        schema=out_schema,
-    )
+    merged = _scan_dictionary(index_dir, _partial, partial_schema, concurrency)
+    return _prefix_topk(merged["prefix"].to_pylist(),
+                        merged["term"].to_pylist(),
+                        merged["df"].to_pylist(), k)
 
 
 def prefix_suggest_kgram(index_dir: str, prefixes: list[str], *, k: int = 5,
@@ -1576,15 +1447,9 @@ def prefix_suggest_kgram(index_dir: str, prefixes: list[str], *, k: int = 5,
     Returns an Arrow table (prefix, term, df, rank) sorted by
     (prefix, rank).
     """
-    import pyarrow as pa
-
-    out_schema = pa.schema(
-        [("prefix", pa.string()), ("term", pa.string()),
-         ("df", pa.int64()), ("rank", pa.int64())]
-    )
     ps = sorted(set(prefixes))
     if not ps or k <= 0:
-        return out_schema.empty_table()
+        return _PREFIX_SCHEMA.empty_table()
     # '%'/'_' in a prefix would be LIKE metacharacters; the stream path
     # treats them literally, so refuse rather than silently diverge
     for p in ps:
@@ -1593,25 +1458,8 @@ def prefix_suggest_kgram(index_dir: str, prefixes: list[str], *, k: int = 5,
 
     wc = wildcard_terms_kgram(index_dir, [p + "%" for p in ps], k=gram_k,
                               concurrency=concurrency)
-    by_prefix: dict[str, list] = {}
-    for pat, t, d in zip(wc["pattern"].to_pylist(),
-                         wc["term"].to_pylist(),
-                         wc["df"].to_pylist()):
-        by_prefix.setdefault(pat[:-1], []).append((-int(d), t))
-    rp, rt, rf, rr = [], [], [], []
-    for p in sorted(by_prefix):
-        for rank, (nd, t) in enumerate(sorted(by_prefix[p])[:k], start=1):
-            rp.append(p)
-            rt.append(t)
-            rf.append(-nd)
-            rr.append(rank)
-    return pa.table(
-        {"prefix": pa.array(rp, pa.string()),
-         "term": pa.array(rt, pa.string()),
-         "df": pa.array(rf, pa.int64()),
-         "rank": pa.array(rr, pa.int64())},
-        schema=out_schema,
-    )
+    return _prefix_topk([pat[:-1] for pat in wc["pattern"].to_pylist()],
+                        wc["term"].to_pylist(), wc["df"].to_pylist(), k)
 
 
 def _bool_eval(node, reader: SegmentReader,
@@ -1715,6 +1563,20 @@ def boolean_search(index_dir: str, exprs: dict[str, object], *,
     return out.sort_by([("name", "ascending"), ("doc_int", "ascending")])
 
 
+def _like_verify(reader: SegmentReader, candidates: dict) -> pa.Table:
+    """Post-verify each pattern's candidate terms with Arrow's
+    ``match_like`` (exactly DuckDB's LIKE) and attach the on-disk
+    dictionary df — consistent with the parquet-column df of the stream
+    path and Lucene's docFreq.  Rows (pattern, term, df) sorted by
+    (pattern, term)."""
+    rows = []
+    for p in sorted(candidates):
+        terms = sorted(candidates[p])
+        keep = pc.match_like(pa.array(terms, pa.string()), p).to_pylist()
+        rows += [(p, t, reader.df(t)) for t, ok in zip(terms, keep) if ok]
+    return _rows(_WILDCARD_SCHEMA, rows)
+
+
 def wildcard_terms(index_dir: str, patterns: list[str], *,
                    concurrency: int = 2):
     """Wildcard term matching (the ``te%m``-style dictionary lookup behind
@@ -1725,63 +1587,27 @@ def wildcard_terms(index_dir: str, patterns: list[str], *,
 
     Same dictionary-stream shape as :func:`prefix_suggest` — (term, df)
     columns only, vectorized kernel per batch, df summed per term at the
-    combine for uncompacted tiers.  A 100 TB dictionary would front this
-    with a k-gram index (gram -> term postings, intersect the pattern's
-    grams, post-verify with this same kernel); the stream scan IS the
-    post-verify stage of that design.
+    combine for uncompacted tiers.  :func:`wildcard_terms_kgram` and
+    :func:`wildcard_terms_permuterm` front this with a term index and
+    post-verify their candidates with this same kernel.
 
     Returns an Arrow table (pattern, term, df) sorted by (pattern, term).
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-    import ray.data
-
-    out_schema = pa.schema(
-        [("pattern", pa.string()), ("term", pa.string()),
-         ("df", pa.int64())]
-    )
     ps = sorted(set(patterns))
     if not ps:
-        return out_schema.empty_table()
+        return _WILDCARD_SCHEMA.empty_table()
 
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        compacted = json.load(f)["compacted"]
-    seg_root = os.path.join(
-        index_dir, "segments_merged" if compacted else "segments"
-    )
-
-    def _match(batch: pa.Table) -> pa.Table:
-        terms = batch["term"]
-        rp, rt, rf = [], [], []
+    def _match(batch: pa.Table, compacted: bool) -> pa.Table:
+        rows = []
         for p in ps:
-            keep = pc.match_like(terms, p)
-            sel = batch.filter(keep)
-            rp.extend([p] * sel.num_rows)
-            rt.extend(sel["term"].to_pylist())
-            rf.extend(sel["df"].to_pylist())
-        return pa.table(
-            {"pattern": pa.array(rp, pa.string()),
-             "term": pa.array(rt, pa.string()),
-             "df": pa.array(rf, pa.int64())},
-            schema=out_schema,
-        )
+            sel = batch.filter(pc.match_like(batch["term"], p))
+            rows += [(p, t, d) for t, d in zip(sel["term"].to_pylist(),
+                                               sel["df"].to_pylist())]
+        return _rows(_WILDCARD_SCHEMA, rows)
 
-    parts = (
-        ray.data.read_parquet(seg_root, columns=["term", "df"])
-        .map_batches(_match, batch_format="pyarrow",
-                     concurrency=concurrency)
-    )
-    combined = pa.concat_tables(
-        [out_schema.empty_table()] + list(ray.get(parts.to_arrow_refs()))
-    )
-    merged = combined.group_by(["pattern", "term"]).aggregate([("df", "sum")])
-    merged = merged.rename_columns(
-        ["df" if c == "df_sum" else c for c in merged.column_names]
-    )
-    return merged.select(["pattern", "term", "df"]).sort_by(
-        [("pattern", "ascending"), ("term", "ascending")]
-    )
+    return _scan_dictionary(
+        index_dir, _match, _WILDCARD_SCHEMA, concurrency
+    ).sort_by([("pattern", "ascending"), ("term", "ascending")])
 
 
 def wildcard_terms_kgram(index_dir: str, patterns: list[str], *, k: int = 3,
@@ -1790,89 +1616,36 @@ def wildcard_terms_kgram(index_dir: str, patterns: list[str], *, k: int = 3,
     :func:`wildcard_terms` documents): each pattern's literal segments
     yield boundary-marked k-grams; the gram->term index (built once,
     sorted by gram for row-group predicate pushdown) is read ONLY at
-    those grams; candidates = terms containing ALL the pattern's grams;
+    those grams; candidates = terms containing ALL the pattern's grams
+    (:func:`_gram_candidates` with ``need`` = every distinct gram);
     a final ``match_like`` verify removes gram-collision false positives.
     Answers are defined to be IDENTICAL to the stream-scan path — the
     driver oracle for this query is the same LIKE recompute, so the
     pruning's soundness is hash-checked, not assumed.
 
     Patterns whose literal segments yield no k-gram (e.g. ``%a%``) cannot
-    be pruned and fall back to the dictionary scan for that pattern.
+    be pruned and fall back to the dictionary for that pattern.
 
     Returns an Arrow table (pattern, term, df) sorted by (pattern, term).
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads_mod
-
-    from ..pipelines.build import build_kgram_index, kgram_of
-    from ..state.segments import SegmentReader
-
-    out_schema = pa.schema(
-        [("pattern", pa.string()), ("term", pa.string()),
-         ("df", pa.int64())]
-    )
-    ps = sorted(set(patterns))
-    if not ps:
-        return out_schema.empty_table()
-
-    gram_dir = build_kgram_index(index_dir, k)
-    reader = SegmentReader(index_dir)
-
-    def pattern_grams(p: str) -> list[str]:
+    def pattern_grams(p: str) -> set[str]:
         segs = re.split(r"[%_]", p)
-        out: list[str] = []
+        out: set[str] = set()
         for i, seg in enumerate(segs):
-            aug = seg
-            if i == 0:
-                aug = "$" + aug
-            if i == len(segs) - 1:
-                aug = aug + "$"
-            out.extend(aug[j : j + k] for j in range(len(aug) - k + 1))
-        return sorted(set(out))
+            aug = ("$" if i == 0 else "") + seg \
+                + ("$" if i == len(segs) - 1 else "")
+            out.update(aug[j : j + k] for j in range(len(aug) - k + 1))
+        return out
 
-    need: dict[str, list[str]] = {p: pattern_grams(p) for p in ps}
-    all_grams = sorted({g for gs in need.values() for g in gs})
-    if all_grams:
-        idx = pads_mod.dataset(gram_dir, format="parquet").to_table(
-            columns=["gram", "term"],
-            filter=pc.field("gram").isin(pa.array(all_grams, pa.string())),
-        )
-        by_gram: dict[str, set] = {}
-        for g, t in zip(idx["gram"].to_pylist(), idx["term"].to_pylist()):
-            by_gram.setdefault(g, set()).add(t)
-    else:
-        by_gram = {}
-
-    rp, rt, rf = [], [], []
-    for p in ps:
-        gs = need[p]
-        if gs:
-            cands: set | None = None
-            for g in gs:
-                cands = (by_gram.get(g, set()) if cands is None
-                         else cands & by_gram.get(g, set()))
-                if not cands:
-                    break
-            cand_list = sorted(cands or ())
-        else:  # unprunable pattern: full dictionary fallback
-            cand_list = sorted(reader.terms())
-        if not cand_list:
-            continue
-        keep = pc.match_like(pa.array(cand_list, pa.string()), p)
-        for t, ok in zip(cand_list, keep.to_pylist()):
-            if ok:
-                rp.append(p)
-                rt.append(t)
-                # dictionary df is the stale (on-disk) count — consistent
-                # with the parquet-column df paths and Lucene's docFreq
-                rf.append(int(reader.postings(t).df_stale))
-    return pa.table(
-        {"pattern": pa.array(rp, pa.string()),
-         "term": pa.array(rt, pa.string()),
-         "df": pa.array(rf, pa.int64())},
-        schema=out_schema,
-    )
+    grams = {p: pattern_grams(p) for p in set(patterns)}
+    prunable = {p: gs for p, gs in grams.items() if gs}
+    cands = _gram_candidates(
+        index_dir, prunable, {p: len(gs) for p, gs in prunable.items()}, k
+    ) if prunable else {}
+    reader = SegmentReader(index_dir)
+    return _like_verify(reader, {   # unprunable pattern: whole dictionary
+        p: cands[p] if p in cands else reader.terms() for p in grams
+    })
 
 
 def wildcard_terms_permuterm(index_dir: str, patterns: list[str]):
@@ -1883,63 +1656,32 @@ def wildcard_terms_permuterm(index_dir: str, patterns: list[str]):
     no gram intersection, at the cost of the ~|term|x dictionary
     blow-up :func:`build_permuterm_index` materializes.  Patterns the
     permuterm transform cannot express (``_`` single-char wildcards,
-    more than one ``%``) fall back to the dictionary stream scan, like
+    more than one ``%``) fall back to the whole dictionary, like
     the k-gram path's unprunable-pattern fallback.  Answers are defined
     IDENTICAL to :func:`wildcard_terms`; the driver oracle is the same
     LIKE recompute, so the rotation lookup's soundness is hash-checked.
 
     Returns an Arrow table (pattern, term, df) sorted by (pattern, term).
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads_mod
+    from .build import build_permuterm_index
 
-    from ..pipelines.build import build_permuterm_index
-    from ..state.segments import SegmentReader
-
-    out_schema = pa.schema(
-        [("pattern", pa.string()), ("term", pa.string()),
-         ("df", pa.int64())]
-    )
-    ps = sorted(set(patterns))
+    ps = set(patterns)
     if not ps:
-        return out_schema.empty_table()
-
-    rot_dir = build_permuterm_index(index_dir)
+        return _WILDCARD_SCHEMA.empty_table()
+    rot_ds = pads.dataset(build_permuterm_index(index_dir), format="parquet")
     reader = SegmentReader(index_dir)
-    rot_ds = pads_mod.dataset(rot_dir, format="parquet")
 
-    def rotation_prefix(p: str) -> str | None:
-        if "_" in p or p.count("%") > 1:
-            return None
+    def candidates(p: str):
+        if "_" in p or p.count("%") > 1:   # permuterm-inexpressible
+            return reader.terms()
         a, _, b = p.partition("%")
-        return (b + "$" + a) if "%" in p else (p + "$")
+        lo = (b + "$" + a) if "%" in p else (p + "$")
+        hi = lo[:-1] + chr(ord(lo[-1]) + 1)
+        rot = rot_ds.to_table(columns=["term"], filter=(pc.field("rot") >= lo)
+                              & (pc.field("rot") < hi))
+        return set(rot["term"].to_pylist())
 
-    rp, rt, rf = [], [], []
-    for p in ps:
-        prefix = rotation_prefix(p)
-        if prefix is not None:
-            hi = prefix[:-1] + chr(ord(prefix[-1]) + 1)
-            cand = rot_ds.to_table(
-                columns=["term"],
-                filter=(pc.field("rot") >= prefix)
-                & (pc.field("rot") < hi),
-            )
-            cand_list = sorted(set(cand["term"].to_pylist()))
-        else:  # permuterm-inexpressible: dictionary stream fallback
-            cand_list = sorted(reader.terms())
-        keep = pc.match_like(pa.array(cand_list, pa.string()), p)
-        for t, ok in zip(cand_list, keep.to_pylist()):
-            if ok:
-                rp.append(p)
-                rt.append(t)
-                rf.append(int(reader.postings(t).df_stale))
-    return pa.table(
-        {"pattern": pa.array(rp, pa.string()),
-         "term": pa.array(rt, pa.string()),
-         "df": pa.array(rf, pa.int64())},
-        schema=out_schema,
-    )
+    return _like_verify(reader, {p: candidates(p) for p in ps})
 
 
 def numeric_range_search(index_dir: str, lo: int, hi: int, *,
@@ -1965,12 +1707,6 @@ def numeric_range_search(index_dir: str, lo: int, hi: int, *,
 
     out_schema = pa.schema([("doc_int", pa.int64()), ("n_terms", pa.int64())])
 
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        compacted = json.load(f)["compacted"]
-    seg_root = os.path.join(
-        index_dir, "segments_merged" if compacted else "segments"
-    )
-
     def find_terms(batch: pa.Table) -> pa.Table:
         terms = batch["term"]
         is_num = pc.starts_with(terms, "num:")
@@ -1988,7 +1724,8 @@ def numeric_range_search(index_dir: str, lo: int, hi: int, *,
     term_parts = pa.concat_tables(
         [pa.schema([("term", pa.string())]).empty_table()]
         + list(ray.get(
-            ray.data.read_parquet(seg_root, columns=["term", "df"])
+            ray.data.read_parquet(segment_root(index_dir),
+                                  columns=["term", "df"])
             .map_batches(find_terms, batch_format="pyarrow",
                          concurrency=concurrency)
             .to_arrow_refs()
@@ -2077,7 +1814,7 @@ def more_like_this(index_dir: str, doc_int: int, *, n_terms: int = 5,
     reader = SegmentReader(index_dir)
     terms = agg["term"].to_pylist()
     tfs = agg["tf_sum"].to_pylist()
-    dfs = [reader.postings(t).df_stale for t in terms]
+    dfs = [reader.df(t) for t in terms]
     order = sorted(range(len(terms)),
                    key=lambda i: (-tfs[i], dfs[i], terms[i]))[:n_terms]
     sel = [terms[i] for i in order]

@@ -166,7 +166,7 @@ def _rocchio(engine, index_dir, r=5, e=3, beta=0.5):
                                          agg["tf_sum"].to_pylist())
                 if t not in exclude]
         scored = sorted(
-            (-tf, engine.reader.postings(t).df_stale, t) for t, tf in cand
+            (-tf, engine.reader.df(t), t) for t, tf in cand
         )[:e]
         return [t for _, _, t in scored]
 
@@ -395,8 +395,7 @@ def _champion_tier(engine, index_dir, m):
             sel = terms_col == t
             if not sel.any():
                 continue
-            pl = engine.reader.postings(t)
-            idf = _idf(n, pl.df_stale if pl is not None else 0)
+            idf = _idf(n, engine.reader.df(t))
             idx = np.searchsorted(cand, docs_col[sel])
             w = w_col[sel]
             sat = (w * (1.2 + 1)) / (

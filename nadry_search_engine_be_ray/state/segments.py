@@ -9,7 +9,7 @@ Laziness is two-level (the 100 TB working-set story):
 * SHARD-lazy: ``term -> shard`` is the same pure hash the build used
   (stages/tokenize.term_shard), so a query only faults in the shards its
   terms route to; ``terms()`` / ``has_term`` force-load the dictionary.
-* PAGE-lazy (default): faulting in a shard reads ONLY the (term, salt)
+* PAGE-lazy: faulting in a shard reads ONLY the (term, salt, df)
   dictionary columns; the heavy binary payload columns (docs/tfs/weights/
   block_max/positions/pos_offsets) are fetched per parquet ROW GROUP on
   first touch and kept in a small LRU — a cold serving actor pays for the
@@ -38,8 +38,17 @@ from ..stages.tokenize import term_shard
 from . import deletes as deletes_state
 
 _PAYLOAD_COLS = [
-    "df", "docs", "tfs", "weights", "block_max", "positions", "pos_offsets",
+    "docs", "tfs", "weights", "block_max", "positions", "pos_offsets",
 ]
+
+
+def segment_root(index_dir: str) -> str:
+    """The segment tier queries read: ``segments_merged`` once the build
+    compacted its salted runs, else the raw ``segments`` runs."""
+    with open(os.path.join(index_dir, "stats.json")) as f:
+        compacted = json.load(f)["compacted"]
+    return os.path.join(index_dir,
+                        "segments_merged" if compacted else "segments")
 
 
 @dataclass
@@ -79,32 +88,25 @@ class PostingList:
 
 
 class _SegFile:
-    """One segment parquet file: dictionary columns eager, payload columns
-    row-group-lazy (or fully eager when ``lazy_payload=False``)."""
+    """One segment parquet file: dictionary columns (term, salt, df) eager,
+    payload columns row-group-lazy."""
 
-    def __init__(self, path: str, lazy_payload: bool):
-        self.lazy = lazy_payload
+    def __init__(self, path: str):
         self.pf = pq.ParquetFile(path, memory_map=True)
         md = self.pf.metadata
         self.rg_offsets = np.cumsum(
             [0] + [md.row_group(i).num_rows for i in range(md.num_row_groups)]
         )
-        if lazy_payload:
-            small = self.pf.read(columns=["term", "salt"])
-            self.table = None
-        else:
-            self.table = self.pf.read()
-            small = self.table
+        small = self.pf.read(columns=["term", "salt", "df"])
         self.terms = small["term"].to_pylist()
         self.salts = small["salt"].to_pylist()
+        self.dfs = small["df"].to_numpy()
 
     def row(self, row: int, rg_cache: dict, cache_cap: int,
             lock: threading.Lock) -> pa.Table:
         """The 1-row payload slice for ``row`` (all payload columns).
         ``lock`` guards every ``rg_cache`` mutation, so threads sharing the
         reader never evict the same entry twice."""
-        if not self.lazy:
-            return self.table.slice(row, 1)
         g = int(np.searchsorted(self.rg_offsets, row, side="right") - 1)
         key = (id(self), g)
         with lock:
@@ -123,14 +125,11 @@ class SegmentReader:
     docstring for the two-level laziness."""
 
     def __init__(self, index_dir: str, shards: list[int] | None = None,
-                 lazy: bool = True, lazy_payload: bool = True,
                  rg_cache_cap: int = 64):
         self.index_dir = index_dir
         with open(os.path.join(index_dir, "stats.json")) as f:
             self.stats = json.load(f)
-        self._seg_root = os.path.join(
-            index_dir, "segments_merged" if self.stats["compacted"] else "segments"
-        )
+        self._seg_root = segment_root(index_dir)
         self.num_shards = int(self.stats["num_shards"])
         self.block_size = int(self.stats.get("block_size", codec.BLOCK_SIZE))
         # docs/tfs/pos_offsets-stream decoders per the build's final-tier
@@ -149,7 +148,6 @@ class SegmentReader:
         # applied to every decoded posting list; empty array = zero overhead
         self.deleted = deletes_state.load_tombstones(index_dir)
         self.shards = shards if shards is not None else list(range(self.num_shards))
-        self.lazy_payload = lazy_payload
         self.rg_cache_cap = rg_cache_cap
         # term -> list[(file_idx, row, salt)] — multiple rows when uncompacted
         self._term_index: dict[str, list[tuple[int, int, int]]] = {}
@@ -159,8 +157,6 @@ class SegmentReader:
         self._loaded: set[int] = set()
         self._load_lock = threading.Lock()
         self._cache_lock = threading.Lock()  # guards both cache evictions
-        if not lazy:
-            self._load_all()
 
     def _load_shard(self, shard: int) -> None:
         """Fault in one shard's dictionary exactly once, even when HTTP
@@ -177,7 +173,7 @@ class SegmentReader:
             # a term routes to one shard, so this shard's runs are all of it
             index: dict[str, list[tuple[int, int, int]]] = {}
             for fp in files:
-                sf = _SegFile(fp, self.lazy_payload)
+                sf = _SegFile(fp)
                 ti = len(self._files)
                 self._files.append(sf)
                 for row, (term, salt) in enumerate(zip(sf.terms, sf.salts)):
@@ -199,6 +195,14 @@ class SegmentReader:
     def terms(self):
         self._load_all()
         return self._term_index.keys()
+
+    def df(self, term: str) -> int:
+        """On-disk document frequency, summed over the term's runs; 0 for
+        an unknown term.  Dictionary-only (no payload read) and, like
+        ``PostingList.df_stale``, it counts tombstoned docs until purge."""
+        self._load_shard(self.shard_for(term))
+        return sum(int(self._files[ti].dfs[row])
+                   for ti, row, _salt in self._term_index.get(term, ()))
 
     def postings(self, term: str) -> PostingList | None:
         self._load_shard(self.shard_for(term))

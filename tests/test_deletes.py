@@ -271,6 +271,34 @@ def test_purge_clears_tombstones_then_noop(purged_vs_fresh):
     assert again["n_docs_before"] == again["n_docs_after"]
 
 
+def test_purge_invalidates_permuterm(setup, tmp_path):
+    """A purge that drops a term from the dictionary must drop the
+    permuterm index too: a stale rotation would still offer the term."""
+    from nadry_search_engine_be_ray.pipelines.build import (
+        build_permuterm_index,
+    )
+    from nadry_search_engine_be_ray.pipelines.query import (
+        wildcard_terms, wildcard_terms_kgram, wildcard_terms_permuterm,
+    )
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(setup["idx_full"], idx)
+    build_permuterm_index(idx)
+    r = SegmentReader(idx)
+    # a rotation-answerable term (no '_'/'%') that lives in one doc only
+    term = next(t for t in sorted(r.terms())
+                if r.postings(t).df == 1 and not set(t) & {"_", "%"})
+    delete_docs(idx, r.postings(term).docs)
+    assert purge_deletes(idx)["n_purged"] == 1
+    assert not SegmentReader(idx).has_term(term)
+
+    pats = [term[:2] + "%", "%" + term[-2:], term]
+    scan = wildcard_terms(idx, pats)
+    assert term not in scan["term"].to_pylist()
+    assert wildcard_terms_permuterm(idx, pats).to_pylist() == scan.to_pylist()
+    assert wildcard_terms_kgram(idx, pats).to_pylist() == scan.to_pylist()
+
+
 def test_purge_filters_side_tables(setup, purged_vs_fresh):
     idx = purged_vs_fresh["idx_purge"]
     deleted = setup["deleted"]

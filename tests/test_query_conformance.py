@@ -75,28 +75,6 @@ def test_wand_equals_taat(engine, scorer):
             assert s1 == pytest.approx(s2, rel=1e-12)
 
 
-@pytest.mark.parametrize("scorer", ["additive", "bm25"])
-def test_maxscore_equals_taat(engine, scorer):
-    """Vectorized MaxScore must be EXACT (docs and scores), including its
-    pruning branch — exercised with many-term queries mixing head terms
-    (huge lists, low idf) and rare terms (the pruning-profitable shape)."""
-    queries = [
-        "item order arrived", "search engine index", "import return def",
-        "nation", "zzzznotaterm", "func_7 zq11x", "university community block",
-        "import return def the nation order item search engine running",
-        "import import import order",
-    ]
-    for q in queries:
-        taat = engine.topk_taat(q, k=10, scorer=scorer)
-        ms = engine.topk_maxscore(q, k=10, scorer=scorer)
-        assert [d for d, _ in taat] == [d for d, _ in ms], q
-        for (d1, s1), (d2, s2) in zip(taat, ms):
-            assert s1 == pytest.approx(s2, rel=1e-12)
-    for k in (1, 3, 25):
-        assert engine.topk_maxscore("item order", k=k, scorer=scorer) == \
-            engine.topk_taat("item order", k=k, scorer=scorer)
-
-
 def test_query_cache(engine):
     r1 = engine.search("item order arrived")
     r2 = engine.search("item order arrived")
@@ -294,13 +272,10 @@ def test_facet_counts_edges(built_index):
 
 
 def test_spell_correct_matches_bruteforce_and_tiers(built_index,
-                                                    tiny_corpus_dir,
-                                                    tmp_path_factory):
+                                                    uncompacted_index):
     """spell_correct's vectorized byte-DP + distributed combine must equal
     a brute per-pair recompute, and the uncompacted tier (per-salt df rows
     summed at the combine) must answer identically to the compacted one."""
-    from nadry_search_engine_be_ray.config import BuildConfig
-    from nadry_search_engine_be_ray.pipelines.build import build_index
     from nadry_search_engine_be_ray.pipelines.query import spell_correct
     from nadry_search_engine_be_ray.state.segments import SegmentReader
 
@@ -340,19 +315,12 @@ def test_spell_correct_matches_bruteforce_and_tiers(built_index,
     assert got == exp
     assert "nosuchwordatall" not in got and "serch" in got
 
-    idx_u = str(tmp_path_factory.mktemp("index_uncompacted_spell"))
-    build_index(tiny_corpus_dir, idx_u,
-                BuildConfig(num_shards=2, salt_bits=2,
-                            compact_segments=False))
-    out_u = spell_correct(idx_u, words, max_distance=2)
+    out_u = spell_correct(uncompacted_index, words, max_distance=2)
     assert out_u.to_pylist() == out.to_pylist()
 
 
 def test_prefix_suggest_matches_bruteforce_and_tiers(built_index,
-                                                     tiny_corpus_dir,
-                                                     tmp_path_factory):
-    from nadry_search_engine_be_ray.config import BuildConfig
-    from nadry_search_engine_be_ray.pipelines.build import build_index
+                                                     uncompacted_index):
     from nadry_search_engine_be_ray.pipelines.query import prefix_suggest
     from nadry_search_engine_be_ray.state.segments import SegmentReader
 
@@ -373,11 +341,7 @@ def test_prefix_suggest_matches_bruteforce_and_tiers(built_index,
     assert any(p == "se" for p, *_ in got)
     assert not any(p == "zzqx" for p, *_ in got)
 
-    idx_u = str(tmp_path_factory.mktemp("index_uncompacted_prefix"))
-    build_index(tiny_corpus_dir, idx_u,
-                BuildConfig(num_shards=2, salt_bits=2,
-                            compact_segments=False))
-    out_u = prefix_suggest(idx_u, prefixes, k=3)
+    out_u = prefix_suggest(uncompacted_index, prefixes, k=3)
     assert out_u.to_pylist() == out.to_pylist()
 
 
@@ -423,22 +387,24 @@ def test_boolean_search_matches_set_bruteforce(built_index):
     assert rows == sorted(rows)
 
 
-def test_wildcard_kgram_equals_scan_path(built_index):
+def test_wildcard_kgram_equals_scan_path(index_tiers):
     """The k-gram-pruned wildcard path must return exactly the stream-scan
     path's answers, including unprunable patterns (fallback) and patterns
-    with no matches."""
+    with no matches — on the compacted, uncompacted and tombstoned
+    dictionary layouts."""
     from nadry_search_engine_be_ray.pipelines.query import (
         wildcard_terms, wildcard_terms_kgram,
     )
 
     pats = ["se%ch", "%tion", "q__ri", "zzqx%", "%a%", "import"]
-    scan = wildcard_terms(built_index, pats)
-    kgram = wildcard_terms_kgram(built_index, pats)
-    assert kgram.to_pylist() == scan.to_pylist()
-    got_pats = set(kgram["pattern"].to_pylist())
-    assert "%a%" in got_pats      # unprunable fallback produced rows
-    assert "import" in got_pats   # no-wildcard exact pattern
-    assert "zzqx%" not in got_pats
+    for tier, idx in index_tiers.items():
+        scan = wildcard_terms(idx, pats)
+        kgram = wildcard_terms_kgram(idx, pats)
+        assert kgram.to_pylist() == scan.to_pylist(), tier
+        got_pats = set(kgram["pattern"].to_pylist())
+        assert "%a%" in got_pats      # unprunable fallback produced rows
+        assert "import" in got_pats   # no-wildcard exact pattern
+        assert "zzqx%" not in got_pats
 
 
 def test_numeric_range_matches_bruteforce(built_index):
@@ -863,11 +829,11 @@ def test_evaluate_bm25_known_values(built_index):
     assert abs(NDCG_DISCOUNTS[0] - 1.0) < 1e-12
 
 
-def test_spell_correct_kgram_equals_stream_path(built_index):
+def test_spell_correct_kgram_equals_stream_path(index_tiers):
     """The gram-pruned spell path is DEFINED to answer identically to the
     stream scan (VERDICT r4 #7): same words, same (query, suggestion,
     distance, df) rows — including short words that fall back and words
-    with no in-range candidate."""
+    with no in-range candidate — on every dictionary layout."""
     from nadry_search_engine_be_ray.pipelines.query import (
         spell_correct, spell_correct_kgram,
     )
@@ -875,19 +841,20 @@ def test_spell_correct_kgram_equals_stream_path(built_index):
     words = ["serch", "documnt", "nosuchwordatall", "engin",
              "ab",          # |set(G(w))| - k*d <= 0 -> stream fallback
              "tokken", "indx"]
-    stream = spell_correct(built_index, words, max_distance=2)
-    pruned = spell_correct_kgram(built_index, words, max_distance=2)
-    assert pruned.to_pylist() == stream.to_pylist()
-    # distance-1 budget exercises a different threshold
-    s1 = spell_correct(built_index, words, max_distance=1)
-    p1 = spell_correct_kgram(built_index, words, max_distance=1)
-    assert p1.to_pylist() == s1.to_pylist()
+    for tier, idx in index_tiers.items():
+        stream = spell_correct(idx, words, max_distance=2)
+        pruned = spell_correct_kgram(idx, words, max_distance=2)
+        assert pruned.to_pylist() == stream.to_pylist(), tier
+        # distance-1 budget exercises a different threshold
+        s1 = spell_correct(idx, words, max_distance=1)
+        p1 = spell_correct_kgram(idx, words, max_distance=1)
+        assert p1.to_pylist() == s1.to_pylist(), tier
 
 
-def test_prefix_suggest_kgram_equals_stream_path(built_index):
+def test_prefix_suggest_kgram_equals_stream_path(index_tiers):
     """The gram-pruned autocomplete answers identically to the stream
     scan, including sub-gram-length prefixes (dictionary fallback) and
-    no-match prefixes."""
+    no-match prefixes, on every dictionary layout."""
     import pytest
 
     from nadry_search_engine_be_ray.pipelines.query import (
@@ -895,11 +862,37 @@ def test_prefix_suggest_kgram_equals_stream_path(built_index):
     )
 
     prefixes = ["se", "ind", "tok", "i", "zzqx"]
-    stream = prefix_suggest(built_index, prefixes, k=5)
-    pruned = prefix_suggest_kgram(built_index, prefixes, k=5)
-    assert pruned.to_pylist() == stream.to_pylist()
-    s3 = prefix_suggest(built_index, prefixes, k=3)
-    p3 = prefix_suggest_kgram(built_index, prefixes, k=3)
-    assert p3.to_pylist() == s3.to_pylist()
+    for tier, idx in index_tiers.items():
+        for k in (5, 3):
+            stream = prefix_suggest(idx, prefixes, k=k)
+            pruned = prefix_suggest_kgram(idx, prefixes, k=k)
+            assert pruned.to_pylist() == stream.to_pylist(), (tier, k)
     with pytest.raises(ValueError, match="literal"):
-        prefix_suggest_kgram(built_index, ["se%"], k=3)
+        prefix_suggest_kgram(index_tiers["compacted"], ["se%"], k=3)
+
+
+def test_reader_df_is_dictionary_df_stale(index_tiers):
+    """``SegmentReader.df`` (on-disk df summed over a term's runs) equals
+    the decoded list's ``df_stale`` for every term — tombstoned docs
+    included, as Lucene's docFreq — and is 0 for an unknown term."""
+    from nadry_search_engine_be_ray.state.segments import SegmentReader
+
+    for tier, idx in index_tiers.items():
+        r = SegmentReader(idx)
+        terms = sorted(r.terms())
+        assert len(terms) > 1000, tier
+        got = {t: r.df(t) for t in terms}
+        assert got == {t: r.postings(t).df_stale for t in terms}, tier
+        assert r.df("nosuchterm") == 0
+    masked = SegmentReader(index_tiers["tombstoned"])
+    assert any(masked.postings(t).df < masked.df(t) for t in masked.terms())
+
+
+def test_reader_df_reads_no_payload(built_index):
+    """df comes from the eagerly read dictionary columns: no posting row
+    group is fetched and nothing is decoded."""
+    from nadry_search_engine_be_ray.state.segments import SegmentReader
+
+    r = SegmentReader(built_index)
+    assert sum(r.df(t) for t in list(r.terms())) > 0
+    assert not r._rg_cache and not r._pl_cache

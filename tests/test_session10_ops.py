@@ -108,19 +108,19 @@ def test_item_cf_brute_pandas(ray_session):
         assert got.cosine == pytest.approx(round(exp[3], 6), abs=1e-12)
 
 
-def test_permuterm_equals_stream_scan(ray_session, built_index):
+def test_permuterm_equals_stream_scan(ray_session, index_tiers):
     from nadry_search_engine_be_ray.pipelines.query import (
         wildcard_terms,
         wildcard_terms_permuterm,
     )
 
-    index_dir = built_index
     # one rotation-answerable per shape + the fallback (_) pattern
     pats = ["se%ch", "tok%", "%tion", "q__ri", "zz%qx", "search"]
-    a = wildcard_terms(index_dir, pats).to_pandas()
-    b = wildcard_terms_permuterm(index_dir, pats).to_pandas()
-    pd.testing.assert_frame_equal(
-        a.reset_index(drop=True), b.reset_index(drop=True))
+    for index_dir in index_tiers.values():
+        a = wildcard_terms(index_dir, pats).to_pandas()
+        b = wildcard_terms_permuterm(index_dir, pats).to_pandas()
+        pd.testing.assert_frame_equal(
+            a.reset_index(drop=True), b.reset_index(drop=True))
 
 
 def test_dunning_llr_brute(ray_session):
