@@ -26,7 +26,12 @@ def _corpus_docs_for(sf_dir: str) -> int:
 
 
 # bump when the build's on-disk format changes: keys every /tmp entry index
-_INDEX_FORMAT = "v5"
+_INDEX_FORMAT = "v6"
+# merge/delete/upsert fixture roots: keyed on the format too, so a format
+# change rebuilds them instead of re-reading indexes the old code merged
+_INDEX_MERGE_ROOT = f"/tmp/nadry_entry/index_merge_{_INDEX_FORMAT}"
+_DELETE_MERGE_ROOT = f"/tmp/nadry_entry/delete_merge_{_INDEX_FORMAT}"
+_UPSERT_ROOT = f"/tmp/nadry_entry/upsert_{_INDEX_FORMAT}"
 
 
 def _built_index(sf_dir: str, docs_codec: str = "varint"):
@@ -5124,7 +5129,7 @@ def _q_index_merge(sf_dir: str):
     from nadry_search_engine_be_ray.sources.corpus import write_corpus
     from nadry_search_engine_be_ray.state.segments import SegmentReader
 
-    root = "/tmp/nadry_entry/index_merge_v1"
+    root = _INDEX_MERGE_ROOT
     idx_m = os.path.join(root, "merged")
     if not os.path.exists(os.path.join(idx_m, "stats.json")):
         shutil.rmtree(root, ignore_errors=True)
@@ -5293,7 +5298,7 @@ def _q_delete_merge_df(sf_dir: str):
     from nadry_search_engine_be_ray.sources.corpus import write_corpus
     from nadry_search_engine_be_ray.state.segments import SegmentReader
 
-    root = "/tmp/nadry_entry/delete_merge_v1"
+    root = _DELETE_MERGE_ROOT
     idx_m = os.path.join(root, "merged")
     if not os.path.exists(os.path.join(idx_m, "stats.json")):
         shutil.rmtree(root, ignore_errors=True)
@@ -5345,7 +5350,7 @@ def _q_upsert_df(sf_dir: str):
     from nadry_search_engine_be_ray.sources.corpus import write_corpus
     from nadry_search_engine_be_ray.state.segments import SegmentReader
 
-    root = "/tmp/nadry_entry/upsert_v1"
+    root = _UPSERT_ROOT
     idx_up = os.path.join(root, "merged")
     if not os.path.exists(os.path.join(idx_up, "stats.json")):
         shutil.rmtree(root, ignore_errors=True)
@@ -6212,14 +6217,14 @@ def _collapse_sql(group_col: str = "repo") -> str:
     )
 
 
-_INDEX_MERGE_SQL = """
+_INDEX_MERGE_SQL = f"""
     SELECT term, count(DISTINCT doc_int) AS df FROM (
         SELECT term, doc_int
-        FROM read_parquet('/tmp/nadry_entry/index_merge_v1/ia/postings/*/*.parquet')
+        FROM read_parquet('{_INDEX_MERGE_ROOT}/ia/postings/*/*.parquet')
         WHERE field >= 0
         UNION ALL
         SELECT term, doc_int
-        FROM read_parquet('/tmp/nadry_entry/index_merge_v1/ib/postings/*/*.parquet')
+        FROM read_parquet('{_INDEX_MERGE_ROOT}/ib/postings/*/*.parquet')
         WHERE field >= 0
     ) GROUP BY term ORDER BY term
 """
@@ -10579,39 +10584,39 @@ def oracle_sql() -> dict[str, str]:
         # merge-consumes-tombstones: df over the sources' raw postings
         # dumps minus the delete rule (engine side drops those docs
         # DURING the k-way merge, pipelines/merge.py)
-        "delete_merge_df": """
+        "delete_merge_df": f"""
             SELECT term, count(DISTINCT doc_int) AS df FROM (
                 SELECT term, doc_int FROM read_parquet(
-                    '/tmp/nadry_entry/delete_merge_v1/ia/postings/*/*.parquet')
+                    '{_DELETE_MERGE_ROOT}/ia/postings/*/*.parquet')
                 WHERE field >= 0
                 UNION ALL
                 SELECT term, doc_int FROM read_parquet(
-                    '/tmp/nadry_entry/delete_merge_v1/ib/postings/*/*.parquet')
+                    '{_DELETE_MERGE_ROOT}/ib/postings/*/*.parquet')
                 WHERE field >= 0
             ) WHERE doc_int % 7 != 3
             GROUP BY term ORDER BY term
         """,
         # upsert = delete-by-(repo,path) + add: dead = base docs whose key
         # matches a delta doc; df over (base postings - dead) ∪ delta
-        "upsert_df": """
+        "upsert_df": f"""
             WITH dkeys AS (
                 SELECT DISTINCT repo, path FROM read_parquet(
-                    '/tmp/nadry_entry/upsert_v1/merged.delta/prepped/*.parquet')
+                    '{_UPSERT_ROOT}/merged.delta/prepped/*.parquet')
             ),
             dead AS (
                 SELECT b.doc_int
                 FROM read_parquet(
-                    '/tmp/nadry_entry/upsert_v1/base/prepped/*.parquet') b
+                    '{_UPSERT_ROOT}/base/prepped/*.parquet') b
                 JOIN dkeys k ON b.repo = k.repo AND b.path = k.path
             ),
             u AS (
                 SELECT term, doc_int FROM read_parquet(
-                    '/tmp/nadry_entry/upsert_v1/base/postings/*/*.parquet')
+                    '{_UPSERT_ROOT}/base/postings/*/*.parquet')
                 WHERE field >= 0
                   AND doc_int NOT IN (SELECT doc_int FROM dead)
                 UNION ALL
                 SELECT term, doc_int FROM read_parquet(
-                    '/tmp/nadry_entry/upsert_v1/merged.delta/postings/*/*.parquet')
+                    '{_UPSERT_ROOT}/merged.delta/postings/*/*.parquet')
                 WHERE field >= 0
             )
             SELECT term, count(DISTINCT doc_int) AS df

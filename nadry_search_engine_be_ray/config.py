@@ -30,20 +30,13 @@ class BuildConfig:
     # None -> stateless tasks with a cached global tokenizer; an int builds an
     # actor pool (map_batches(cls, concurrency=N)).
     tokenize_concurrency: int | None = None
-    encode_batch_format: str = "pyarrow"
 
     # --- dedup --------------------------------------------------------------
-    # "broadcast_losers": compute duplicate doc_ints (a small set when the
-    # dup-rate is modest) and broadcast-filter; "shuffle": full
-    # groupby(content_sha) shuffle keeping min doc_id.  SURVEY.md §7.3 D1/D2.
-    dedup_strategy: str = "broadcast_losers"
-    max_broadcast_losers: int = 5_000_000
     # hash partitions for the exact-dedup storage shuffle; size so one
     # partition's (sha, doc_int) rows fit in a task's heap (~40 B/row)
     dedup_partitions: int = 32
 
     # --- codec --------------------------------------------------------------
-    block_size: int = 128  # block-max metadata granularity (postings/block)
     # posting-stream codec for the FINAL (compacted) segment tier — applies
     # to the docs, tfs and pos_offsets streams (the nested positions
     # payload stays varint):
@@ -62,27 +55,11 @@ class BuildConfig:
     # 100 KB per fetch.
     segment_row_group_size: int = 512
 
-
     # --- pipeline control ---------------------------------------------------
     compact_segments: bool = True
-    # how encoded salt-runs reach their per-shard merge task (compact path):
-    # "sort"    — Ray groupby("shard") sort-based shuffle through the object
-    #             store (no intermediate files)
-    # "storage" — hive-partitioned staging write (partition_cols=["shard"])
-    #             + one merge task per shard reading its dir: the same
-    #             shuffle-via-storage pattern as the postings phase.  The
-    #             sort barrier costs ~6 s wall for ~2 s of task time at 32
-    #             CPUs on the 1M-doc bench (a flat cost that caps 8->32
-    #             scaling efficiency); staging rides the page cache and
-    #             overlaps the exchange with encode compute.
-    segment_exchange: str = "storage"
     # M1 field extraction mode: "code" (path/leading-comment/content) or
     # "html" (reference DocumentProcessor selectors, stages/htmlproc.py)
     content_mode: str = "code"
-
-    # --- bm25 ---------------------------------------------------------------
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Posting-list codec: delta-gap + varint compression and block-max metadata.
+"""Posting-list codec: delta-gap + varint and whole-stream compression.
 
 The reference persists postings as BSON arrays in MongoDB
 (indexer/MongoDBIndexStore.java:230-324).  Our segment format instead stores,
@@ -11,8 +11,11 @@ per term, compressed columnar payloads (SURVEY.md §1.3, §7.1 step 3):
 * ``positions`` — per (doc, field) 0-based position lists
   (IndexBuilder.java:135-139), delta encoded + varint packed with a tiny
   per-doc header (field mask + per-field counts)
-* ``block_max`` — max weight per block of BLOCK_SIZE docs, the block-max
-  WAND pruning metadata (A9 fast path)
+
+The compacted segment tier may store the docs / tfs / offset streams with
+the whole-stream codes below instead (frame-of-reference bit packing,
+Elias-Fano).  WAND upper bounds are not stored: the query path derives them
+from decoded scores (pipelines/query.py ``topk_wand``).
 
 Encode AND decode are numpy-vectorized (no per-element Python loops): varint
 encoding scatters 7-bit groups by byte-offset plane; decoding segments the
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-BLOCK_SIZE = 128
 _MAX_VARINT_BYTES = 10  # 64 bits / 7
 
 
@@ -96,7 +98,7 @@ def decode_varints(buf: bytes | memoryview | np.ndarray) -> np.ndarray:
 # Why the SEGMENT format stays varint (a deliberate design decision, not an
 # omission): varint is a per-value code, so the build's salt-run merges and
 # the cross-index k-way merge concatenate tfs/positions payloads byte-wise
-# without decoding (`stages/encode.py:_merge_runs`); a block code would force
+# without decoding (`stages/encode.py:merge_runs`); a block code would force
 # a decode+re-encode of every run at every merge.  Bit packing wins on docs
 # gaps (measured by the `posting_codec_sizes` query, whose SQL oracle
 # recomputes BOTH framings analytically) and is the right choice for a
@@ -386,7 +388,7 @@ def decode_sorted_deltas(buf: bytes) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# weights / block max
+# weights
 # ---------------------------------------------------------------------------
 
 def encode_f64(values: np.ndarray) -> bytes:
@@ -395,17 +397,6 @@ def encode_f64(values: np.ndarray) -> bytes:
 
 def decode_f64(buf: bytes) -> np.ndarray:
     return np.frombuffer(buf, dtype="<f8")
-
-
-def block_max(weights: np.ndarray, block_size: int = BLOCK_SIZE) -> np.ndarray:
-    """Max weight per block of ``block_size`` consecutive postings."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size == 0:
-        return np.empty(0, dtype=np.float64)
-    nblocks = (w.size + block_size - 1) // block_size
-    padded = np.full(nblocks * block_size, -np.inf)
-    padded[: w.size] = w
-    return padded.reshape(nblocks, block_size).max(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,10 @@ satisfying the north_rule resumability requirement):
   4. segments+merge (default, compact_segments=True): per-part encode
                tasks (A3; salted posting-list runs) feed a per-shard k-way
                merge (streaming concatenation of sorted runs, the
-               segment-merge primitive).  How runs reach their merge task is
-               ``BuildConfig.segment_exchange``: "storage" (default) stages
-               them via a hive-partitioned write — the same
-               shuffle-via-storage pattern as the postings phase, no sort
-               barrier — while "sort" moves them through a
-               groupby("shard") object-store shuffle.  The encode tasks
-               also split the per-doc sentinel rows into doc_stats/ (A2) —
+               segment-merge primitive).  Runs reach their merge task via a
+               hive-partitioned staging write — the same shuffle-via-storage
+               pattern as the postings phase, no sort barrier.  The encode
+               tasks also split the per-doc sentinel rows into doc_stats/ (A2) —
                totalWords costs no extra pass.  With compact_segments=False
                the salted runs are written to segments/ unmerged instead
                (the query reader concatenates runs in salt order itself).
@@ -40,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import time
 from functools import partial
 
@@ -50,7 +48,7 @@ import ray.data
 
 
 from ..config import BuildConfig
-from ..stages.encode import encode_part_dirs, merge_shard_dirs, merge_shard_runs
+from ..stages.encode import encode_part_dirs, merge_shard_dirs
 from ..stages.prep import make_loser_filter, prep_batch
 from ..stages.tokenize import TokenizeBatch
 from ..state.segments import segment_root
@@ -78,8 +76,6 @@ def _fresh(path: str) -> str:
     mid-write leaves partial parquet files, and the sink's append mode would
     otherwise duplicate rows on resume.  Completed phases are never touched
     (the resume contract is the _DONE marker, SURVEY.md §4.2)."""
-    import shutil
-
     if os.path.exists(path) and not _done(path):
         shutil.rmtree(path)
     os.makedirs(path, exist_ok=True)
@@ -96,6 +92,28 @@ def _parquet_row_count(root: str) -> int:
     for fp in _glob.glob(os.path.join(root, "**", "*.parquet"), recursive=True):
         total += pq.read_metadata(fp).num_rows
     return total
+
+
+def live_stats(doc_stats_dir: str, seg_root: str) -> dict:
+    """The stats.json counts every index writer (build, merge, purge)
+    recomputes from what it wrote: ``n_docs`` and ``n_term_rows`` from
+    parquet footers, ``total_words`` from one thin int column read in
+    the calling process, and ``avgdl``.  A Ray job to sum one int per doc would
+    cost more than the sum at any sane doc-stats size (~12 B/doc)."""
+    import pyarrow.dataset as pads
+
+    n_docs = _parquet_row_count(doc_stats_dir)
+    tw = pads.dataset(doc_stats_dir, format="parquet").to_table(
+        columns=["total_words"]
+    )["total_words"]
+    total_words = int(np.sum(tw.to_numpy(zero_copy_only=False),
+                             dtype=np.int64))
+    return {
+        "n_docs": n_docs,
+        "total_words": total_words,
+        "avgdl": (total_words / n_docs) if n_docs else 0.0,
+        "n_term_rows": _parquet_row_count(seg_root),
+    }
 
 
 def load_losers(index_dir: str) -> np.ndarray:
@@ -300,12 +318,11 @@ def build_index(
         _fresh(doc_stats_dir)
         # Encode + merge: per-PART encode tasks (parallelism = shards ×
         # salts, so one skewed shard can't become a straggler) feed a
-        # per-shard k-way merge.  The exchange between them is
-        # cfg.segment_exchange — see the config docstring; "storage"
-        # (default) measured ~2x faster at 8 CPUs and no worse at 32 than
-        # the groupby("shard") sort shuffle on the 1M-doc bench, because
-        # the sort's barrier wall time (~6 s) far exceeded its ~2 s of
-        # useful task time.
+        # per-shard k-way merge.  The exchange between them is a storage
+        # write: it measured ~2x faster at 8 CPUs and no worse at 32 than a
+        # groupby("shard") sort shuffle on the 1M-doc bench, because the
+        # sort's barrier wall time (~6 s) far exceeded its ~2 s of useful
+        # task time (BASELINE.md).
         t0 = time.time()
         import glob as _glob
 
@@ -332,60 +349,42 @@ def build_index(
         )
         # note: subdividing this reduce by a second term hash (merge fanout)
         # was measured and does NOT help at this scale — the extra groups
-        # cost as much in shuffle overhead as the shorter tail saves
-        if cfg.segment_exchange == "storage":
-            # shuffle-via-storage (same pattern as the postings phase): the
-            # encode tasks' hive write IS the exchange — runs land in one
-            # shard=K dir each, then one merge task per shard reads its dir.
-            # No sort barrier; the staging write streams out of the encode
-            # stage and rides the page cache into the merge read.
-            staging_dir = _fresh(os.path.join(index_dir, SEGMENT_RUNS))
-            enc.write_parquet(
-                staging_dir, partition_cols=["shard"],
-                row_group_size=1_000_000,
-            )
-            shard_dirs = sorted(
-                _glob.glob(os.path.join(staging_dir, "shard=*"))
-            )
-            shards_tbl = pa.table(
-                {
-                    "shard": pa.array(
-                        [int(os.path.basename(p).split("=")[1])
-                         for p in shard_dirs],
-                        pa.int32(),
-                    ),
-                    "path": pa.array(shard_dirs, pa.string()),
-                }
-            )
-            merged = (
-                ray.data.from_arrow(shards_tbl)
-                .repartition(max(1, len(shard_dirs)))
-                .map_batches(
-                    partial(merge_shard_dirs, block_size=cfg.block_size,
-                            docs_codec=cfg.docs_codec),
-                    batch_format="pyarrow",
-                    batch_size=1,   # one shard per task: bounded memory
-                )
-            )
-        else:
-            merged = enc.groupby("shard").map_groups(
-                partial(merge_shard_runs, block_size=cfg.block_size,
-                        docs_codec=cfg.docs_codec),
-                batch_format="pyarrow",
-            )
-        merged.write_parquet(
-            merged_dir, partition_cols=["shard"],
-            row_group_size=cfg.segment_row_group_size
+        # cost as much in shuffle overhead as the shorter tail saves.
+        # The encode tasks' hive write IS the exchange: runs land in one
+        # shard=K dir each, then one merge task per shard reads its dir
+        # (the staging write rides the page cache into the merge read).
+        staging_dir = _fresh(os.path.join(index_dir, SEGMENT_RUNS))
+        enc.write_parquet(
+            staging_dir, partition_cols=["shard"], row_group_size=1_000_000,
         )
-        if cfg.segment_exchange == "storage":
-            import shutil
-
-            shutil.rmtree(
-                os.path.join(index_dir, SEGMENT_RUNS), ignore_errors=True
+        shard_dirs = sorted(_glob.glob(os.path.join(staging_dir, "shard=*")))
+        shards_tbl = pa.table(
+            {
+                "shard": pa.array(
+                    [int(os.path.basename(p).split("=")[1])
+                     for p in shard_dirs],
+                    pa.int32(),
+                ),
+                "path": pa.array(shard_dirs, pa.string()),
+            }
+        )
+        (
+            ray.data.from_arrow(shards_tbl)
+            .repartition(max(1, len(shard_dirs)))
+            .map_batches(
+                partial(merge_shard_dirs, docs_codec=cfg.docs_codec),
+                batch_format="pyarrow",
+                batch_size=1,   # one shard per task: bounded memory
             )
+            .write_parquet(
+                merged_dir, partition_cols=["shard"],
+                row_group_size=cfg.segment_row_group_size,
+            )
+        )
+        shutil.rmtree(staging_dir, ignore_errors=True)
         _mark_done(merged_dir)
         _mark_done(doc_stats_dir)
-        record("segments", t0, note=f"fused encode+merge ({cfg.segment_exchange})",
+        record("segments", t0, note="fused encode+merge (storage)",
                n_parts=len(part_dirs))
         record("merge", t0, n_shards=cfg.num_shards)
         record("doc_stats", t0, note="piggybacked on segment encode")
@@ -429,31 +428,12 @@ def build_index(
     stats_path = os.path.join(index_dir, "stats.json")
     if not os.path.exists(stats_path):
         t0 = time.time()
-        # n_docs from footers (no read), total_words from one thin int
-        # column read driver-side — launching a whole Ray job to sum one
-        # int per doc costs more than the sum at any sane doc-stats size
-        # (doc stats are ~12 B/doc; even 10^9 docs is a 12 GB side table,
-        # and its sum can ride the doc-stats write instead if that grows).
-        import pyarrow.dataset as pads
-
-        n_docs = _parquet_row_count(doc_stats_dir)
-        tw_col = pads.dataset(doc_stats_dir, format="parquet").to_table(
-            columns=["total_words"]
-        )["total_words"]
-        total_words = int(
-            np.sum(tw_col.to_numpy(zero_copy_only=False), dtype=np.int64)
-        )
-        seg_src = merged_dir if cfg.compact_segments else segments_dir
-        n_term_rows = _parquet_row_count(seg_src)
         stats = {
-            "n_docs": n_docs,
-            "total_words": total_words,
-            "avgdl": (total_words / n_docs) if n_docs else 0.0,
-            "n_term_rows": n_term_rows,
+            **live_stats(doc_stats_dir, merged_dir if cfg.compact_segments
+                         else segments_dir),
             "num_shards": cfg.num_shards,
             "salt_bits": cfg.salt_bits,
             "compacted": cfg.compact_segments,
-            "block_size": cfg.block_size,
             "docs_codec": cfg.docs_codec,
         }
         with open(stats_path, "w") as f:

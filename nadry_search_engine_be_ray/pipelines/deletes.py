@@ -42,21 +42,20 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from ..functions import codec
 from ..stages.encode import (
-    SEGMENT_SCHEMA,
     _empty_segment_table,
     decode_docs_stream,
     decode_tfs_stream,
     encode_docs_stream,
     encode_tfs_stream,
+    read_shard_runs,
 )
 from ..state import deletes as deletes_state
 from ..state.deletes import live_mask
 from ..state.segments import segment_root
-from .build import _done, _mark_done
+from .build import _done, _mark_done, live_stats
 
 _SIDE_TABLES = ("doc_stats", "prepped", "postings", "popularity")
 
@@ -68,8 +67,7 @@ def delete_docs(index_dir: str, doc_ints) -> dict:
     return deletes_state.write_tombstones(index_dir, doc_ints)
 
 
-def _purge_row(row: dict, deleted: np.ndarray, docs_codec: str,
-               block_size: int) -> dict | None:
+def _purge_row(row: dict, deleted: np.ndarray, docs_codec: str) -> dict | None:
     """One segment term row -> (possibly rewritten) row, or None when all
     its docs are dead.  Untouched rows pass their encoded buffers through
     byte-identical."""
@@ -80,50 +78,34 @@ def _purge_row(row: dict, deleted: np.ndarray, docs_codec: str,
         return row
     if n_keep == 0:
         return None
-    tfs = decode_tfs_stream(row["tfs"], docs_codec).astype(np.int64)
-    weights = codec.decode_f64(row["weights"])
-    offs = decode_docs_stream(row["pos_offsets"], docs_codec).astype(np.int64)
-    masked = deletes_state.mask_posting(
-        docs, tfs, weights, row["positions"], offs, deleted, block_size
+    m_docs, m_tfs, m_w, m_buf, m_off, _df_total = deletes_state.mask_posting(
+        docs,
+        decode_tfs_stream(row["tfs"], docs_codec).astype(np.int64),
+        codec.decode_f64(row["weights"]),
+        row["positions"],
+        decode_docs_stream(row["pos_offsets"], docs_codec).astype(np.int64),
+        deleted,
     )
-    assert masked is not None
-    m_docs, m_tfs, m_w, m_bmax, m_buf, m_off, _df_total = masked
     return {
-        "shard": row["shard"],
-        "salt": row["salt"],
-        "term": row["term"],
+        **row,
         "df": n_keep,
         "docs": encode_docs_stream(m_docs, docs_codec),
         "tfs": encode_tfs_stream(m_tfs.astype(np.uint64), docs_codec),
         "weights": codec.encode_f64(m_w),
-        "block_max": codec.encode_f64(m_bmax),
         "positions": m_buf,
-        "pos_offsets": encode_docs_stream(
-            m_off.astype(np.uint64), docs_codec
-        ),
+        "pos_offsets": encode_docs_stream(m_off.astype(np.uint64), docs_codec),
     }
 
 
-def _purge_segment_files(files: list[str], deleted: np.ndarray,
-                         shard: int, docs_codec: str,
-                         block_size: int) -> pa.Table:
-    out_rows: list[dict] = []
-    for fp in sorted(files):
-        t = pq.read_table(fp, use_threads=False)
-        cols = {name: t[name].to_pylist() for name in t.schema.names}
-        for i in range(t.num_rows):
-            row = {name: cols[name][i] for name in cols}
-            row["shard"] = shard
-            new = _purge_row(row, deleted, docs_codec, block_size)
-            if new is not None:
-                out_rows.append(new)
-    if not out_rows:
-        return _empty_segment_table()
-    return pa.table(
-        {f.name: pa.array([r[f.name] for r in out_rows], f.type)
-         for f in SEGMENT_SCHEMA},
-        schema=SEGMENT_SCHEMA,
-    )
+def purge_segment_table(t: pa.Table, deleted: np.ndarray,
+                        docs_codec: str) -> pa.Table:
+    """Drop the ``deleted`` docs from every row of segment table ``t``
+    (same schema out): rows whose docs all died go, untouched rows keep
+    their bytes.  The one tombstone row loop — ``purge_deletes`` runs it
+    per shard, ``merge_indexes`` per source shard before its merge."""
+    rows = (_purge_row(r, deleted, docs_codec) for r in t.to_pylist())
+    return pa.Table.from_pylist([r for r in rows if r is not None],
+                                schema=t.schema)
 
 
 def purge_deletes(index_dir: str, *, concurrency: int | None = None,
@@ -152,7 +134,6 @@ def purge_deletes(index_dir: str, *, concurrency: int | None = None,
     seg_root = segment_root(index_dir)
     num_shards = int(stats["num_shards"])
     docs_codec = stats.get("docs_codec", "varint")
-    block_size = int(stats.get("block_size", codec.BLOCK_SIZE))
     deleted_ref = ray.put(deleted)
 
     # ---- segments: one task per shard, byte-identical fast path ---------
@@ -161,15 +142,13 @@ def purge_deletes(index_dir: str, *, concurrency: int | None = None,
 
     def purge_shard(batch: pa.Table) -> pa.Table:
         dead = ray.get(deleted_ref)
-        outs = []
-        for shard in batch["shard"].to_pylist():
-            files = glob.glob(
-                os.path.join(seg_root, f"shard={shard}", "*.parquet")
-            )
-            outs.append(
-                _purge_segment_files(files, dead, shard, docs_codec,
-                                     block_size)
-            )
+        outs = [
+            purge_segment_table(
+                read_shard_runs(sorted(glob.glob(os.path.join(
+                    seg_root, f"shard={shard}", "*.parquet"))), shard),
+                dead, docs_codec)
+            for shard in batch["shard"].to_pylist()
+        ]
         return pa.concat_tables(outs) if outs else _empty_segment_table()
 
     (
@@ -215,30 +194,9 @@ def purge_deletes(index_dir: str, *, concurrency: int | None = None,
         if had_marker:
             _mark_done(live)
 
-    def _count_rows(root: str) -> int:
-        total = 0
-        for fp in glob.glob(os.path.join(root, "**", "*.parquet"),
-                            recursive=True):
-            total += pq.read_metadata(fp).num_rows
-        return total
-
-    import pyarrow.dataset as pads
-
-    doc_stats_dir = os.path.join(index_dir, "doc_stats")
-    n_docs = _count_rows(doc_stats_dir)
-    tw = pads.dataset(doc_stats_dir, format="parquet").to_table(
-        columns=["total_words"]
-    )["total_words"]
-    total_words = int(np.sum(tw.to_numpy(zero_copy_only=False),
-                             dtype=np.int64))
     n_before = int(stats["n_docs"])
     n_term_rows_before = int(stats.get("n_term_rows", 0))
-    stats.update(
-        n_docs=n_docs,
-        total_words=total_words,
-        avgdl=(total_words / n_docs) if n_docs else 0.0,
-        n_term_rows=_count_rows(seg_root),
-    )
+    stats.update(live_stats(os.path.join(index_dir, "doc_stats"), seg_root))
     with open(stats_path, "w") as f:
         json.dump(stats, f, indent=2)
 
@@ -251,10 +209,10 @@ def purge_deletes(index_dir: str, *, concurrency: int | None = None,
 
     deletes_state.clear_tombstones(index_dir)
     return {
-        "n_purged": n_before - n_docs,
+        "n_purged": n_before - stats["n_docs"],
         "n_docs_before": n_before,
-        "n_docs_after": n_docs,
-        "tombstone_fraction": (n_before - n_docs) / n_before
+        "n_docs_after": stats["n_docs"],
+        "tombstone_fraction": (n_before - stats["n_docs"]) / n_before
         if n_before else 0.0,
         "n_term_rows_before": n_term_rows_before,
         "n_term_rows_after": stats["n_term_rows"],

@@ -3,11 +3,11 @@
 The reference cannot do this at all — its index build DROPS the collections
 and starts over (indexer/Main.java:58-61).  Here a delta corpus can be built
 into its own index (cheap, only the new docs) and merged with the base in
-one pass: per shard, a GENERAL k-way posting merge
-(stages/encode.merge_term_rows_interleaved — doc ranges interleave across
-indexes, so runs are decoded, merge-sorted by doc_int and re-encoded with a
-single byte-gather for the positions payload), doc-stats / documents tables
-are concatenated by file copy, and global stats recompute from footers.
+one pass: per shard, the build's own term walk (stages/encode.
+merge_shard_runs; where doc ranges interleave across indexes its run
+merger merge-sorts by doc_int and re-encodes with a single byte-gather for
+the positions payload), doc-stats / documents tables are concatenated by
+file copy, and global stats recompute from footers.
 
 Preconditions (asserted): identical (num_shards, salt_bits), compacted
 segments, and DISJOINT document sets (run exact dedup across corpora first —
@@ -16,7 +16,7 @@ the merge raises on a duplicate doc_int).
 Tombstones are CONSUMED by the merge (Lucene's segment-merge semantics:
 merging applies deletes physically): each source's
 ``deletes/tombstones.parquet`` set is unioned and dead docs are dropped
-from posting rows during the k-way merge (the same mask/re-encode path as
+from posting rows before the k-way merge (the row loop of
 ``pipelines.deletes.purge_deletes``, byte-identical fast path when a term
 touches no dead doc), doc_stats / prepped copies are live-filtered, stats
 recompute over survivors, and the merged index carries NO tombstone file.
@@ -40,12 +40,14 @@ import ray
 import ray.data
 
 from ..stages.encode import (
-    SEGMENT_SCHEMA,
     _empty_segment_table,
-    merge_term_rows_interleaved,
+    merge_shard_runs,
+    read_shard_runs,
 )
 from ..state import deletes as deletes_state
 from ..state.deletes import live_mask
+from .build import live_stats
+from .deletes import purge_segment_table
 
 
 def _copy_parquet_dir(src: str, dst: str, tag: str,
@@ -64,93 +66,7 @@ def _copy_parquet_dir(src: str, dst: str, tag: str,
             pq.write_table(t.filter(pa.array(live_mask(di, dead))), out)
 
 
-def _apply_tombstones_table(t: pa.Table, dead: np.ndarray,
-                            block_size: int) -> pa.Table:
-    """Purge dead docs from the payload-only segment table ``t`` (the
-    per-source read inside merge_shard) — same row transform as
-    purge_deletes, varint codec (merge precondition); rows whose docs all
-    died are dropped."""
-    from .deletes import _purge_row
-
-    if t.num_rows == 0:
-        return t
-    cols = {name: t[name].to_pylist() for name in t.schema.names}
-    out_rows = []
-    for i in range(t.num_rows):
-        row = {name: cols[name][i] for name in cols}
-        row.setdefault("shard", 0)
-        row.setdefault("salt", -1)
-        new = _purge_row(row, dead, "varint", block_size)
-        if new is not None:
-            out_rows.append(new)
-    if not out_rows:
-        return t.slice(0, 0)
-    return pa.table(
-        {n: pa.array([r[n] for r in out_rows], t.schema.field(n).type)
-         for n in t.schema.names}
-    )
-
-
-def _merge_shard_tables(tables: list[pa.Table], shard: int,
-                        block_size: int) -> pa.Table:
-    t = pa.concat_tables(tables, promote_options="default")
-    if t.num_rows == 0:
-        return _empty_segment_table()
-    g = t.sort_by([("term", "ascending")])
-    terms = g["term"].to_numpy(zero_copy_only=False)
-    n = len(terms)
-    new_term = np.ones(n, dtype=bool)
-    new_term[1:] = terms[1:] != terms[:-1]
-    starts = np.flatnonzero(new_term)
-    ends = np.empty_like(starts)
-    ends[:-1] = starts[1:]
-    ends[-1] = n
-
-    cols = {
-        k: g[k].to_pylist()
-        for k in ("df", "docs", "tfs", "weights", "block_max",
-                  "positions", "pos_offsets")
-    }
-    out = {k: [] for k in ("term", "df", "docs", "tfs", "weights",
-                           "block_max", "positions", "pos_offsets")}
-    for s, e in zip(starts, ends):
-        out["term"].append(str(terms[s]))
-        if e - s == 1:
-            for k in ("df", "docs", "tfs", "weights", "block_max",
-                      "positions", "pos_offsets"):
-                out[k].append(cols[k][s])
-        else:
-            d, tf, w, bm, p, o, df = merge_term_rows_interleaved(
-                cols["docs"][s:e], cols["tfs"][s:e], cols["weights"][s:e],
-                cols["positions"][s:e], cols["pos_offsets"][s:e], block_size,
-            )
-            out["df"].append(df)
-            out["docs"].append(d)
-            out["tfs"].append(tf)
-            out["weights"].append(w)
-            out["block_max"].append(bm)
-            out["positions"].append(p)
-            out["pos_offsets"].append(o)
-
-    nrows = len(out["term"])
-    return pa.table(
-        {
-            "shard": pa.array([shard] * nrows, pa.int32()),
-            "salt": pa.array([-1] * nrows, pa.int32()),
-            "term": pa.array(out["term"], pa.string()),
-            "df": pa.array(out["df"], pa.int64()),
-            "docs": pa.array(out["docs"], pa.binary()),
-            "tfs": pa.array(out["tfs"], pa.binary()),
-            "weights": pa.array(out["weights"], pa.binary()),
-            "block_max": pa.array(out["block_max"], pa.binary()),
-            "positions": pa.array(out["positions"], pa.binary()),
-            "pos_offsets": pa.array(out["pos_offsets"], pa.binary()),
-        }
-    )
-
-
 def merge_indexes(index_dirs: list[str], out_dir: str,
-                  block_size: int = 128,
                   segment_row_group_size: int = 512) -> dict:
     """Merge ≥2 compacted indexes with identical layout config into
     ``out_dir``; returns the merged stats dict.  ``segment_row_group_size``
@@ -167,11 +83,6 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
         assert s["salt_bits"] == stats[0]["salt_bits"], "salt_bits mismatch"
         assert s["compacted"], "merge requires compacted indexes"
     for s in stats:
-        # stats.json records the build's block-max granularity; the merged
-        # segments must re-block at the same size or readers would mix
-        # incompatible block boundaries
-        assert s.get("block_size", 128) == block_size, (
-            "block_size mismatch", s.get("block_size"), block_size)
         # the k-way merge concatenates/re-encodes per-value varint streams;
         # bitpack/ef are write-once FINAL tiers — merge varint indexes, then
         # rebuild with the whole-stream codec if one is wanted
@@ -220,21 +131,13 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
         dead_set = ray.get(dead_ref)
         outs = []
         for shard in batch["shard"].to_pylist():
-            tables = []
-            for d in dirs:
-                for fp in sorted(
-                    glob.glob(os.path.join(d, "segments_merged",
-                                           f"shard={shard}", "*.parquet"))
-                ):
-                    t = pq.read_table(fp, use_threads=False).select(
-                        [f.name for f in SEGMENT_SCHEMA
-                         if f.name not in ("shard", "salt")]
-                    )
-                    if dead_set.size:
-                        t = _apply_tombstones_table(t, dead_set, block_size)
-                    tables.append(t)
-            if tables:
-                outs.append(_merge_shard_tables(tables, shard, block_size))
+            t = read_shard_runs(
+                [fp for d in dirs for fp in sorted(glob.glob(os.path.join(
+                    d, "segments_merged", f"shard={shard}", "*.parquet")))],
+                shard)
+            if dead_set.size:
+                t = purge_segment_table(t, dead_set, "varint")
+            outs.append(merge_shard_runs(t))
         return pa.concat_tables(outs) if outs else _empty_segment_table()
 
     (
@@ -245,43 +148,16 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
                        row_group_size=segment_row_group_size)
     )
 
-    if dead.size:
-        # tombstoned sources: recompute over the survivors from the
-        # live-filtered doc_stats copy (the purge_deletes recipe)
-        import pyarrow.dataset as pads
-
-        ds_dir = os.path.join(out_dir, "doc_stats")
-        dst = pads.dataset(ds_dir, format="parquet").to_table(
-            columns=["total_words"]
-        )["total_words"]
-        n_docs_live = len(dst)
-        total_words_live = int(
-            np.sum(dst.to_numpy(zero_copy_only=False), dtype=np.int64)
-        )
-    else:
-        n_docs_live = int(sum(s["n_docs"] for s in stats))
-        total_words_live = int(sum(s["total_words"] for s in stats))
     merged_stats = {
-        "n_docs": n_docs_live,
-        "total_words": total_words_live,
+        **live_stats(os.path.join(out_dir, "doc_stats"), merged_root),
         "num_shards": num_shards,
         "salt_bits": stats[0]["salt_bits"],
         "compacted": True,
-        "block_size": block_size,
         "docs_codec": "varint",
         "merged_from": len(index_dirs),
         # tombstoned docs consumed by this merge (0 = no source had any)
         "n_purged_on_merge": int(dead.size),
     }
-    merged_stats["avgdl"] = (
-        merged_stats["total_words"] / merged_stats["n_docs"]
-        if merged_stats["n_docs"] else 0.0
-    )
-    n_term_rows = 0
-    for fp in glob.glob(os.path.join(merged_root, "**", "*.parquet"),
-                        recursive=True):
-        n_term_rows += pq.read_metadata(fp).num_rows
-    merged_stats["n_term_rows"] = n_term_rows
     with open(os.path.join(out_dir, "stats.json"), "w") as f:
         json.dump(merged_stats, f, indent=2)
     return merged_stats
@@ -308,8 +184,8 @@ def upsert_index(base_dir: str, delta_corpus_dir: str, out_dir: str, cfg,
     key set (documented small side — deltas are increments).
     """
     import pandas as pd
-    import ray.data
 
+    # resolved at call time, so wrappers installed on the modules apply
     from .build import build_index
     from .deletes import delete_docs
 

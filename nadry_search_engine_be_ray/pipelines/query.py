@@ -564,10 +564,11 @@ class SearchEngine:
     def topk_wand(self, query: str, k: int = 10, scorer: str = "additive") -> list[tuple[int, float]]:
         """Block-max WAND document-at-a-time evaluation (A9 fast path).
 
-        Upper bounds: per-term block-max of the additive weight (for bm25 the
-        block payload upper bound is blockmax_weight scaled conservatively by
-        idf * (k1+1) — weight >= tf so this dominates the bm25 tf component).
-        Exact top-k: a candidate doc is fully scored before entering the heap.
+        Upper bounds come from the decoded per-doc scores: each term's
+        posting list is scored in full, then split into 128-doc blocks whose
+        suffix maxima bound everything from a block onward.  The segments
+        store no block metadata, so the bounds skip no decode.  Exact top-k:
+        a candidate doc is fully scored before entering the heap.
         """
         pls, avgdl = self._term_arrays(query, scorer)
         if not pls:

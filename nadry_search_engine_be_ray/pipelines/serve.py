@@ -603,22 +603,10 @@ def _make_shard_actor():
 
             self.reader = SegmentReader(index_dir, shards=[shard])
 
-        def fetch(self, terms: list[str]):
-            out = []
-            for t in terms:
-                pl = self.reader.postings(t)
-                if pl is None:
-                    out.append((t, None))
-                else:
-                    # df_total rides along so stale-df scoring semantics
-                    # (tombstone deletes, state/deletes.py) survive the
-                    # scatter/gather hop
-                    out.append(
-                        (t, (pl.docs, pl.tfs, pl.weights, pl.block_max,
-                             pl.positions_buf, pl.pos_offsets,
-                             pl.df_total))
-                    )
-            return out
+        def fetch(self, terms: list[str]) -> list[PostingList | None]:
+            # whole PostingLists, so df_total (stale-df scoring under
+            # tombstone deletes, state/deletes.py) survives the hop
+            return [self.reader.postings(t) for t in terms]
 
     return ShardSegmentActor
 
@@ -650,17 +638,8 @@ class _ShardScatterReader:
         futures = [
             self.actors[s].fetch.remote(ts) for s, ts in by_shard.items()
         ]
-        for batch in ray.get(futures):
-            for t, payload in batch:
-                if payload is None:
-                    self._cache[t] = None
-                else:
-                    docs, tfs, w, bm, pbuf, poff, df_total = payload
-                    self._cache[t] = PostingList(
-                        term=t, docs=docs, tfs=tfs, weights=w, block_max=bm,
-                        positions_buf=pbuf, pos_offsets=poff,
-                        df_total=df_total,
-                    )
+        for ts, pls in zip(by_shard.values(), ray.get(futures)):
+            self._cache.update(zip(ts, pls))
 
     def postings(self, term: str):
         if term not in self._cache:

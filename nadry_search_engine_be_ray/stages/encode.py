@@ -11,14 +11,19 @@ Replaces the reference's merge-on-write design (InvertedIndex.java:47-214,
 MongoDBIndexStore.java:278-324): no random-access upserts — the build is a
 shuffle.
 
-Segment row schema:
-    shard:i32, salt:i32, term:str, df:i64,
+Segment row schema (:data:`SEGMENT_SCHEMA`; a posting is the reference's
+``docId, fieldPositions, weight`` plus tf, InvertedIndex.java:216-281):
+    shard:i32, salt:i32 (-1 once merged), term:str, df:i64,
     docs:binary   (sorted doc_ints, delta-gap + varint),
     tfs:binary    (per-doc total tf, varint),
     weights:binary (per-doc accumulated field weight, f64le),
-    block_max:binary (per-128-doc max weight, f64le — block-max WAND),
     positions:binary (per-(doc,field) position lists, see codec),
     pos_offsets:binary (per-doc byte offsets into positions, delta+varint)
+The compacted tier may re-encode docs/tfs/pos_offsets with a whole-stream
+codec (``BuildConfig.docs_codec``).  This module owns the row: the build,
+the cross-index merge (pipelines/merge.py) and the purge
+(pipelines/deletes.py) all emit it through :func:`merge_shard_runs`, or
+rewrite rows in place with this schema.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ SEGMENT_SCHEMA = pa.schema(
         ("docs", pa.binary()),
         ("tfs", pa.binary()),
         ("weights", pa.binary()),
-        ("block_max", pa.binary()),
         ("positions", pa.binary()),
         ("pos_offsets", pa.binary()),
     ]
@@ -164,10 +168,7 @@ class EncodePartGroup:
         enc_tfs = codec.encode_varints(tfu)
 
         # ---- assemble one output row per term (cheap slicing loop) ----
-        out = {k: [] for k in (
-            "shard", "salt", "term", "df", "docs", "tfs", "weights",
-            "block_max", "positions", "pos_offsets",
-        )}
+        out = {k: [] for k in SEGMENT_SCHEMA.names}
         for ts, te in zip(term_doc_starts, term_doc_ends):
             out["shard"].append(shard)
             out["salt"].append(salt)
@@ -176,9 +177,6 @@ class EncodePartGroup:
             out["docs"].append(enc_docs[cum_d[ts] : cum_d[te]])
             out["tfs"].append(enc_tfs[cum_t[ts] : cum_t[te]])
             out["weights"].append(codec.encode_f64(w_doc[ts:te]))
-            out["block_max"].append(
-                codec.encode_f64(codec.block_max(w_doc[ts:te], cfg.block_size))
-            )
             start_b = int(doc_byte_off[ts])
             end_b = int(doc_byte_off[te]) if te < n_docs else total_bytes
             out["positions"].append(payload_all[start_b:end_b])
@@ -191,20 +189,7 @@ class EncodePartGroup:
                 codec.encode_sorted_deltas(offs.astype(np.uint64))
             )
 
-        return pa.table(
-            {
-                "shard": pa.array(out["shard"], pa.int32()),
-                "salt": pa.array(out["salt"], pa.int32()),
-                "term": pa.array(out["term"], pa.string()),
-                "df": pa.array(out["df"], pa.int64()),
-                "docs": pa.array(out["docs"], pa.binary()),
-                "tfs": pa.array(out["tfs"], pa.binary()),
-                "weights": pa.array(out["weights"], pa.binary()),
-                "block_max": pa.array(out["block_max"], pa.binary()),
-                "positions": pa.array(out["positions"], pa.binary()),
-                "pos_offsets": pa.array(out["pos_offsets"], pa.binary()),
-            }
-        )
+        return pa.Table.from_pydict(out, schema=SEGMENT_SCHEMA)
 
 
 def encode_part_dirs(
@@ -262,66 +247,6 @@ def encode_part_dirs(
     return pa.concat_tables(outs)
 
 
-def merge_term_rows_interleaved(
-    docs_bufs: list[bytes],
-    tfs_bufs: list[bytes],
-    w_bufs: list[bytes],
-    pos_bufs: list[bytes],
-    off_bufs: list[bytes],
-    block_size: int,
-) -> tuple[bytes, bytes, bytes, bytes, bytes, bytes, int]:
-    """GENERAL k-way merge of posting runs whose doc ranges INTERLEAVE
-    (cross-index segment merge, Lucene-style): decode every run, merge-sort
-    by doc_int, reorder the per-doc positions payload slices with one byte
-    gather, re-encode.  Raises on a doc appearing in more than one run —
-    merging indexes that share documents requires a dedup pass first.
-
-    The within-build salt-run merge (:func:`_merge_runs`) stays the cheap
-    path: its runs cover disjoint ascending ranges so payloads concatenate
-    without decoding."""
-    docs_parts = [codec.decode_sorted_deltas(b).astype(np.int64) for b in docs_bufs]
-    docs_all = np.concatenate(docs_parts)
-    order = np.argsort(docs_all, kind="stable")
-    docs_m = docs_all[order]
-    if docs_m.size > 1 and not np.all(docs_m[1:] > docs_m[:-1]):
-        raise ValueError(
-            "duplicate doc_int across merged runs — dedup before index merge"
-        )
-    tfs_m = np.concatenate(
-        [codec.decode_varints(b).astype(np.uint64) for b in tfs_bufs]
-    )[order]
-    w_m = np.concatenate([codec.decode_f64(b) for b in w_bufs])[order]
-
-    # per-doc byte slices into the concatenation of all runs' payloads
-    pos_all = np.frombuffer(b"".join(pos_bufs), dtype=np.uint8)
-    starts_parts, lens_parts = [], []
-    base = 0
-    for pb, ob in zip(pos_bufs, off_bufs):
-        off = codec.decode_sorted_deltas(ob).astype(np.int64)
-        starts_parts.append(off[:-1] + base)
-        lens_parts.append(off[1:] - off[:-1])
-        base += len(pb)
-    starts = np.concatenate(starts_parts)[order]
-    lens = np.concatenate(lens_parts)[order]
-    total = int(lens.sum())
-    out_off = np.zeros(docs_m.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=out_off[1:])
-    idx = np.repeat(starts, lens) + (
-        np.arange(total) - np.repeat(out_off[:-1], lens)
-    )
-    merged_pos = pos_all[idx].tobytes()
-
-    return (
-        codec.encode_sorted_deltas(docs_m.astype(np.uint64)),
-        codec.encode_varints(tfs_m),
-        codec.encode_f64(w_m),
-        codec.encode_f64(codec.block_max(w_m, block_size)),
-        merged_pos,
-        codec.encode_sorted_deltas(out_off.astype(np.uint64)),
-        int(docs_m.size),
-    )
-
-
 def encode_docs_stream(docs: np.ndarray, docs_codec: str) -> bytes:
     """Encode a sorted doc_int stream with the configured FINAL-tier codec
     (BuildConfig.docs_codec; pre-compaction salt runs are always varint).
@@ -358,51 +283,83 @@ def decode_tfs_stream(buf: bytes, docs_codec: str) -> np.ndarray:
     return codec.decode_varints(buf)
 
 
-def _merge_runs(
+def merge_runs(
     docs_bufs: list[bytes],
     tfs_bufs: list[bytes],
     w_bufs: list[bytes],
     pos_bufs: list[bytes],
     off_bufs: list[bytes],
-    block_size: int,
     docs_codec: str = "varint",
-) -> tuple[bytes, bytes, bytes, bytes, bytes, bytes, int]:
-    """Streaming merge of salt-ordered runs (disjoint ascending doc ranges):
-    tfs / weights / positions payloads concatenate byte-wise (varint and f64
-    are per-value codes; position sub-streams are per-doc); only the doc-gap
-    stream is re-encoded across run boundaries (with the FINAL-tier codec —
-    inputs are always varint salt runs); block_max recomputes over the
-    merged weights."""
+) -> tuple[bytes, bytes, bytes, bytes, bytes, int]:
+    """Merge one term's varint posting runs into a single row
+    ``(docs, tfs, weights, positions, pos_offsets, df)``, re-encoded with the
+    final-tier ``docs_codec``.
+
+    Runs that are already strictly ascending in the given order (a build's
+    salt runs cover disjoint ordered doc ranges) concatenate: tfs / weights /
+    positions are per-value or per-doc codes, so they join byte-wise and only
+    the doc-gap and offset streams re-encode across run boundaries.  Runs
+    whose doc ranges interleave (cross-index merge, Lucene-style) are
+    merge-sorted by doc_int, with one byte gather for the positions payload.
+    Either way the bytes are those of the single sorted run.  A doc_int in
+    more than one run raises ``ValueError`` — merging indexes that share
+    documents requires a dedup pass first."""
     docs = np.concatenate([codec.decode_sorted_deltas(b) for b in docs_bufs])
     weights = np.concatenate([codec.decode_f64(b) for b in w_bufs])
-    offs = []
-    shift = 0
-    for i, ob in enumerate(off_bufs):
-        o = codec.decode_sorted_deltas(ob).astype(np.int64)
-        offs.append((o[1:] if i else o) + shift)
-        shift += int(o[-1])
-    tfs_cat = b"".join(tfs_bufs)
-    if docs_codec != "varint":
-        tfs_cat = encode_tfs_stream(codec.decode_varints(tfs_cat), docs_codec)
+    offs = [codec.decode_sorted_deltas(b).astype(np.int64) for b in off_bufs]
+    if np.all(docs[1:] > docs[:-1]):
+        tfs = b"".join(tfs_bufs)
+        if docs_codec != "varint":
+            tfs = encode_tfs_stream(codec.decode_varints(tfs), docs_codec)
+        positions = b"".join(pos_bufs)
+        parts, shift = [], 0
+        for i, o in enumerate(offs):
+            parts.append((o[1:] if i else o) + shift)
+            shift += int(o[-1])
+        out_off = np.concatenate(parts)
+    else:
+        order = np.argsort(docs, kind="stable")
+        docs = docs[order]
+        if np.any(docs[1:] == docs[:-1]):
+            raise ValueError(
+                "duplicate doc_int across merged runs — dedup before index merge"
+            )
+        weights = weights[order]
+        tfs = encode_tfs_stream(
+            np.concatenate([codec.decode_varints(b) for b in tfs_bufs])[order],
+            docs_codec,
+        )
+        # per-doc byte slices into the concatenation of all runs' payloads
+        bases = np.cumsum([0] + [len(b) for b in pos_bufs[:-1]])
+        starts = np.concatenate(
+            [o[:-1] + base for o, base in zip(offs, bases)])[order]
+        lens = np.concatenate([np.diff(o) for o in offs])[order]
+        out_off = np.zeros(docs.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=out_off[1:])
+        idx = np.repeat(starts - out_off[:-1], lens) + np.arange(out_off[-1])
+        positions = np.frombuffer(
+            b"".join(pos_bufs), dtype=np.uint8)[idx].tobytes()
     return (
         encode_docs_stream(docs, docs_codec),
-        tfs_cat,
+        tfs,
         codec.encode_f64(weights),
-        codec.encode_f64(codec.block_max(weights, block_size)),
-        b"".join(pos_bufs),
-        encode_docs_stream(
-            np.concatenate(offs).astype(np.uint64), docs_codec),
+        positions,
+        encode_docs_stream(out_off.astype(np.uint64), docs_codec),
         int(docs.size),
     )
 
 
-def merge_shard_runs(group: pa.Table, block_size: int = codec.BLOCK_SIZE,
-                     docs_codec: str = "varint") -> pa.Table:
-    """Compaction ``map_groups`` callable for ``groupby("shard")``: merge each
-    term's salted runs into one row, for every term of the shard in one
-    vectorized task (grouping per shard, not per term, keeps the task count
-    at num_shards instead of num_terms — the per-term merge itself is cheap
-    byte concatenation, see :func:`_merge_runs`)."""
+_PAYLOAD = ("docs", "tfs", "weights", "positions", "pos_offsets")
+_ROW = (*_PAYLOAD, "df")  # merge_runs' result order
+
+
+def merge_shard_runs(group: pa.Table, docs_codec: str = "varint") -> pa.Table:
+    """The per-shard term walk: merge each term's runs — a build's salt
+    runs, or the same shard of several indexes — into one row
+    (:func:`merge_runs`), for every term of the shard in one vectorized task
+    (grouping per shard, not per term, keeps the task count at num_shards
+    instead of num_terms).  A term with a single varint run keeps its
+    bytes."""
     g = group.sort_by([("term", "ascending"), ("salt", "ascending")])
     terms = g["term"].to_numpy(zero_copy_only=False)
     n = len(terms)
@@ -415,93 +372,53 @@ def merge_shard_runs(group: pa.Table, block_size: int = codec.BLOCK_SIZE,
     ends[:-1] = starts[1:]
     ends[-1] = n
 
-    shard = int(g["shard"][0].as_py())
-    docs_c = g["docs"].to_pylist()
-    tfs_c = g["tfs"].to_pylist()
-    w_c = g["weights"].to_pylist()
-    bm_c = g["block_max"].to_pylist()
-    pos_c = g["positions"].to_pylist()
-    off_c = g["pos_offsets"].to_pylist()
-    df_c = g["df"].to_pylist()
-
-    out = {k: [] for k in ("term", "df", "docs", "tfs", "weights",
-                           "block_max", "positions", "pos_offsets")}
+    cols = {k: g[k].to_pylist() for k in _ROW}
+    out = {k: [] for k in _ROW}
     for s, e in zip(starts, ends):
-        out["term"].append(str(terms[s]))
-        if e - s == 1:
-            out["df"].append(int(df_c[s]))
-            out["docs"].append(
-                docs_c[s] if docs_codec == "varint"
-                # single varint run -> re-encode with the final-tier codec
-                else encode_docs_stream(
-                    codec.decode_sorted_deltas(docs_c[s]), docs_codec)
-            )
-            out["tfs"].append(
-                tfs_c[s] if docs_codec == "varint"
-                else encode_tfs_stream(
-                    codec.decode_varints(tfs_c[s]), docs_codec)
-            )
-            out["weights"].append(w_c[s])
-            out["block_max"].append(bm_c[s])
-            out["positions"].append(pos_c[s])
-            out["pos_offsets"].append(
-                off_c[s] if docs_codec == "varint"
-                else encode_docs_stream(
-                    codec.decode_sorted_deltas(off_c[s]).astype(np.uint64),
-                    docs_codec)
-            )
+        if e - s == 1 and docs_codec == "varint":
+            row = [cols[k][s] for k in _ROW]
         else:
-            d, t, w, bm, p, o, df = _merge_runs(
-                docs_c[s:e], tfs_c[s:e], w_c[s:e], pos_c[s:e], off_c[s:e],
-                block_size, docs_codec,
-            )
-            out["df"].append(df)
-            out["docs"].append(d)
-            out["tfs"].append(t)
-            out["weights"].append(w)
-            out["block_max"].append(bm)
-            out["positions"].append(p)
-            out["pos_offsets"].append(o)
-
-    nrows = len(out["term"])
-    return pa.table(
-        {
-            "shard": pa.array([shard] * nrows, pa.int32()),
-            "salt": pa.array([-1] * nrows, pa.int32()),  # merged marker
-            "term": pa.array(out["term"], pa.string()),
-            "df": pa.array(out["df"], pa.int64()),
-            "docs": pa.array(out["docs"], pa.binary()),
-            "tfs": pa.array(out["tfs"], pa.binary()),
-            "weights": pa.array(out["weights"], pa.binary()),
-            "block_max": pa.array(out["block_max"], pa.binary()),
-            "positions": pa.array(out["positions"], pa.binary()),
-            "pos_offsets": pa.array(out["pos_offsets"], pa.binary()),
-        }
-    )
+            row = merge_runs(*(cols[k][s:e] for k in _PAYLOAD), docs_codec)
+        for k, v in zip(_ROW, row):
+            out[k].append(v)
+    out["term"] = terms[starts].tolist()
+    out["shard"] = [int(g["shard"][0].as_py())] * starts.size
+    out["salt"] = [-1] * starts.size  # merged marker
+    return pa.Table.from_pydict(out, schema=SEGMENT_SCHEMA)
 
 
-def merge_shard_dirs(batch: pa.Table, block_size: int = codec.BLOCK_SIZE,
-                     docs_codec: str = "varint") -> pa.Table:
-    """Reduce side of the STORAGE segment exchange
-    (``BuildConfig.segment_exchange == "storage"``): ``batch`` holds rows
-    (shard:int, path:str) where ``path`` is one ``shard=K`` hive directory of
-    encoded salt-run rows staged by the encode tasks' partitioned write.
-    Reads the directory (page-cache-backed — the staging files were written
-    moments ago) and k-way merges it exactly like :func:`merge_shard_runs`,
-    so the two exchange variants are byte-identical downstream."""
-    import pyarrow.dataset as pads
+def read_shard_runs(paths: list[str], shard: int) -> pa.Table:
+    """The segment rows in ``paths``, parquet files of one ``shard=K`` hive
+    directory; the hive write strips the partition column, so ``shard`` is
+    restored here."""
+    import pyarrow.parquet as pq
 
-    outs = []
-    for shard, path in zip(batch["shard"].to_pylist(), batch["path"].to_pylist()):
-        t = pads.dataset(path, format="parquet").to_table(use_threads=False)
-        # the hive write strips the partition column; restore it for
-        # merge_shard_runs (which reads group["shard"][0])
-        t = t.append_column(
-            "shard", pa.array(np.full(t.num_rows, shard, dtype=np.int32), pa.int32())
-        )
-        outs.append(
-            merge_shard_runs(t, block_size=block_size, docs_codec=docs_codec)
-        )
-    if not outs:
+    if not paths:
         return _empty_segment_table()
-    return pa.concat_tables(outs)
+    t = pa.concat_tables(
+        [pq.read_table(p, use_threads=False) for p in paths])
+    t = t.append_column(
+        "shard", pa.array(np.full(t.num_rows, shard, dtype=np.int32)))
+    return t.select(SEGMENT_SCHEMA.names)
+
+
+def merge_shard_dirs(batch: pa.Table, docs_codec: str = "varint") -> pa.Table:
+    """Reduce side of the build's storage segment exchange: ``batch`` holds
+    rows (shard:int, path:str), where ``path`` is one ``shard=K`` hive
+    directory of encoded salt-run rows staged by the encode tasks'
+    partitioned write.  Reads each directory (page-cache-backed — the
+    staging files were written moments ago) and merges it with
+    :func:`merge_shard_runs`."""
+    import glob
+    import os
+
+    outs = [
+        merge_shard_runs(
+            read_shard_runs(
+                sorted(glob.glob(os.path.join(path, "*.parquet"))), shard),
+            docs_codec,
+        )
+        for shard, path in zip(batch["shard"].to_pylist(),
+                               batch["path"].to_pylist())
+    ]
+    return pa.concat_tables(outs) if outs else _empty_segment_table()

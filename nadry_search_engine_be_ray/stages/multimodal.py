@@ -18,8 +18,8 @@ The Ray-side shape is the production one regardless of codec: stateful
 actor-pool ``map_batches`` stages (decoder state in ``__init__``), small
 batch sizes because a batch holds payload_bytes x batch_size in heap, and
 Arrow-native outputs (fixed-size-list feature vectors).  Blocks with wide
-binary rows should raise ``DataContext.target_max_block_size`` rather than
-split absurdly.
+binary rows should raise Ray Data's target max block size (``DataContext``)
+rather than split absurdly.
 """
 
 from __future__ import annotations

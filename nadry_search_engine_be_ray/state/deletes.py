@@ -15,10 +15,12 @@ for term-sharded parquet segments:
   STALE until a purge — Lucene's documented docFreq-includes-deletes
   semantics, and what keeps a delete O(tombstones) instead of O(index).
 * **Purge** (``pipelines.deletes.purge_deletes``) is the merge that makes
-  deletes physical: per-shard segment rewrite dropping dead docs, doc-stats
-  rewrite, stats.json recompute, tombstones cleared.  After a purge the
-  index scores byte-identically to a fresh build over the surviving corpus
-  (tested in tests/test_deletes.py).
+  deletes physical: per-shard segment rewrite dropping dead docs (one row
+  loop, ``pipelines.deletes.purge_segment_table``, which
+  ``pipelines.merge.merge_indexes`` also runs to consume tombstones),
+  doc-stats rewrite, stats.json recompute, tombstones cleared.  After a
+  purge the index scores byte-identically to a fresh build over the
+  surviving corpus (tested in tests/test_deletes.py).
 
 Scale note (100 TB): postings are sharded by TERM, so any posting list may
 contain any doc — liveness must be a broadcast membership structure, not a
@@ -36,8 +38,6 @@ import tempfile
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-from ..functions import codec
 
 TOMBSTONE_REL = os.path.join("deletes", "tombstones.parquet")
 
@@ -105,16 +105,13 @@ def mask_posting(
     positions_buf: bytes,
     pos_offsets: np.ndarray,
     deleted: np.ndarray,
-    block_size: int,
 ):
     """Drop deleted docs from one decoded posting list.
 
     Returns ``None`` when no doc of the list is deleted (zero-copy fast
-    path), else ``(docs, tfs, weights, block_max, positions_buf,
-    pos_offsets, df_total)`` with the per-doc positions payload compacted by
-    a single vectorized byte gather and block_max recomputed over the
-    surviving weights (the stale block maxima would only loosen WAND upper
-    bounds, but recomputing keeps purge == fresh-build equivalence exact).
+    path), else ``(docs, tfs, weights, positions_buf, pos_offsets,
+    df_total)`` with the per-doc positions payload compacted by a single
+    vectorized byte gather.
     """
     keep = live_mask(docs, deleted)
     if keep.all():
@@ -135,13 +132,4 @@ def mask_posting(
         new_buf = raw[gather].tobytes()
     else:
         new_buf = b""
-    new_w = weights[keep]
-    return (
-        docs[keep],
-        tfs[keep],
-        new_w,
-        codec.block_max(new_w, block_size),
-        new_buf,
-        new_off,
-        df_total,
-    )
+    return docs[keep], tfs[keep], weights[keep], new_buf, new_off, df_total

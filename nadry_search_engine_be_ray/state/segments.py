@@ -11,11 +11,12 @@ Laziness is two-level (the 100 TB working-set story):
   terms route to; ``terms()`` / ``has_term`` force-load the dictionary.
 * PAGE-lazy: faulting in a shard reads ONLY the (term, salt, df)
   dictionary columns; the heavy binary payload columns (docs/tfs/weights/
-  block_max/positions/pos_offsets) are fetched per parquet ROW GROUP on
-  first touch and kept in a small LRU — a cold serving actor pays for the
-  row groups its queries actually hit, not the whole segment.  Segment
-  files are written with small row groups (BuildConfig
-  .segment_row_group_size) precisely so this fetch unit stays bounded.
+  positions/pos_offsets, stages/encode.SEGMENT_SCHEMA) are fetched per
+  parquet ROW GROUP on first touch and kept in a small LRU — a cold
+  serving actor pays for the row groups its queries actually hit, not the
+  whole segment.  Segment files are written with small row groups
+  (BuildConfig.segment_row_group_size) precisely so this fetch unit stays
+  bounded.
 
 At cluster scale one ``SegmentReader`` per shard lives inside a scorer actor
 (pipelines/query.py); in tests a single reader loads all shards.
@@ -37,9 +38,7 @@ from ..functions import codec
 from ..stages.tokenize import term_shard
 from . import deletes as deletes_state
 
-_PAYLOAD_COLS = [
-    "docs", "tfs", "weights", "block_max", "positions", "pos_offsets",
-]
+_PAYLOAD_COLS = ["docs", "tfs", "weights", "positions", "pos_offsets"]
 
 
 def segment_root(index_dir: str) -> str:
@@ -57,7 +56,6 @@ class PostingList:
     docs: np.ndarray        # sorted int64 doc_ints (60-bit)
     tfs: np.ndarray         # int64 per-doc total tf
     weights: np.ndarray     # float64 per-doc accumulated field weight
-    block_max: np.ndarray   # float64 per-block max weight
     positions_buf: bytes
     pos_offsets: np.ndarray  # int64 per-doc byte offsets (len = df+1)
     # df INCLUDING tombstoned docs (None = no deletes touched this list).
@@ -131,7 +129,6 @@ class SegmentReader:
             self.stats = json.load(f)
         self._seg_root = segment_root(index_dir)
         self.num_shards = int(self.stats["num_shards"])
-        self.block_size = int(self.stats.get("block_size", codec.BLOCK_SIZE))
         # docs/tfs/pos_offsets-stream decoders per the build's final-tier
         # codec (stats.json); the nested positions payload stays varint
         _codec_name = self.stats.get("docs_codec", "varint")
@@ -215,13 +212,10 @@ class SegmentReader:
         docs_parts, tf_parts, w_parts = [], [], []
         pos_bufs: list[bytes] = []
         off_parts: list[np.ndarray] = []
-        row_tbls = [
-            self._files[ti].row(row, self._rg_cache, self.rg_cache_cap,
-                                self._cache_lock)
-            for ti, row, _salt in rows
-        ]
         shift = 0
-        for t in row_tbls:
+        for ti, row, _salt in rows:
+            t = self._files[ti].row(row, self._rg_cache, self.rg_cache_cap,
+                                    self._cache_lock)
             docs_parts.append(
                 self._decode_docs(t["docs"][0].as_py()).astype(np.int64)
             )
@@ -241,28 +235,17 @@ class SegmentReader:
         tfs = np.concatenate(tf_parts)
         pos_buf = b"".join(pos_bufs)
         offs = np.concatenate(off_parts)
-        if len(rows) == 1:
-            # compacted hot path: consume the block_max the build wrote
-            # (stats.json block_size matches by construction)
-            bmax = codec.decode_f64(row_tbls[0]["block_max"][0].as_py())
-        else:
-            # multi-run concatenation shifts block boundaries -> recompute
-            bmax = codec.block_max(weights, self.block_size)
         df_total = None
         if self.deleted.size:
             masked = deletes_state.mask_posting(
-                docs, tfs, weights, pos_buf, offs, self.deleted,
-                self.block_size,
-            )
+                docs, tfs, weights, pos_buf, offs, self.deleted)
             if masked is not None:
-                (docs, tfs, weights, bmax, pos_buf, offs,
-                 df_total) = masked
+                docs, tfs, weights, pos_buf, offs, df_total = masked
         pl = PostingList(
             term=term,
             docs=docs,
             tfs=tfs,
             weights=weights,
-            block_max=bmax,
             positions_buf=pos_buf,
             pos_offsets=offs,
             df_total=df_total,

@@ -68,15 +68,6 @@ def test_postings_match_oracle(reader, oracle_index, term):
         assert {f: v.tolist() for f, v in got_fields.items()} == exp_fields
 
 
-def test_block_max_dominates(reader):
-    pl = reader.postings("import")
-    assert pl is not None and pl.df > 10
-    bm = pl.block_max
-    for b in range(bm.size):
-        blk = pl.weights[b * 128 : (b + 1) * 128]
-        assert bm[b] == blk.max()
-
-
 def test_dedup_kept_min_doc_id(reader, oracle_index, built_index):
     # duplicates existed in the corpus (1 in 50 rows); the engine and oracle
     # must agree on the kept doc for every duplicated content sha
@@ -231,41 +222,6 @@ def test_actor_pool_tokenize_matches_tasks(tiny_corpus_dir, built_index,
         assert ra.postings(term).tfs.tolist() == rb.postings(term).tfs.tolist()
 
 
-def test_sort_exchange_build_is_byte_identical(tiny_corpus_dir, built_index,
-                                               ray_session, tmp_path):
-    """The two segment_exchange variants ("storage" staging write — the
-    default built_index — vs the groupby("shard") "sort" shuffle) must
-    produce byte-identical merged segment rows: same terms, same encoded
-    posting/position payload bytes per term."""
-    import pyarrow.dataset as pads
-
-    from nadry_search_engine_be_ray.config import BuildConfig
-    from nadry_search_engine_be_ray.pipelines.build import MERGED, build_index
-
-    idx = str(tmp_path / "sort_exchange")
-    build_index(
-        tiny_corpus_dir, idx,
-        BuildConfig(num_shards=4, salt_bits=1, segment_exchange="sort"),
-    )
-
-    def rows(index_dir):
-        t = pads.dataset(
-            os.path.join(index_dir, MERGED), format="parquet",
-            partitioning="hive",
-        ).to_table()
-        out = {}
-        for r in t.sort_by([("term", "ascending")]).to_pylist():
-            out[r["term"]] = (
-                r["df"], r["docs"], r["tfs"], r["weights"],
-                r["block_max"], r["positions"], r["pos_offsets"],
-            )
-        return out
-
-    a, b = rows(built_index), rows(idx)
-    assert a.keys() == b.keys()
-    assert a == b
-
-
 def test_posting_codec_sizes_matches_local_recompute(built_index):
     """The distributed actor-pool size scan must equal a driver-local
     recompute from the same decoded posting lists (and bitpack must win
@@ -343,8 +299,8 @@ def test_whole_stream_docs_codec_build_is_query_identical(tiny_corpus_dir,
                                                           codec_name):
     """A build with a write-once final-tier codec (docs_codec='bitpack' FOR
     block code, or 'ef' Elias-Fano) must serve posting lists IDENTICAL to
-    the default varint build — docs, tfs, weights, block_max and positions
-    all equal per term — and stats.json must record the codec so readers
+    the default varint build — docs, tfs, weights and positions all equal
+    per term — and stats.json must record the codec so readers
     pick the right decoder."""
     import json
     import os
@@ -369,7 +325,6 @@ def test_whole_stream_docs_codec_build_is_query_identical(tiny_corpus_dir,
         assert np.array_equal(pa_.docs, pb.docs), t
         assert np.array_equal(pa_.tfs, pb.tfs), t
         assert np.array_equal(pa_.weights, pb.weights), t
-        assert np.array_equal(pa_.block_max, pb.block_max), t
         assert pa_.positions_buf == pb.positions_buf, t
         assert np.array_equal(pa_.pos_offsets, pb.pos_offsets), t
 

@@ -1,10 +1,13 @@
 """Round-trip property tests for the posting-list codec (SURVEY.md §7.1.3)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nadry_search_engine_be_ray.functions import codec
+from nadry_search_engine_be_ray.stages.encode import (
+    encode_docs_stream, encode_tfs_stream, merge_runs)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=300))
@@ -36,15 +39,64 @@ def test_small_values_one_byte():
     assert len(codec.encode_varints(arr)) == 128
 
 
-def test_block_max_dominates_members():
-    rng = np.random.default_rng(7)
-    w = rng.random(1000) * 5
-    bm = codec.block_max(w, block_size=128)
-    assert bm.size == 8
-    for i in range(8):
-        blk = w[i * 128 : (i + 1) * 128]
-        assert bm[i] >= blk.max()
-        assert bm[i] == blk.max()
+def _encoded_run(docs, tfs, weights, payloads, docs_codec="varint"):
+    """One term row's (docs, tfs, weights, positions, pos_offsets) bytes."""
+    offs = np.zeros(len(payloads) + 1, dtype=np.uint64)
+    np.cumsum([len(p) for p in payloads], out=offs[1:])
+    return (
+        encode_docs_stream(np.asarray(docs, dtype=np.uint64), docs_codec),
+        encode_tfs_stream(np.asarray(tfs, dtype=np.uint64), docs_codec),
+        codec.encode_f64(np.asarray(weights, dtype=np.float64)),
+        b"".join(payloads),
+        encode_docs_stream(offs, docs_codec),
+    )
+
+
+@given(
+    docs=st.sets(st.integers(min_value=0, max_value=2**60), min_size=2,
+                 max_size=80),
+    n_runs=st.integers(min_value=2, max_value=4),
+    interleave=st.booleans(),
+    docs_codec=st.sampled_from(["varint", "bitpack", "ef"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_merge_runs_equals_single_sorted_run(docs, n_runs, interleave,
+                                             docs_codec, seed):
+    """Splitting a posting list into 2-4 varint runs — ascending doc ranges
+    (a build's salt runs) or interleaved at random (a cross-index merge) —
+    and merging them gives the bytes of the single sorted run encoded
+    directly; a doc_int shared by two runs raises."""
+    rng = np.random.default_rng(seed)
+    docs = sorted(docs)
+    n = len(docs)
+    n_runs = min(n_runs, n)
+    tfs = rng.integers(1, 9, n)
+    weights = rng.random(n) * 7
+    payloads = [rng.integers(0, 256, rng.integers(1, 7)).astype(np.uint8)
+                .tobytes() for _ in range(n)]
+    if interleave:
+        label = rng.integers(0, n_runs, n)
+        label[rng.permutation(n)[:n_runs]] = np.arange(n_runs)
+        members = [np.flatnonzero(label == r) for r in rng.permutation(n_runs)]
+    else:
+        cuts = np.sort(rng.choice(np.arange(1, n), n_runs - 1, replace=False))
+        members = np.split(np.arange(n), cuts)
+
+    def runs(groups):
+        cols = [_encoded_run([docs[i] for i in g], tfs[g], weights[g],
+                             [payloads[i] for i in g]) for g in groups]
+        return [list(c) for c in zip(*cols)]
+
+    got = merge_runs(*runs(members), docs_codec)
+    assert got == (*_encoded_run(docs, tfs, weights, payloads, docs_codec), n)
+
+    # the same doc_int in two runs is a merge of non-disjoint indexes
+    a, b = members[0], members[1]
+    dup = [np.sort(np.append(b, a[0])) if k == 1 else g
+           for k, g in enumerate(members)]
+    with pytest.raises(ValueError):
+        merge_runs(*runs(dup), docs_codec)
 
 
 def test_positions_roundtrip():

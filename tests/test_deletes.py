@@ -231,8 +231,7 @@ def test_purge_metrics_and_stats(setup, purged_vs_fresh):
     with open(os.path.join(purged_vs_fresh["idx_surv"], "stats.json")) as f:
         ss = json.load(f)
     for k in ("n_docs", "total_words", "avgdl", "n_term_rows",
-              "num_shards", "salt_bits", "compacted", "block_size",
-              "docs_codec"):
+              "num_shards", "salt_bits", "compacted", "docs_codec"):
         assert sp[k] == ss[k], k
 
 
@@ -246,7 +245,6 @@ def test_purge_postings_byte_equal_fresh_build(purged_vs_fresh):
         assert np.array_equal(pp.docs, ps.docs), t
         assert np.array_equal(pp.tfs, ps.tfs), t
         assert np.array_equal(pp.weights, ps.weights), t
-        assert np.array_equal(pp.block_max, ps.block_max), t
         assert pp.positions_buf == ps.positions_buf, t
         assert np.array_equal(pp.pos_offsets, ps.pos_offsets), t
         assert pp.df_total is None  # tombstones are gone post-purge

@@ -400,8 +400,7 @@ def test_segment_reader_concurrent_eviction_matches_serial(built_index):
 
     def arrays(pl):
         return (pl.docs.tolist(), pl.tfs.tolist(), pl.weights.tolist(),
-                pl.block_max.tolist(), pl.positions_buf,
-                pl.pos_offsets.tolist(), pl.df_total)
+                pl.positions_buf, pl.pos_offsets.tolist(), pl.df_total)
 
     exp = {t: arrays(serial.postings(t)) for t in terms}
 
