@@ -1,10 +1,15 @@
 """Search API facade: the reference's REST response contract, minus HTTP.
 
 Mirrors GET /api/search (SearchController.java:53-120): quoted-phrase
-detection (M10), query cache (T4, inside SearchEngine), pagination (K2) and
-snippet generation (M11) over the visible page only, with the response shape
-``{success, data, totalPages, currentPage, totalResults, tokens,
-searchTimeSec}`` (SearchController.java:103-109).
+detection (M10), pagination (K2) and snippet generation (M11) over the
+visible page only, with the response shape ``{success, data, totalPages,
+currentPage, totalResults, tokens, searchTimeSec}``
+(SearchController.java:103-109).  As in the reference's T4 cache
+(SearchController.java:76-97), the finished page is cached: a repeated
+request skips ranking, the content fetch and the snippets, and gets a new
+envelope around the cached one with its own ``searchTimeSec``.  The page
+lives in the engine's bounded query cache (``SearchEngine._cache``), so it
+serves the same index snapshot as the engine.
 
 Sentence segmentation follows ``java.text.BreakIterator
 .getSentenceInstance(Locale.US)`` semantics (SearchWrapper.java:581) via a
@@ -152,8 +157,19 @@ class SearchAPI:
         return {"success": True, "message": "Search query processed successfully"}
 
     def search(self, query: str, page: int = 1, limit: int = 10) -> dict:
-        """1-based page in, 0-based internally (SearchController.java:87-91)."""
+        """1-based page in, 0-based internally (SearchController.java:87-91).
+        The returned envelope is the caller's; its ``data`` rows and
+        ``tokens`` are shared with the cache and must not be mutated."""
         t0 = time.time()
+        # the raw page: the envelope echoes it, and pages 0 and 1 differ there
+        key = ("api", query, page, limit)
+        env = self.engine._cache.get(key)
+        if env is None:
+            env = self._page(query, page, limit)
+            self.engine._cache.put(key, env)
+        return {**env, "searchTimeSec": round(time.time() - t0, 6)}
+
+    def _page(self, query: str, page: int, limit: int) -> dict:
         tokens = self.engine.tokenizer.tokenize(QUOTED.sub(" ", query or ""))
         res = self.engine.search_auto(query, max(0, page - 1), limit)
 
@@ -176,5 +192,4 @@ class SearchAPI:
             "currentPage": page,
             "totalResults": res["total_results"],
             "tokens": tokens,
-            "searchTimeSec": round(time.time() - t0, 6),
         }

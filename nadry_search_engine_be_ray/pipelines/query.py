@@ -39,10 +39,12 @@ import pyarrow.parquet as pq
 
 from ..functions.scoring import paginate, rank_fast
 from ..functions.tokenizer import Tokenizer
-from ..state.segments import PostingList, SegmentReader, segment_root
+from ..state.segments import LRU, PostingList, SegmentReader, segment_root
 
 # SearchController.java:129 — first quoted phrase switches to phrase search
 QUOTED = re.compile(r'"([^"]*)"')
+# T4 analog: entries in SearchEngine's query/page cache
+QUERY_CACHE_ENTRIES = 1024
 
 
 _DETAIL_COLS = ["doc_int", "repo", "path", "commit", "title", "description"]
@@ -216,8 +218,19 @@ class SearchEngine:
         with open(os.path.join(index_dir, "stats.json")) as f:
             self.stats = json.load(f)
         self.tokenizer = Tokenizer()
-        # T4 analog: query-result cache
-        self._cache: dict[tuple, dict] = {}
+        # T4 analog: ranked pages ("t"/"p" keys) and SearchAPI's enriched
+        # pages ("api" keys); values are shared with callers, read-only
+        self._cache = LRU(QUERY_CACHE_ENTRIES)
+
+    def metrics(self) -> dict:
+        """Hit/miss/eviction counts, size and cap of each cache.  A sharded
+        engine's posting and row-group caches live in its shard actors, so
+        it reports the query cache only."""
+        out = {"query_cache": self._cache.metrics()}
+        if isinstance(self.reader, SegmentReader):
+            out["posting_cache"] = self.reader._pl_cache.metrics()
+            out["rowgroup_cache"] = self.reader._rg_cache.metrics()
+        return out
 
     # ------------------------------------------------------------------
     # reference scorer path
@@ -225,13 +238,16 @@ class SearchEngine:
 
     def search(self, query: str, page: int = 0, page_size: int = 10) -> dict:
         key = ("t", query, page, page_size)
-        if key in self._cache:
-            return self._cache[key]
+        res = self._cache.get(key)
+        if res is None:
+            res = self._term_page(query, page, page_size)
+            self._cache.put(key, res)
+        return res
+
+    def _term_page(self, query: str, page: int, page_size: int) -> dict:
         tokens = self.tokenizer.tokenize(query)
         if not tokens:
-            res = {"results": [], "total_results": 0, "total_pages": 0, "page": page}
-            self._cache[key] = res
-            return res
+            return {"results": [], "total_results": 0, "total_pages": 0, "page": page}
 
         query_bag: dict[str, int] = {}
         for t in tokens:
@@ -242,17 +258,13 @@ class SearchEngine:
             t: pl for t in query_bag if (pl := self.reader.postings(t)) is not None
         }
         if not term_pls:
-            res = {"results": [], "total_results": 0, "total_pages": 0, "page": page}
-            self._cache[key] = res
-            return res
+            return {"results": [], "total_results": 0, "total_pages": 0, "page": page}
         all_docs = np.unique(np.concatenate([pl.docs for pl in term_pls.values()]))
         term_postings = {
             t: (np.searchsorted(all_docs, pl.docs), pl.tfs)
             for t, pl in term_pls.items()
         }
-        res = self._rank_and_page(query_bag, all_docs, term_postings, page, page_size)
-        self._cache[key] = res
-        return res
+        return self._rank_and_page(query_bag, all_docs, term_postings, page, page_size)
 
     @staticmethod
     def _sorted_intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,9 +283,11 @@ class SearchEngine:
         if page_size <= 0:
             page_size = 10
         key = ("p", phrase, page, page_size)
-        if key not in self._cache:
-            self._cache[key] = self._phrase_page(phrase, page, page_size)
-        return self._cache[key]
+        res = self._cache.get(key)
+        if res is None:
+            res = self._phrase_page(phrase, page, page_size)
+            self._cache.put(key, res)
+        return res
 
     def _phrase_page(self, phrase: str, page: int, page_size: int) -> dict:
         tokens = self.tokenizer.tokenize(phrase)

@@ -18,6 +18,11 @@ Laziness is two-level (the 100 TB working-set story):
   (BuildConfig.segment_row_group_size) precisely so this fetch unit stays
   bounded.
 
+One ``LRU`` class bounds every query-time cache: the row-group and decoded
+posting caches here, and ``SearchEngine``'s query/page cache
+(pipelines/query.py).  Each instance holds its own lock and counts its
+hits, misses and evictions.
+
 At cluster scale one ``SegmentReader`` per shard lives inside a scorer actor
 (pipelines/query.py); in tests a single reader loads all shards.
 """
@@ -39,6 +44,51 @@ from ..stages.tokenize import term_shard
 from . import deletes as deletes_state
 
 _PAYLOAD_COLS = ["docs", "tfs", "weights", "positions", "pos_offsets"]
+POSTING_CACHE_ENTRIES = 512
+
+
+class LRU:
+    """Bounded least-recently-used map that threads may share.
+
+    ``get`` and ``put`` update recency and the hit/miss/eviction counters
+    under one lock.  ``in`` and ``len`` are pure reads that change neither,
+    so a probe can look at the cache without moving what it measures.
+    ``get`` returns ``None`` for a miss, so callers never store ``None``."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self._d: dict = {}
+        self._lock = threading.Lock()
+        self.hits = self.misses = self.evictions = 0
+
+    def get(self, key):
+        with self._lock:
+            value = self._d.pop(key, None)
+            if value is None:
+                self.misses += 1
+                return None
+            self._d[key] = value  # pop + reinsert = most recently used
+            self.hits += 1
+            return value
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            if self._d.pop(key, None) is None and len(self._d) >= self.cap:
+                del self._d[next(iter(self._d))]
+                self.evictions += 1
+            self._d[key] = value
+
+    def __contains__(self, key) -> bool:
+        return key in self._d
+
+    def __len__(self) -> int:
+        return len(self._d)
+
+    def metrics(self) -> dict:
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "evictions": self.evictions, "size": len(self._d),
+                    "cap": self.cap}
 
 
 def segment_root(index_dir: str) -> str:
@@ -100,21 +150,15 @@ class _SegFile:
         self.salts = small["salt"].to_pylist()
         self.dfs = small["df"].to_numpy()
 
-    def row(self, row: int, rg_cache: dict, cache_cap: int,
-            lock: threading.Lock) -> pa.Table:
-        """The 1-row payload slice for ``row`` (all payload columns).
-        ``lock`` guards every ``rg_cache`` mutation, so threads sharing the
-        reader never evict the same entry twice."""
+    def row(self, row: int, rg_cache: LRU) -> pa.Table:
+        """The 1-row payload slice for ``row`` (all payload columns), its
+        row group fetched through ``rg_cache``."""
         g = int(np.searchsorted(self.rg_offsets, row, side="right") - 1)
         key = (id(self), g)
-        with lock:
-            tbl = rg_cache.pop(key, None)  # pop + reinsert = true LRU recency
+        tbl = rg_cache.get(key)
         if tbl is None:
             tbl = self.pf.read_row_group(g, columns=_PAYLOAD_COLS)
-        with lock:
-            if key not in rg_cache and len(rg_cache) >= cache_cap:
-                rg_cache.pop(next(iter(rg_cache)))
-            rg_cache[key] = tbl
+            rg_cache.put(key, tbl)
         return tbl.slice(row - int(self.rg_offsets[g]), 1)
 
 
@@ -145,15 +189,14 @@ class SegmentReader:
         # applied to every decoded posting list; empty array = zero overhead
         self.deleted = deletes_state.load_tombstones(index_dir)
         self.shards = shards if shards is not None else list(range(self.num_shards))
-        self.rg_cache_cap = rg_cache_cap
         # term -> list[(file_idx, row, salt)] — multiple rows when uncompacted
         self._term_index: dict[str, list[tuple[int, int, int]]] = {}
-        self._pl_cache: dict[str, PostingList] = {}
+        # decoded postings (Zipfian term reuse across queries)
+        self._pl_cache = LRU(POSTING_CACHE_ENTRIES)
         self._files: list[_SegFile] = []
-        self._rg_cache: dict = {}
+        self._rg_cache = LRU(rg_cache_cap)
         self._loaded: set[int] = set()
         self._load_lock = threading.Lock()
-        self._cache_lock = threading.Lock()  # guards both cache evictions
 
     def _load_shard(self, shard: int) -> None:
         """Fault in one shard's dictionary exactly once, even when HTTP
@@ -214,8 +257,7 @@ class SegmentReader:
         off_parts: list[np.ndarray] = []
         shift = 0
         for ti, row, _salt in rows:
-            t = self._files[ti].row(row, self._rg_cache, self.rg_cache_cap,
-                                    self._cache_lock)
+            t = self._files[ti].row(row, self._rg_cache)
             docs_parts.append(
                 self._decode_docs(t["docs"][0].as_py()).astype(np.int64)
             )
@@ -250,11 +292,7 @@ class SegmentReader:
             pos_offsets=offs,
             df_total=df_total,
         )
-        # bounded decoded-posting cache (Zipfian term reuse across queries)
-        with self._cache_lock:
-            if len(self._pl_cache) >= 512:
-                self._pl_cache.pop(next(iter(self._pl_cache)))
-            self._pl_cache[term] = pl
+        self._pl_cache.put(term, pl)
         return pl
 
     def shard_for(self, term: str) -> int:

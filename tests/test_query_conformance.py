@@ -81,6 +81,52 @@ def test_query_cache(engine):
     assert r1 is r2  # T4 query-result cache
 
 
+def test_lru_recency_and_counters():
+    """The oldest entry goes when a full cache takes a new key; ``get``
+    refreshes recency, ``in`` and ``len`` change neither recency nor the
+    counters, and re-putting a held key evicts nothing."""
+    from nadry_search_engine_be_ray.state.segments import LRU
+
+    c = LRU(3)
+    for k in "abc":
+        c.put(k, k.upper())
+    assert c.get("a") == "A"              # order now b, c, a
+    c.put("d", "D")                       # evicts b
+    assert "b" not in c and len(c) == 3
+    assert c.get("b") is None
+    assert "c" in c                       # no refresh: c stays oldest
+    c.put("e", "E")                       # evicts c, not a
+    assert "c" not in c and "a" in c
+    c.put("a", "A2")                      # held key: no eviction
+    assert c.get("a") == "A2"
+    assert c.metrics() == {"hits": 2, "misses": 1, "evictions": 2,
+                           "size": 3, "cap": 3}
+
+
+def test_query_cache_is_bounded(built_index, monkeypatch):
+    """More distinct queries than the cap leave exactly cap entries, the
+    oldest evicted, and a re-run evicted query gives the same page."""
+    import json
+
+    from nadry_search_engine_be_ray.pipelines import query
+    from nadry_search_engine_be_ray.state.segments import SegmentReader
+
+    monkeypatch.setattr(query, "QUERY_CACHE_ENTRIES", 8)
+    eng = SearchEngine(built_index)
+    terms = sorted(SegmentReader(built_index).terms())[:20]
+    first = [json.dumps(eng.search(t)) for t in terms]
+    assert len(eng._cache) == query.QUERY_CACHE_ENTRIES
+    assert ("t", terms[0], 0, 10) not in eng._cache
+    assert ("t", terms[-1], 0, 10) in eng._cache
+    assert json.dumps(eng.search(terms[0])) == first[0]
+    m = eng.metrics()
+    assert m["query_cache"] == {"hits": 0, "misses": 21, "evictions": 13,
+                                "size": 8, "cap": 8}
+    assert set(m) == {"query_cache", "posting_cache", "rowgroup_cache"}
+    assert m["posting_cache"]["cap"] == 512
+    assert m["posting_cache"]["misses"] == 20   # terms[0] decoded once
+
+
 def test_proximity_pairs_matches_bruteforce(built_index):
     """proximity_pairs' searchsorted window counting must equal a brute
     double loop over the decoded positions, per doc per field."""

@@ -158,44 +158,96 @@ def test_content_for_serves_its_snapshot_across_purge(ray_session,
     assert fresh.content_for(survivors) == {d: truth[d] for d in survivors}
 
 
-def test_search_api_concurrent_cold_engine_matches_serial(built_index,
-                                                          monkeypatch):
-    """Eight threads sharing one cold SearchAPI (as ThreadingHTTPServer
-    does) get the same bodies as serial calls."""
-    reqs = [(q["query"], page) for q in reference_queries()
-            for page in (1, 2)]
+def _body(api, query, page):
+    res = api.search(query, page=page, limit=10)
+    res.pop("searchTimeSec")
+    return json.dumps(res)  # the HTTP body; NaN scores compare equal
 
-    def body(api, query, page):
-        res = api.search(query, page=page, limit=10)
-        res.pop("searchTimeSec")
-        return json.dumps(res)  # the HTTP body; NaN scores compare equal
 
-    serial = SearchAPI(built_index)
-    exp = [body(serial, q, p) for q, p in reqs]
+_API_REQS = [(q["query"], page) for q in reference_queries()
+             for page in (1, 2)]
 
-    loads = []
-    load = _DocMaps.load
-    monkeypatch.setattr(_DocMaps, "load",
-                        lambda d: loads.append(d) or load(d))
-    shared = SearchAPI(built_index)
+
+def _threaded_bodies(api, rounds):
+    """Eight threads share ``api``, each sending every ``_API_REQS``
+    request ``rounds`` times from its own starting offset; one
+    ``{request: body}`` dict per thread and round."""
     start = threading.Barrier(8, timeout=60)
 
     def worker(k):
         start.wait()
-        order = reqs[k:] + reqs[:k]
-        return {r: body(shared, *r) for r in order}
+        order = _API_REQS[k:] + _API_REQS[:k]
+        return [{r: _body(api, *r) for r in order} for _ in range(rounds)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, to expose races
     try:
         with ThreadPoolExecutor(8) as ex:
             futs = [ex.submit(worker, k) for k in range(8)]
-            outs = [f.result(timeout=300) for f in futs]
+            return [out for f in futs for out in f.result(timeout=300)]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_search_api_concurrent_cold_engine_matches_serial(built_index,
+                                                          monkeypatch):
+    """Eight threads sharing one cold SearchAPI (as ThreadingHTTPServer
+    does) get the same bodies as serial calls, over three rounds: the
+    later rounds are page-cache hits."""
+    serial = SearchAPI(built_index)
+    exp = [_body(serial, q, p) for q, p in _API_REQS]
+
+    loads = []
+    load = _DocMaps.load
+    monkeypatch.setattr(_DocMaps, "load",
+                        lambda d: loads.append(d) or load(d))
+    shared = SearchAPI(built_index)
+    outs = _threaded_bodies(shared, rounds=3)
+    assert len(outs) == 24
     for out in outs:
-        assert [out[r] for r in reqs] == exp
+        assert [out[r] for r in _API_REQS] == exp
+    assert all(("api", q, p, 10) in shared.engine._cache for q, p in _API_REQS)
     assert len(loads) == 1
+
+
+def test_search_api_threads_with_tiny_query_cache_match_serial(built_index,
+                                                               monkeypatch):
+    """With the query cache capped at four entries, eight threads evict
+    each other's pages constantly; no lookup raises and every body equals
+    the serial one."""
+    from nadry_search_engine_be_ray.pipelines import query
+
+    serial = SearchAPI(built_index)
+    exp = [_body(serial, q, p) for q, p in _API_REQS]
+    monkeypatch.setattr(query, "QUERY_CACHE_ENTRIES", 4)
+    shared = SearchAPI(built_index)
+    outs = _threaded_bodies(shared, rounds=2)
+    for out in outs:
+        assert [out[r] for r in _API_REQS] == exp
+    m = shared.engine.metrics()["query_cache"]
+    assert m["size"] == m["cap"] == 4 and m["evictions"] > 0
+
+
+def test_search_api_page_cache_matches_fresh_api(built_index):
+    """A repeated request is a page-cache hit whose body equals a fresh
+    SearchAPI's.  Each call returns its own envelope with its own
+    ``searchTimeSec``, so a caller mutating one never changes the next."""
+    cached = SearchAPI(built_index)
+    for query, page in [("item order arrived", 1), ('"item order"', 1),
+                        ("zzzznotaterm", 1), ("order", 10_000),
+                        ("order", 0), ("order", 1)]:
+        exp = _body(SearchAPI(built_index), query, page)
+        assert _body(cached, query, page) == exp
+        hits = cached.engine.metrics()["query_cache"]["hits"]
+        first = cached.search(query, page=page, limit=10)
+        assert cached.engine.metrics()["query_cache"]["hits"] == hits + 1
+        assert "searchTimeSec" in first
+        first.pop("searchTimeSec")
+        first["data"] = []
+        again = cached.search(query, page=page, limit=10)
+        assert again is not first and "searchTimeSec" in again
+        again.pop("searchTimeSec")
+        assert json.dumps(again) == exp
 
 
 def test_phrase_results_are_cached(built_index):
