@@ -5227,10 +5227,10 @@ def _df_table_of(index_dir: str):
 
 def _q_delete_masked_df(sf_dir: str):
     """Per-term df AFTER tombstoning doc_int%7==3 but BEFORE purge — the
-    mask-at-decode read path (state/deletes.mask_posting): every posting
+    mask-at-decode read path (state/deletes.live_mask): every posting
     list is filtered against the tombstone set inside SegmentReader, so
-    the hash compare covers the vectorized positions-compaction gather
-    too (decode errors would shift df or crash)."""
+    the hash compare covers the score-column decode and mask (decode
+    errors would shift df or crash)."""
     _main_dump(sf_dir)
     return _df_table_of(_deleted_index(sf_dir))
 

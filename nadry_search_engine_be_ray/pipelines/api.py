@@ -171,7 +171,7 @@ class SearchAPI:
 
     def _page(self, query: str, page: int, limit: int) -> dict:
         tokens = self.engine.tokenizer.tokenize(QUOTED.sub(" ", query or ""))
-        res = self.engine.search_auto(query, max(0, page - 1), limit)
+        res = self.engine._auto_page(query, max(0, page - 1), limit)
 
         page_ints = [int(r["doc_id"][:15], 16) for r in res["results"]]
         contents = self.engine.docs.content_for(page_ints) if page_ints else {}

@@ -12,8 +12,9 @@ implements the Lucene delete lifecycle over immutable parquet segments:
 * :func:`purge_deletes` — the physical rewrite, one Ray task per term
   shard (the same parts-table shape as build/merge): each segment row is
   kept byte-identical when none of its docs are deleted (the common case
-  — only the cheap docs-stream decode + one searchsorted probe is paid),
-  else masked and re-encoded with the index's own codec tier.  Side
+  — only its share of one docs-column decode and one searchsorted probe
+  per shard is paid), else masked and re-encoded with the index's own
+  codec tier.  Side
   tables (doc_stats / prepped / postings / popularity) stream through a
   vectorized live-mask filter; stats.json is recomputed; derived kgram,
   permuterm and champion-tier dirs are invalidated (they rebuild behind
@@ -46,6 +47,7 @@ import pyarrow as pa
 from ..functions import codec
 from ..stages.encode import (
     _empty_segment_table,
+    decode_docs_column,
     decode_docs_stream,
     decode_tfs_stream,
     encode_docs_stream,
@@ -67,45 +69,58 @@ def delete_docs(index_dir: str, doc_ints) -> dict:
     return deletes_state.write_tombstones(index_dir, doc_ints)
 
 
-def _purge_row(row: dict, deleted: np.ndarray, docs_codec: str) -> dict | None:
-    """One segment term row -> (possibly rewritten) row, or None when all
-    its docs are dead.  Untouched rows pass their encoded buffers through
-    byte-identical."""
-    docs = decode_docs_stream(row["docs"], docs_codec).astype(np.int64)
-    keep = live_mask(docs, deleted)
-    n_keep = int(keep.sum())
-    if n_keep == docs.size:
-        return row
-    if n_keep == 0:
-        return None
-    m_docs, m_tfs, m_w, m_buf, m_off, _df_total = deletes_state.mask_posting(
-        docs,
-        decode_tfs_stream(row["tfs"], docs_codec).astype(np.int64),
-        codec.decode_f64(row["weights"]),
+def _purge_row(row: dict, docs: np.ndarray, keep: np.ndarray,
+               docs_codec: str) -> dict:
+    """One touched segment term row, given its decoded ``docs`` and their
+    keep-mask (some dead, some live) -> the row re-encoded without the dead
+    docs."""
+    buf, off = deletes_state.mask_positions(
         row["positions"],
         decode_docs_stream(row["pos_offsets"], docs_codec).astype(np.int64),
-        deleted,
+        keep,
     )
+    tfs = decode_tfs_stream(row["tfs"], docs_codec)[keep]
     return {
         **row,
-        "df": n_keep,
-        "docs": encode_docs_stream(m_docs, docs_codec),
-        "tfs": encode_tfs_stream(m_tfs.astype(np.uint64), docs_codec),
-        "weights": codec.encode_f64(m_w),
-        "positions": m_buf,
-        "pos_offsets": encode_docs_stream(m_off.astype(np.uint64), docs_codec),
+        "df": int(keep.sum()),
+        "docs": encode_docs_stream(docs[keep], docs_codec),
+        "tfs": encode_tfs_stream(tfs, docs_codec),
+        "weights": codec.encode_f64(codec.decode_f64(row["weights"])[keep]),
+        "positions": buf,
+        "pos_offsets": encode_docs_stream(off.astype(np.uint64), docs_codec),
     }
 
 
 def purge_segment_table(t: pa.Table, deleted: np.ndarray,
                         docs_codec: str) -> pa.Table:
     """Drop the ``deleted`` docs from every row of segment table ``t``
-    (same schema out): rows whose docs all died go, untouched rows keep
-    their bytes.  The one tombstone row loop — ``purge_deletes`` runs it
-    per shard, ``merge_indexes`` per source shard before its merge."""
-    rows = (_purge_row(r, deleted, docs_codec) for r in t.to_pylist())
-    return pa.Table.from_pylist([r for r in rows if r is not None],
-                                schema=t.schema)
+    (same schema, same row order out): rows whose docs all died go,
+    untouched rows keep their bytes.  The one tombstone row loop —
+    ``purge_deletes`` runs it per shard, ``merge_indexes`` per source
+    shard before its merge.  The ``docs`` column decodes in one pass and
+    the keep-mask reduces per row, so only the rows that hold a dead doc
+    are decoded further and rewritten."""
+    if t.num_rows == 0:
+        return t
+    dfs = t["df"].to_numpy()
+    docs, bounds = decode_docs_column(t["docs"], dfs, docs_codec)
+    docs = docs.astype(np.int64)
+    keep = live_mask(docs, deleted)
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    n_keep = kept[bounds[1:]] - kept[bounds[:-1]]
+    if np.array_equal(n_keep, dfs):
+        return t
+    same = np.flatnonzero(n_keep == dfs)
+    redo = np.flatnonzero((n_keep < dfs) & (n_keep > 0))
+    rows = [
+        _purge_row(r, docs[bounds[i]:bounds[i + 1]],
+                   keep[bounds[i]:bounds[i + 1]], docs_codec)
+        for i, r in zip(redo.tolist(), t.take(redo).to_pylist())
+    ]
+    out = pa.concat_tables(
+        [t.take(same), pa.Table.from_pylist(rows, schema=t.schema)])
+    return out.take(np.argsort(np.concatenate([same, redo]), kind="stable"))
 
 
 def purge_deletes(index_dir: str, *, concurrency: int | None = None,

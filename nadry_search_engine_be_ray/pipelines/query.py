@@ -294,7 +294,7 @@ class SearchEngine:
         if not tokens:
             return {"results": [], "total_results": 0, "total_pages": 0, "page": page}
         if len(tokens) == 1:
-            return self.search(tokens[0], page, page_size)
+            return self._term_page(tokens[0], page, page_size)
 
         # Intersect doc sets FIRST (a doc missing any phrase term can never
         # survive adjacency — SearchWrapper.java:313-316 empty-on-missing),
@@ -360,6 +360,16 @@ class SearchEngine:
         if m:
             return self.phrase_search(m.group(1), page, page_size)
         return self.search(raw_query, page, page_size)
+
+    def _auto_page(self, raw_query: str, page: int, page_size: int) -> dict:
+        """``search_auto`` without the ranked-page cache, for callers that
+        cache the finished page themselves (``api.SearchAPI``); a phrase's
+        paging is normalised as ``phrase_search`` does."""
+        m = QUOTED.search(raw_query or "")
+        if m:
+            return self._phrase_page(m.group(1), max(page, 0),
+                                     page_size if page_size > 0 else 10)
+        return self._term_page(raw_query, page, page_size)
 
     def _rank_and_page(self, query_bag, doc_ints, term_postings, page, page_size) -> dict:
         """Vectorized reference ranking (rank_fast: bit-identical FP order to

@@ -283,6 +283,75 @@ def decode_tfs_stream(buf: bytes, docs_codec: str) -> np.ndarray:
     return codec.decode_varints(buf)
 
 
+def binary_column(col) -> tuple[np.ndarray, np.ndarray]:
+    """``(data, offsets)`` of an Arrow binary column (Array or
+    ChunkedArray, sliced or not): the rows' bytes end to end as one uint8
+    array, and int64 row byte bounds into it (len = rows + 1).  One
+    chunk is a zero-copy view."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    datas, offs, base = [], [np.zeros(1, dtype=np.int64)], 0
+    for ch in chunks:
+        if ch.null_count:
+            raise ValueError("null in a segment payload column")
+        _, ob, db = ch.buffers()
+        o = np.frombuffer(
+            ob, dtype=np.int64 if pa.types.is_large_binary(ch.type)
+            else np.int32)[ch.offset: ch.offset + len(ch) + 1].astype(np.int64)
+        datas.append(np.frombuffer(db, dtype=np.uint8)[o[0]: o[-1]]
+                     if db is not None else np.empty(0, dtype=np.uint8))
+        offs.append(o[1:] - o[0] + base)
+        base += int(o[-1] - o[0])
+    data = datas[0] if len(datas) == 1 else (
+        np.concatenate(datas) if datas else np.empty(0, dtype=np.uint8))
+    return data, np.concatenate(offs)
+
+
+def _decode_column(col, counts, docs_codec: str, stream, sorted_deltas):
+    """Shared body of :func:`decode_docs_column`/:func:`decode_tfs_column`:
+    varint columns decode in ONE pass over the contiguous data buffer
+    (each row's stream is self-delimiting); the block codes carry a header
+    per row, so they decode row by row with the stream decoder."""
+    counts = np.asarray(counts, dtype=np.int64)
+    bounds = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    data, offs = binary_column(col)
+    if offs.size != bounds.size:
+        raise ValueError("column rows != count rows")
+    if docs_codec in ("bitpack", "ef"):
+        parts = [stream(data[s:e], docs_codec)
+                 for s, e in zip(offs[:-1].tolist(), offs[1:].tolist())]
+        vals = (np.concatenate(parts) if parts
+                else np.empty(0, dtype=np.uint64))
+    else:
+        vals = codec.decode_varints(data)
+        if sorted_deltas and vals.size:
+            # deltas restart at every row: one cumsum over the column, then
+            # subtract each row's running total before it; uint64 wraps
+            # mod 2**64, so the difference is exact
+            cs = np.zeros(vals.size + 1, dtype=np.uint64)
+            np.cumsum(vals, dtype=np.uint64, out=cs[1:])
+            vals = cs[1:] - np.repeat(cs[bounds[:-1]], counts)
+    if vals.size != bounds[-1]:
+        raise ValueError("decoded values != summed row counts")
+    return vals, bounds
+
+
+def decode_docs_column(col, counts, docs_codec: str
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a whole Arrow binary column of sorted doc-stream rows
+    (``docs``, or ``pos_offsets`` with ``counts = df + 1``): returns the
+    flat uint64 values and int64 row bounds (row i is
+    ``vals[bounds[i]:bounds[i + 1]]``), equal to per-row
+    :func:`decode_docs_stream` concatenated."""
+    return _decode_column(col, counts, docs_codec, decode_docs_stream, True)
+
+
+def decode_tfs_column(col, counts, docs_codec: str
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``tfs`` column counterpart of :func:`decode_docs_column`."""
+    return _decode_column(col, counts, docs_codec, decode_tfs_stream, False)
+
+
 def merge_runs(
     docs_bufs: list[bytes],
     tfs_bufs: list[bytes],

@@ -10,7 +10,8 @@ for term-sharded parquet segments:
   set and atomically replaces the file (tmp + rename), so concurrent readers
   see either the old or the new complete set, never a partial one.
 * **Read**: ``SegmentReader`` loads the set once per actor and masks every
-  decoded posting list against it (:func:`mask_posting`, fully vectorized).
+  decoded posting list against it (:func:`live_mask` on the score
+  columns, :func:`mask_positions` when positions load; fully vectorized).
   Candidates drop out of results immediately, but df / n_docs / avgdl stay
   STALE until a purge — Lucene's documented docFreq-includes-deletes
   semantics, and what keeps a delete O(tombstones) instead of O(index).
@@ -98,25 +99,13 @@ def live_mask(docs: np.ndarray, deleted: np.ndarray) -> np.ndarray:
     return deleted[idx] != docs
 
 
-def mask_posting(
-    docs: np.ndarray,
-    tfs: np.ndarray,
-    weights: np.ndarray,
-    positions_buf: bytes,
-    pos_offsets: np.ndarray,
-    deleted: np.ndarray,
-):
-    """Drop deleted docs from one decoded posting list.
-
-    Returns ``None`` when no doc of the list is deleted (zero-copy fast
-    path), else ``(docs, tfs, weights, positions_buf, pos_offsets,
-    df_total)`` with the per-doc positions payload compacted by a single
-    vectorized byte gather.
-    """
-    keep = live_mask(docs, deleted)
-    if keep.all():
-        return None
-    df_total = int(docs.size)
+def mask_positions(
+    positions_buf: bytes, pos_offsets: np.ndarray, keep: np.ndarray
+) -> tuple[bytes, np.ndarray]:
+    """Compact one posting list's positions payload to the docs ``keep``
+    marks (a :func:`live_mask`): one vectorized byte gather.  Returns
+    ``(positions_buf, pos_offsets)``; the score columns mask with plain
+    ``[keep]`` indexing."""
     off = pos_offsets.astype(np.int64)
     lens = off[1:] - off[:-1]
     keep_starts = off[:-1][keep]
@@ -124,12 +113,10 @@ def mask_posting(
     new_off = np.zeros(keep_lens.size + 1, dtype=np.int64)
     np.cumsum(keep_lens, out=new_off[1:])
     total = int(new_off[-1])
-    if total:
-        raw = np.frombuffer(positions_buf, dtype=np.uint8)
-        gather = np.repeat(keep_starts - new_off[:-1], keep_lens) + np.arange(
-            total, dtype=np.int64
-        )
-        new_buf = raw[gather].tobytes()
-    else:
-        new_buf = b""
-    return docs[keep], tfs[keep], weights[keep], new_buf, new_off, df_total
+    if not total:
+        return b"", new_off
+    raw = np.frombuffer(positions_buf, dtype=np.uint8)
+    gather = np.repeat(keep_starts - new_off[:-1], keep_lens) + np.arange(
+        total, dtype=np.int64
+    )
+    return raw[gather].tobytes(), new_off

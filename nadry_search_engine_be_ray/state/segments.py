@@ -10,11 +10,17 @@ Laziness is two-level (the 100 TB working-set story):
   (stages/tokenize.term_shard), so a query only faults in the shards its
   terms route to; ``terms()`` / ``has_term`` force-load the dictionary.
 * PAGE-lazy: faulting in a shard reads ONLY the (term, salt, df)
-  dictionary columns; the heavy binary payload columns (docs/tfs/weights/
-  positions/pos_offsets, stages/encode.SEGMENT_SCHEMA) are fetched per
-  parquet ROW GROUP on first touch and kept in a small LRU — a cold
-  serving actor pays for the row groups its queries actually hit, not the
-  whole segment.  Segment files are written with small row groups
+  dictionary columns; the binary payload columns
+  (stages/encode.SEGMENT_SCHEMA) are fetched per parquet ROW GROUP on
+  first touch and kept decoded in a small LRU — a cold serving actor pays
+  for the row groups its queries actually hit, not the whole segment.
+  Scoring reads only the docs/tfs/weights columns: a group's three score
+  columns are decoded once, one pass per column
+  (stages/encode.decode_docs_column), so every later term of that group is
+  an array slice.  Positions (positions/pos_offsets) are a separate
+  per-group fetch under their own cache key, made on a posting list's
+  first ``positions_buf``/``pos_offsets`` access — BM25 never pays for
+  them.  Segment files are written with small row groups
   (BuildConfig.segment_row_group_size) precisely so this fetch unit stays
   bounded.
 
@@ -29,21 +35,28 @@ At cluster scale one ``SegmentReader`` per shard lives inside a scorer actor
 
 from __future__ import annotations
 
+import functools
 import glob
 import json
 import os
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..functions import codec
+from ..stages.encode import (
+    binary_column,
+    decode_docs_column,
+    decode_tfs_column,
+)
 from ..stages.tokenize import term_shard
 from . import deletes as deletes_state
 
-_PAYLOAD_COLS = ["docs", "tfs", "weights", "positions", "pos_offsets"]
+_SCORE_COLS = ["docs", "tfs", "weights"]
+_POSITION_COLS = ["positions", "pos_offsets"]
 POSTING_CACHE_ENTRIES = 512
 
 
@@ -106,12 +119,36 @@ class PostingList:
     docs: np.ndarray        # sorted int64 doc_ints (60-bit)
     tfs: np.ndarray         # int64 per-doc total tf
     weights: np.ndarray     # float64 per-doc accumulated field weight
-    positions_buf: bytes
-    pos_offsets: np.ndarray  # int64 per-doc byte offsets (len = df+1)
+    # (positions_buf, pos_offsets), or a no-argument loader that returns
+    # the pair; ``SegmentReader.postings`` passes a loader, called on the
+    # first ``positions_buf``/``pos_offsets`` access
+    positions: tuple[bytes, np.ndarray] | Callable[[], tuple]
     # df INCLUDING tombstoned docs (None = no deletes touched this list).
     # Scoring idf uses df_stale — Lucene's docFreq-includes-deletes
     # semantics: stats stay stale until purge (state/deletes.py).
     df_total: int | None = None
+
+    def _positions(self) -> tuple[bytes, np.ndarray]:
+        pair = self.positions
+        if callable(pair):
+            # threads racing here load the same pair; either store is fine
+            pair = self.positions = pair()
+        return pair
+
+    @property
+    def positions_buf(self) -> bytes:
+        return self._positions()[0]
+
+    @property
+    def pos_offsets(self) -> np.ndarray:
+        """int64 per-doc byte offsets into ``positions_buf`` (len df+1)."""
+        return self._positions()[1]
+
+    def __getstate__(self):
+        # ShardSegmentActor.fetch ships whole PostingLists: send the loaded
+        # positions, not the loader's file handles and cache lock
+        self._positions()
+        return self.__dict__
 
     @property
     def df(self) -> int:
@@ -137,10 +174,11 @@ class PostingList:
 
 class _SegFile:
     """One segment parquet file: dictionary columns (term, salt, df) eager,
-    payload columns row-group-lazy."""
+    payload columns fetched and decoded per row group on first touch."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, docs_codec: str = "varint"):
         self.pf = pq.ParquetFile(path, memory_map=True)
+        self.docs_codec = docs_codec
         md = self.pf.metadata
         self.rg_offsets = np.cumsum(
             [0] + [md.row_group(i).num_rows for i in range(md.num_row_groups)]
@@ -150,16 +188,73 @@ class _SegFile:
         self.salts = small["salt"].to_pylist()
         self.dfs = small["df"].to_numpy()
 
-    def row(self, row: int, rg_cache: LRU) -> pa.Table:
-        """The 1-row payload slice for ``row`` (all payload columns), its
-        row group fetched through ``rg_cache``."""
+    def _group(self, row: int) -> tuple[int, int]:
+        """(row group, ``row``'s index inside it)."""
         g = int(np.searchsorted(self.rg_offsets, row, side="right") - 1)
+        return g, row - int(self.rg_offsets[g])
+
+    def _dfs(self, g: int) -> np.ndarray:
+        return self.dfs[self.rg_offsets[g]:self.rg_offsets[g + 1]]
+
+    def row(self, row: int, rg_cache: LRU):
+        """``(docs, tfs, weights)`` of ``row``.  On a miss its row group's
+        three score columns are read and decoded whole, one pass per
+        column, and cached in ``rg_cache`` under ``(id(self), g)``; a hit
+        is three array slices."""
+        g, i = self._group(row)
         key = (id(self), g)
-        tbl = rg_cache.get(key)
-        if tbl is None:
-            tbl = self.pf.read_row_group(g, columns=_PAYLOAD_COLS)
-            rg_cache.put(key, tbl)
-        return tbl.slice(row - int(self.rg_offsets[g]), 1)
+        dec = rg_cache.get(key)
+        if dec is None:
+            t = self.pf.read_row_group(g, columns=_SCORE_COLS)
+            dfs = self._dfs(g)
+            docs, bounds = decode_docs_column(t["docs"], dfs, self.docs_codec)
+            tfs, _ = decode_tfs_column(t["tfs"], dfs, self.docs_codec)
+            weights = np.frombuffer(binary_column(t["weights"])[0], "<f8")
+            if weights.size != docs.size:
+                raise ValueError("weights column != docs column")
+            dec = (bounds, docs.astype(np.int64), tfs.astype(np.int64),
+                   weights)
+            rg_cache.put(key, dec)
+        bounds, docs, tfs, weights = dec
+        s, e = bounds[i], bounds[i + 1]
+        return docs[s:e], tfs[s:e], weights[s:e]
+
+    def positions(self, row: int, rg_cache: LRU) -> tuple[bytes, np.ndarray]:
+        """``(positions bytes, pos_offsets)`` of ``row``, its row group's
+        two position columns fetched and decoded like :meth:`row`, under
+        ``(id(self), g, "positions")``."""
+        g, i = self._group(row)
+        key = (id(self), g, "positions")
+        dec = rg_cache.get(key)
+        if dec is None:
+            t = self.pf.read_row_group(g, columns=_POSITION_COLS)
+            offs, bounds = decode_docs_column(
+                t["pos_offsets"], self._dfs(g) + 1, self.docs_codec)
+            dec = (bounds, offs.astype(np.int64),
+                   *binary_column(t["positions"]))
+            rg_cache.put(key, dec)
+        bounds, offs, data, byte_offs = dec
+        return (data[byte_offs[i]:byte_offs[i + 1]].tobytes(),
+                offs[bounds[i]:bounds[i + 1]])
+
+
+def _load_positions(parts: list[tuple[_SegFile, int]], rg_cache: LRU,
+                    keep: np.ndarray | None) -> tuple[bytes, np.ndarray]:
+    """The positions pair of the posting list joined from ``parts``
+    (``(file, row)`` runs in doc order), masked to the docs ``keep`` marks.
+    It holds no ``SegmentReader``: a cached PostingList that referenced its
+    reader would make a reader -> _pl_cache -> PostingList cycle, and the
+    reader would outlive ``del`` until cyclic GC ran."""
+    bufs, off_parts, shift = [], [], 0
+    for j, (sf, row) in enumerate(parts):
+        buf, off = sf.positions(row, rg_cache)
+        bufs.append(buf)
+        off_parts.append((off[1:] if j else off) + shift)
+        shift += int(off[-1])
+    buf, offs = b"".join(bufs), np.concatenate(off_parts)
+    if keep is not None:
+        buf, offs = deletes_state.mask_positions(buf, offs, keep)
+    return buf, offs
 
 
 class SegmentReader:
@@ -173,18 +268,9 @@ class SegmentReader:
             self.stats = json.load(f)
         self._seg_root = segment_root(index_dir)
         self.num_shards = int(self.stats["num_shards"])
-        # docs/tfs/pos_offsets-stream decoders per the build's final-tier
-        # codec (stats.json); the nested positions payload stays varint
-        _codec_name = self.stats.get("docs_codec", "varint")
-        if _codec_name == "bitpack":
-            self._decode_docs = codec.decode_sorted_bitpack
-            self._decode_tfs = codec.decode_bitpack
-        elif _codec_name == "ef":
-            self._decode_docs = codec.decode_ef
-            self._decode_tfs = codec.decode_bitpack
-        else:
-            self._decode_docs = codec.decode_sorted_deltas
-            self._decode_tfs = codec.decode_varints
+        # docs/tfs/pos_offsets streams use the build's final-tier codec;
+        # the nested positions payload stays varint
+        self._docs_codec = self.stats.get("docs_codec", "varint")
         # tombstone set (state/deletes.py): loaded once per reader/actor,
         # applied to every decoded posting list; empty array = zero overhead
         self.deleted = deletes_state.load_tombstones(index_dir)
@@ -213,7 +299,7 @@ class SegmentReader:
             # a term routes to one shard, so this shard's runs are all of it
             index: dict[str, list[tuple[int, int, int]]] = {}
             for fp in files:
-                sf = _SegFile(fp)
+                sf = _SegFile(fp, self._docs_codec)
                 ti = len(self._files)
                 self._files.append(sf)
                 for row, (term, salt) in enumerate(zip(sf.terms, sf.salts)):
@@ -252,44 +338,24 @@ class SegmentReader:
         cached = self._pl_cache.get(term)
         if cached is not None:
             return cached
-        docs_parts, tf_parts, w_parts = [], [], []
-        pos_bufs: list[bytes] = []
-        off_parts: list[np.ndarray] = []
-        shift = 0
-        for ti, row, _salt in rows:
-            t = self._files[ti].row(row, self._rg_cache)
-            docs_parts.append(
-                self._decode_docs(t["docs"][0].as_py()).astype(np.int64)
-            )
-            tf_parts.append(
-                self._decode_tfs(t["tfs"][0].as_py()).astype(np.int64)
-            )
-            w_parts.append(codec.decode_f64(t["weights"][0].as_py()))
-            buf = t["positions"][0].as_py()
-            off = self._decode_docs(
-                t["pos_offsets"][0].as_py()
-            ).astype(np.int64)
-            pos_bufs.append(buf)
-            off_parts.append((off[1:] if shift else off) + shift)
-            shift += int(off[-1])
-        docs = np.concatenate(docs_parts)
-        weights = np.concatenate(w_parts)
-        tfs = np.concatenate(tf_parts)
-        pos_buf = b"".join(pos_bufs)
-        offs = np.concatenate(off_parts)
-        df_total = None
+        parts = [(self._files[ti], row) for ti, row, _salt in rows]
+        docs, tfs, weights = (
+            np.concatenate(c)
+            for c in zip(*(sf.row(row, self._rg_cache) for sf, row in parts))
+        )
+        keep = df_total = None
         if self.deleted.size:
-            masked = deletes_state.mask_posting(
-                docs, tfs, weights, pos_buf, offs, self.deleted)
-            if masked is not None:
-                docs, tfs, weights, pos_buf, offs, df_total = masked
+            live = deletes_state.live_mask(docs, self.deleted)
+            if not live.all():
+                keep, df_total = live, int(docs.size)
+                docs, tfs, weights = docs[keep], tfs[keep], weights[keep]
         pl = PostingList(
             term=term,
             docs=docs,
             tfs=tfs,
             weights=weights,
-            positions_buf=pos_buf,
-            pos_offsets=offs,
+            positions=functools.partial(
+                _load_positions, parts, self._rg_cache, keep),
             df_total=df_total,
         )
         self._pl_cache.put(term, pl)

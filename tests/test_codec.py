@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from nadry_search_engine_be_ray.functions import codec
 from nadry_search_engine_be_ray.stages.encode import (
-    encode_docs_stream, encode_tfs_stream, merge_runs)
+    decode_docs_column, decode_docs_stream, decode_tfs_column,
+    decode_tfs_stream, encode_docs_stream, encode_tfs_stream, merge_runs)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=300))
@@ -261,3 +262,83 @@ def test_positions_flat_matches_dict_decode():
     d, f, p = codec.decode_doc_positions_flat(buf, offsets,
                                               np.empty(0, np.int64))
     assert d.size == f.size == p.size == 0
+
+
+def _column_views(col):
+    """The column as written, a slice of it (non-zero Arrow ``offset``)
+    and the same rows split over three chunks, each with its row range."""
+    import pyarrow as pa
+
+    n = len(col)
+    a, b = n // 3, 2 * n // 3
+    return [
+        (col, 0, n),
+        (col.slice(1, n - 2), 1, n - 1),
+        (pa.chunked_array([col.slice(0, a), col.slice(a, b - a),
+                           col.slice(b)]), 0, n),
+    ]
+
+
+@given(
+    rows=st.lists(st.sets(st.integers(min_value=0, max_value=2**60),
+                          min_size=1, max_size=40),
+                  min_size=3, max_size=40),
+    docs_codec=st.sampled_from(["varint", "bitpack", "ef"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_column_decode_equals_per_row_stream_decode(rows, docs_codec, seed):
+    """Decoding a whole docs/tfs/pos_offsets column at once gives each
+    row's ``decode_*_stream`` values, concatenated, with row bounds at the
+    per-row counts — for plain, sliced and chunked Arrow columns."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(seed)
+    docs = [np.array(sorted(r), dtype=np.uint64) for r in rows]
+    tfs = [rng.integers(1, 300, d.size).astype(np.uint64) for d in docs]
+    offs = [np.concatenate([[0], np.cumsum(rng.integers(1, 9, d.size))]
+                           ).astype(np.uint64) for d in docs]
+    counts = np.array([d.size for d in docs])
+    for vals, enc, dec, col_dec, extra in [
+        (docs, encode_docs_stream, decode_docs_stream, decode_docs_column, 0),
+        (offs, encode_docs_stream, decode_docs_stream, decode_docs_column, 1),
+        (tfs, encode_tfs_stream, decode_tfs_stream, decode_tfs_column, 0),
+    ]:
+        col = pa.array([enc(v, docs_codec) for v in vals], pa.binary())
+        for view, lo, hi in _column_views(col):
+            got, bounds = col_dec(view, counts[lo:hi] + extra, docs_codec)
+            per_row = [dec(col[i].as_py(), docs_codec) for i in range(lo, hi)]
+            assert np.array_equal(got, np.concatenate(per_row))
+            assert got.dtype == np.uint64
+            for i, r in enumerate(per_row):
+                assert np.array_equal(got[bounds[i]:bounds[i + 1]], r)
+
+
+@pytest.mark.parametrize("docs_codec", ["varint", "bitpack"])
+def test_column_decode_edges(docs_codec):
+    """df=1 rows, 10-byte varints and 2**64-1: the column's single cumsum
+    wraps mod 2**64 and the per-row subtraction still gives exact values;
+    a count that disagrees with the bytes raises."""
+    import pyarrow as pa
+
+    docs = [np.array([2**64 - 1], dtype=np.uint64),
+            np.array([0, 2**63, 2**64 - 1], dtype=np.uint64),
+            np.array([2**63 + 5], dtype=np.uint64),
+            np.array([7], dtype=np.uint64)]
+    tfs = [np.array([2**64 - 1], dtype=np.uint64),
+           np.array([1, 2**63, 3], dtype=np.uint64),
+           np.array([1], dtype=np.uint64), np.array([2**64 - 1], dtype=np.uint64)]
+    counts = [d.size for d in docs]
+    if docs_codec == "varint":
+        assert len(encode_docs_stream(docs[0], docs_codec)) == 10
+    dcol = pa.array([encode_docs_stream(d, docs_codec) for d in docs])
+    tcol = pa.array([encode_tfs_stream(t, docs_codec) for t in tfs])
+    for view, lo, hi in _column_views(dcol):
+        got, bounds = decode_docs_column(view, counts[lo:hi], docs_codec)
+        assert np.array_equal(got, np.concatenate(docs[lo:hi]))
+        assert bounds.tolist() == np.cumsum([0] + counts[lo:hi]).tolist()
+    for view, lo, hi in _column_views(tcol):
+        got, _ = decode_tfs_column(view, counts[lo:hi], docs_codec)
+        assert np.array_equal(got, np.concatenate(tfs[lo:hi]))
+    with pytest.raises(ValueError):
+        decode_docs_column(dcol, [1, 3, 1, 2], docs_codec)

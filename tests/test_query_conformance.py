@@ -942,3 +942,120 @@ def test_reader_df_reads_no_payload(built_index):
     r = SegmentReader(built_index)
     assert sum(r.df(t) for t in list(r.terms())) > 0
     assert not r._rg_cache and not r._pl_cache
+
+
+def _eager_postings(index_dir):
+    """Every term's posting list decoded row by row from the segment
+    files with the per-row stream decoders, runs joined in salt order and
+    tombstoned docs dropped doc by doc: the reader's answer, computed
+    without its row-group decode or its lazy positions."""
+    import glob
+    import json
+
+    import pyarrow.parquet as pq
+
+    from nadry_search_engine_be_ray.functions import codec
+    from nadry_search_engine_be_ray.stages.encode import (
+        decode_docs_stream, decode_tfs_stream,
+    )
+    from nadry_search_engine_be_ray.state.deletes import load_tombstones
+    from nadry_search_engine_be_ray.state.segments import segment_root
+
+    with open(os.path.join(index_dir, "stats.json")) as f:
+        c = json.load(f).get("docs_codec", "varint")
+    runs: dict[str, list] = {}
+    for fp in sorted(glob.glob(os.path.join(segment_root(index_dir), "*",
+                                            "*.parquet"))):
+        for r in pq.read_table(fp).to_pylist():
+            runs.setdefault(r["term"], []).append(r)
+    dead = set(load_tombstones(index_dir).tolist())
+    out = {}
+    for term, rows in runs.items():
+        docs, tfs, ws, slices = [], [], [], []
+        for r in sorted(rows, key=lambda r: r["salt"]):
+            off = decode_docs_stream(r["pos_offsets"], c).astype(np.int64)
+            docs += decode_docs_stream(r["docs"], c).astype(np.int64).tolist()
+            tfs += decode_tfs_stream(r["tfs"], c).astype(np.int64).tolist()
+            ws += codec.decode_f64(r["weights"]).tolist()
+            slices += [r["positions"][a:b] for a, b in zip(off[:-1], off[1:])]
+        live = [i for i, d in enumerate(docs) if d not in dead]
+        kept = [slices[i] for i in live]
+        out[term] = (
+            [docs[i] for i in live], [tfs[i] for i in live],
+            [ws[i] for i in live], b"".join(kept),
+            np.cumsum([0] + [len(s) for s in kept]).tolist(),
+            None if len(live) == len(docs) else len(docs),
+        )
+    return out
+
+
+def test_postings_equal_eager_row_decode(index_tiers):
+    """On every dictionary layout, each term's PostingList — positions
+    included, tombstone mask applied at positions load — equals the
+    per-row eager decode, with a row-group cache small enough to evict."""
+    from nadry_search_engine_be_ray.state.segments import SegmentReader
+
+    for tier, idx in index_tiers.items():
+        exp = _eager_postings(idx)
+        r = SegmentReader(idx, rg_cache_cap=3)
+        assert sorted(r.terms()) == sorted(exp), tier
+        for term, e in exp.items():
+            pl = r.postings(term)
+            got = (pl.docs.tolist(), pl.tfs.tolist(), pl.weights.tolist(),
+                   pl.positions_buf, pl.pos_offsets.tolist(), pl.df_total)
+            assert got == e, (tier, term)
+            assert pl.docs.dtype == pl.tfs.dtype == np.int64
+
+
+def test_score_queries_read_no_positions_column(built_index, monkeypatch):
+    """BM25/TAAT/WAND scoring fetches only the docs/tfs/weights columns;
+    the first phrase query fetches positions/pos_offsets, by themselves."""
+    import pyarrow.parquet as pq
+
+    reads = []
+    real = pq.ParquetFile.read_row_group
+
+    def spy(self, i, columns=None, **kw):
+        reads.append(tuple(columns or ()))
+        return real(self, i, columns=columns, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_group", spy)
+    eng = SearchEngine(built_index)
+    for q in ("item order arrived", "search engine index", "nation"):
+        eng.bm25_search(q, k=10)
+        eng.bm25_search(q, k=10, use_wand=True)
+        eng.topk_taat(q, k=10, scorer="additive")
+    seg = [c for c in reads if "docs" in c or "positions" in c]
+    assert seg and all(c == ("docs", "tfs", "weights") for c in seg)
+    reads.clear()
+    assert eng.phrase_search("item order")["total_results"] > 0
+    assert ("positions", "pos_offsets") in reads
+    assert all("docs" not in c for c in reads if "positions" in c)
+
+
+def test_posting_list_holds_no_reader(built_index):
+    """A used SegmentReader dies on ``del`` with cyclic GC off — no
+    PostingList, loaded or not, refers back to it — and a surviving list
+    still loads its positions afterwards."""
+    import gc
+    import pickle
+    import weakref
+
+    from nadry_search_engine_be_ray.state.segments import SegmentReader
+
+    gc.disable()
+    try:
+        r = SegmentReader(built_index)
+        terms = sorted(r.terms())[:40]
+        for t in terms[:20]:
+            r.postings(t).positions_for(0)
+        lazy = r.postings(terms[-1])
+        ref = weakref.ref(r)
+        del r
+        assert ref() is None
+    finally:
+        gc.enable()
+    shipped = pickle.loads(pickle.dumps(lazy))
+    assert not callable(shipped.positions)
+    assert shipped.positions_buf == lazy.positions_buf
+    assert shipped.pos_offsets.tolist() == lazy.pos_offsets.tolist()

@@ -512,3 +512,30 @@ def test_champion_tiers_never_serve_deleted_docs(ray_session, built_index,
     for mode in ("champion", "tiered"):
         got = served(mode)
         assert got and not got & set(victims), mode
+
+
+def test_sharded_phrase_search_equals_local(ray_session, built_index):
+    """Per-shard actors ship whole PostingLists, their lazy positions
+    loaded before the pickle: a sharded phrase search equals the local
+    one, single-token and missing-term phrases included."""
+    from nadry_search_engine_be_ray.pipelines.serve import ShardedSearchEngine
+
+    local, sharded = SearchEngine(built_index), ShardedSearchEngine(built_index)
+    for phrase in ("item order", "order arrived late", "import",
+                   "zzzznotaterm item"):
+        exp = json.dumps(local.phrase_search(phrase, 0, 10))  # NaN-safe
+        assert json.dumps(sharded.phrase_search(phrase, 0, 10)) == exp, phrase
+    assert local.phrase_search("item order")["total_results"] > 0
+
+
+def test_rest_page_miss_takes_one_cache_slot(built_index):
+    """A REST page miss caches only the finished page: after N distinct
+    requests — term, phrase and single-token phrase — the engine's query
+    cache holds exactly N entries, all ``("api", ...)`` pages."""
+    api = SearchAPI(built_index)
+    reqs = [("item order arrived", 1), ('"item order"', 1), ('"order"', 1),
+            ("order", 2), ("zzzznotaterm", 1), ('find "order arrived" x', 1)]
+    for n, (q, p) in enumerate(reqs, 1):
+        api.search(q, page=p, limit=10)
+        assert len(api.engine._cache) == n
+    assert all(("api", q, p, 10) in api.engine._cache for q, p in reqs)
