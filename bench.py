@@ -113,12 +113,7 @@ def main() -> None:
         n_shards = 32 if n_docs > 100_000 else 8
         build_index(
             corpus_dir, index_dir,
-            BuildConfig(
-                num_shards=n_shards, salt_bits=2,
-                # the coalesce before the hash-partitioned write bounds file
-                # count but ALSO caps write parallelism — size it to the cores
-                postings_write_blocks=max(16, NUM_CPUS),
-            ),
+            BuildConfig(num_shards=n_shards, salt_bits=2),
         )
         timings["index_build"] = time.time() - t0
         docs_per_sec = n_docs / timings["index_build"]
@@ -263,9 +258,7 @@ def main() -> None:
         t0 = time.time()
         build_index(
             corpus_dir, tdir,
-            BuildConfig(num_shards=n_shards, salt_bits=2,
-                        postings_write_blocks=max(16, NUM_CPUS),
-                        docs_codec=tier),
+            BuildConfig(num_shards=n_shards, salt_bits=2, docs_codec=tier),
         )
         build_sec = time.time() - t0
         rd = SegmentReader(tdir)

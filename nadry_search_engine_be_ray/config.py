@@ -15,48 +15,31 @@ class BuildConfig:
     num_shards: int = 8
     # uniform doc-range salting: every (term, shard) group is further split by
     # the TOP bits of doc_int into 2**salt_bits runs.  Runs are disjoint,
-    # ordered doc_int ranges, so a term's full posting list is the
-    # concatenation of its runs in salt order — skewed head terms ("import",
-    # "return") never exceed ~1/2**salt_bits of the corpus per reduce task,
-    # with no head-term detection pre-pass (SURVEY.md §4.2 skew).
+    # ordered doc_int ranges, so the build's per-shard merge joins a term's
+    # runs into its one segment row in salt order — skewed head terms
+    # ("import", "return") never exceed ~1/2**salt_bits of the corpus per
+    # reduce task, with no head-term detection pre-pass (SURVEY.md §4.2
+    # skew).
     salt_bits: int = 2
 
-    # --- execution ----------------------------------------------------------
-    tokenize_batch_size: int = 128
-    # coalesce tokenize output to this many blocks before the hash-partitioned
-    # postings write: file count per part dir = write blocks, so this bounds
-    # total small files at write_blocks x num_parts
-    postings_write_blocks: int = 16
-    # None -> stateless tasks with a cached global tokenizer; an int builds an
-    # actor pool (map_batches(cls, concurrency=N)).
-    tokenize_concurrency: int | None = None
-
-    # --- dedup --------------------------------------------------------------
-    # hash partitions for the exact-dedup storage shuffle; size so one
-    # partition's (sha, doc_int) rows fit in a task's heap (~40 B/row)
-    dedup_partitions: int = 32
-
     # --- codec --------------------------------------------------------------
-    # posting-stream codec for the FINAL (compacted) segment tier — applies
-    # to the docs, tfs and pos_offsets streams (the nested positions
-    # payload stays varint):
-    # "varint"  — delta-gap varint, per-value code: salt runs and future
-    #             cross-index merges concatenate byte-wise without decoding
+    # posting-stream codec for the segment tier — applies to the docs, tfs
+    # and pos_offsets streams (the nested positions payload stays varint):
+    # "varint"  — delta-gap varint, per-value code: cross-index merges
+    #             concatenate byte-wise without decoding
     # "bitpack" — frame-of-reference bit packing (functions/codec.py),
     #             12% smaller docs gaps + 55% smaller tfs at sf0.01
-    #             (BASELINE.md); write-once only (requires
-    #             compact_segments=True; merge_indexes refuses bitpack
-    #             sources — re-encode is the price of the block code).
-    # Pre-compaction salt runs are ALWAYS varint regardless of this flag.
+    #             (BASELINE.md); write-once only (merge_indexes refuses
+    #             bitpack sources — re-encode is the price of the block code)
+    # "ef"      — Elias-Fano on the monotone streams, likewise write-once.
+    # The salt runs the build stages before its merge are ALWAYS varint.
     docs_codec: str = "varint"
     # segment files use SMALL parquet row groups so the page-lazy reader's
     # fetch unit (one row group of binary payloads) stays bounded — the
     # serving-side analog of block size.  ~512 terms x ~200 B payload ≈
-    # 100 KB per fetch.
+    # 100 KB per fetch.  Build, merge and purge all write with this value.
     segment_row_group_size: int = 512
 
-    # --- pipeline control ---------------------------------------------------
-    compact_segments: bool = True
     # M1 field extraction mode: "code" (path/leading-comment/content) or
     # "html" (reference DocumentProcessor selectors, stages/htmlproc.py)
     content_mode: str = "code"

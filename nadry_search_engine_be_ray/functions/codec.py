@@ -12,8 +12,8 @@ per term, compressed columnar payloads (SURVEY.md §1.3, §7.1 step 3):
   (IndexBuilder.java:135-139), delta encoded + varint packed with a tiny
   per-doc header (field mask + per-field counts)
 
-The compacted segment tier may store the docs / tfs / offset streams with
-the whole-stream codes below instead (frame-of-reference bit packing,
+The segment tier may store the docs / tfs / offset streams with the
+whole-stream codes below instead (frame-of-reference bit packing,
 Elias-Fano).  WAND upper bounds are not stored: the query path derives them
 from decoded scores (pipelines/query.py ``topk_wand``).
 
@@ -266,8 +266,8 @@ def decode_sorted_bitpack(buf: bytes) -> np.ndarray:
 # sorted sequence — n*(2 + log2(u/n)) bits — with NO per-block framing, so
 # it usually beats bitpack on doc-gap streams and always beats varint's
 # 1-byte-per-value floor.  Like bitpack it is a whole-stream code: runs
-# cannot concatenate without re-encoding, so it is gated to the write-once
-# compacted tier (pipelines/build.py enforces compact_segments).
+# cannot concatenate without re-encoding, so the build applies it only
+# after its salt-run merge and merge_indexes refuses ef sources.
 #
 # Format (self-describing):
 #     varint n                      -- value count (stream ends here if 0)

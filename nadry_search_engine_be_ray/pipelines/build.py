@@ -19,16 +19,14 @@ satisfying the north_rule resumability requirement):
   3. postings  prepped -> postings/        tokenize map side (T1/A1/A2);
                the written intermediate IS the map-side shuffle spill, making
                the reduce side restartable without re-tokenizing
-  4. segments+merge (default, compact_segments=True): per-part encode
-               tasks (A3; salted posting-list runs) feed a per-shard k-way
-               merge (streaming concatenation of sorted runs, the
-               segment-merge primitive).  Runs reach their merge task via a
+  4. segments  per-part encode tasks (A3; salted posting-list runs) feed
+               a per-shard k-way merge (streaming concatenation of sorted
+               runs, the segment-merge primitive) that writes one row per
+               term to segments_merged/.  Runs reach their merge task via a
                hive-partitioned staging write — the same shuffle-via-storage
                pattern as the postings phase, no sort barrier.  The encode
                tasks also split the per-doc sentinel rows into doc_stats/ (A2) —
-               totalWords costs no extra pass.  With compact_segments=False
-               the salted runs are written to segments/ unmerged instead
-               (the query reader concatenates runs in salt order itself).
+               totalWords costs no extra pass.
   5. stats     global stats.json (N, avgdl, n_terms) for BM25 (A11 analog)
 """
 
@@ -57,9 +55,14 @@ PREPPED = "prepped"
 LOSERS = "dup_losers"
 POSTINGS = "postings"
 DOC_STATS = "doc_stats"
-SEGMENTS = "segments"
 MERGED = "segments_merged"
 SEGMENT_RUNS = "segment_runs"
+DEDUP_PARTS = "dedup_parts"
+# docs per tokenize task input batch
+TOKENIZE_BATCH_SIZE = 128
+# hash partitions for the exact-dedup storage shuffle; size so one
+# partition's (sha, doc_int) rows fit in a task's heap (~40 B/row)
+DEDUP_PARTITIONS = 32
 
 
 def _done(path: str) -> bool:
@@ -80,6 +83,10 @@ def _fresh(path: str) -> str:
         shutil.rmtree(path)
     os.makedirs(path, exist_ok=True)
     return path
+
+
+def _cluster_cpus() -> int:
+    return int(ray.cluster_resources().get("CPU", 32))
 
 
 def _parquet_row_count(root: str) -> int:
@@ -139,12 +146,6 @@ def build_index(
     cfg = config or BuildConfig()
     if cfg.docs_codec not in ("varint", "bitpack", "ef"):
         raise ValueError(f"unknown docs_codec {cfg.docs_codec!r}")
-    if cfg.docs_codec != "varint" and not cfg.compact_segments:
-        # the uncompacted tier must stay per-value-coded so salt runs keep
-        # concatenating without decode (stages/encode.py module docstring);
-        # bitpack and ef are both whole-stream codes
-        raise ValueError(
-            f"docs_codec={cfg.docs_codec!r} requires compact_segments=True")
     os.makedirs(index_dir, exist_ok=True)
     manifest_path = os.path.join(index_dir, "manifest.json")
     manifest: dict = {"config": dataclasses.asdict(cfg), "phases": {}}
@@ -170,7 +171,7 @@ def build_index(
         # n_files; force enough blocks to keep every core busy — clamped to
         # the corpus row count (from footers) so a tiny corpus doesn't write
         # empty, schema-less parquet fragments
-        want_blocks = max(64, int(ray.cluster_resources().get("CPU", 32)) * 2)
+        want_blocks = max(64, _cluster_cpus() * 2)
         n_corpus_rows = _parquet_row_count(corpus_path)
         ds = ray.data.read_parquet(
             corpus_path,
@@ -193,14 +194,13 @@ def build_index(
     # loser.  Ray Data's native groupby-aggregate measured ~4x slower here
     # (sort-based shuffle constants), and a driver combine would not scale.
     losers_dir = os.path.join(index_dir, LOSERS)
+    dparts_dir = os.path.join(index_dir, DEDUP_PARTS)
     if not _done(losers_dir):
         t0 = time.time()
         _fresh(losers_dir)
         import glob as _glob
         import zlib as _zlib
 
-        dparts_dir = os.path.join(index_dir, "dedup_parts")
-        n_dparts = cfg.dedup_partitions
         if not _done(dparts_dir):
             _fresh(dparts_dir)
             ds = ray.data.read_parquet(
@@ -210,7 +210,7 @@ def build_index(
             def add_dpart(batch: pa.Table) -> pa.Table:
                 shas = batch["content_sha256"].to_pylist()  # binary32
                 dp = np.array(
-                    [_zlib.crc32(s) % n_dparts for s in shas],
+                    [_zlib.crc32(s) % DEDUP_PARTITIONS for s in shas],
                     dtype=np.int32,
                 )
                 return pa.table(
@@ -264,6 +264,9 @@ def build_index(
         )
         _mark_done(losers_dir)
         record("losers", t0, n_losers=_parquet_row_count(losers_dir))
+    # the dedup exchange's only reader is the phase above, which a resume
+    # skips once losers are done
+    shutil.rmtree(dparts_dir, ignore_errors=True)
 
     loser_ints = load_losers(index_dir)
 
@@ -276,26 +279,18 @@ def build_index(
             prepped_dir, columns=["doc_int", "title", "description", "content"]
         )
         ds = ds.map_batches(make_loser_filter(loser_ints), batch_format="pyarrow")
-        if cfg.tokenize_concurrency:
-            ds = ds.map_batches(
-                TokenizeBatch,
-                fn_constructor_args=(cfg,),
-                batch_format="pyarrow",
-                batch_size=cfg.tokenize_batch_size,
-                concurrency=cfg.tokenize_concurrency,
-            )
-        else:
-            ds = ds.map_batches(
-                TokenizeBatch(cfg),
-                batch_format="pyarrow",
-                batch_size=cfg.tokenize_batch_size,
-            )
+        ds = ds.map_batches(
+            TokenizeBatch(cfg),
+            batch_format="pyarrow",
+            batch_size=TOKENIZE_BATCH_SIZE,
+        )
         # hash-partitioned write = THE shuffle's map side, materialized to
         # storage (classic MapReduce exchange): the reduce side then reads
         # one part directory per task with no in-memory all-to-all, and a
         # failed reduce resumes per part.  Coalesce first so file count per
-        # part dir stays bounded (postings_write_blocks x num_parts total).
-        ds = ds.repartition(cfg.postings_write_blocks)
+        # part dir stays bounded (write blocks x num_parts total); the
+        # coalesce also caps write parallelism, so size it to the cores.
+        ds = ds.repartition(max(16, _cluster_cpus()))
         # row_group_size forces the hive-partitioned sink to buffer incoming
         # chunks into real row groups — without it write_dataset appends one
         # tiny group per chunk and the reduce side pays a ~12x read penalty
@@ -310,10 +305,9 @@ def build_index(
     # Also lands doc stats: each encode task splits off the one-per-doc
     # sentinel rows (routed here by the tokenize stage) and writes them as
     # final (doc_int, total_words) partials — A2 with zero extra passes.
-    segments_dir = os.path.join(index_dir, SEGMENTS)
     merged_dir = os.path.join(index_dir, MERGED)
     doc_stats_dir = os.path.join(index_dir, DOC_STATS)
-    if cfg.compact_segments and not _done(merged_dir):
+    if not _done(merged_dir):
         _fresh(merged_dir)
         _fresh(doc_stats_dir)
         # Encode + merge: per-PART encode tasks (parallelism = shards ×
@@ -388,52 +382,17 @@ def build_index(
                n_parts=len(part_dirs))
         record("merge", t0, n_shards=cfg.num_shards)
         record("doc_stats", t0, note="piggybacked on segment encode")
-    elif not cfg.compact_segments and not _done(segments_dir):
-        t0 = time.time()
-        _fresh(segments_dir)
-        _fresh(doc_stats_dir)
-        import glob as _glob
 
-        os.makedirs(doc_stats_dir, exist_ok=True)
-        part_dirs = sorted(
-            _glob.glob(os.path.join(postings_dir, "part=*"))
-        )
-        parts_tbl = pa.table(
-            {
-                "part": pa.array(
-                    [int(os.path.basename(p).split("=")[1]) for p in part_dirs],
-                    pa.int32(),
-                ),
-                "path": pa.array(part_dirs, pa.string()),
-            }
-        )
-        # one block per part -> one Ray task per part (from_arrow alone
-        # would give a single block and serialize the whole reduce side)
-        enc = ray.data.from_arrow(parts_tbl).repartition(len(part_dirs)).map_batches(
-            partial(encode_part_dirs, cfg=cfg,
-                    doc_stats_parts_dir=doc_stats_dir),
-            batch_format="pyarrow",
-            batch_size=1,           # one part per task: bounded memory
-        )
-        enc.write_parquet(
-            segments_dir, partition_cols=["shard"],
-            row_group_size=cfg.segment_row_group_size
-        )
-        _mark_done(segments_dir)
-        _mark_done(doc_stats_dir)   # partials landed with the encode tasks
-        record("segments", t0, n_parts=len(part_dirs))
-        record("doc_stats", t0, note="piggybacked on segment encode")
-
-    # ---- phase 7: global stats -------------------------------------------
+    # ---- phase 5: global stats -------------------------------------------
     stats_path = os.path.join(index_dir, "stats.json")
     if not os.path.exists(stats_path):
         t0 = time.time()
         stats = {
-            **live_stats(doc_stats_dir, merged_dir if cfg.compact_segments
-                         else segments_dir),
+            **live_stats(doc_stats_dir, merged_dir),
             "num_shards": cfg.num_shards,
             "salt_bits": cfg.salt_bits,
-            "compacted": cfg.compact_segments,
+            # the one segment layout; segment_root refuses any other
+            "compacted": True,
             "docs_codec": cfg.docs_codec,
         }
         with open(stats_path, "w") as f:
@@ -789,9 +748,10 @@ def build_permuterm_index(index_dir: str, *, concurrency: int = 2) -> str:
     :func:`build_kgram_index`): every dictionary term t explodes into
     all rotations of ``t + '$'``; a pattern ``a*b`` rotates to the
     PREFIX ``b$a``, so the lookup is one sorted-range scan instead of a
-    gram intersection.  Rows are deduped per (rot, term) — uncompacted
-    tiers list a term once per segment — and sorted by rotation so the
-    parquet row-group stats give the prefix scan predicate pushdown.
+    gram intersection.  The dictionary holds each term once, so rows need
+    no dedupe (the lookup collects terms into a set); they are sorted by
+    rotation so the parquet row-group stats give the prefix scan
+    predicate pushdown.
     The sort is dictionary-sized, not corpus-sized; idempotent via a
     _DONE marker."""
     import ray.data
@@ -816,8 +776,6 @@ def build_permuterm_index(index_dir: str, *, concurrency: int = 2) -> str:
         ray.data.read_parquet(seg_root, columns=["term"])
         .map_batches(explode, batch_format="pyarrow",
                      concurrency=concurrency)
-        .groupby(["rot", "term"]).count()
-        .select_columns(["rot", "term"])
         .sort("rot")
         .write_parquet(out_dir)
     )
@@ -841,7 +799,7 @@ def index_lineage(index_dir: str, *, concurrency: int = 2):
     recomputes the TOTAL row's n_terms / n_postings INDEPENDENTLY from
     the pre-shuffle token dump (distinct terms / (term, doc) pairs), so
     the segment tier's df accounting is tied back to the map-side stream
-    (compacted tier: one row per term after the salt-run merge).
+    (one row per term after the salt-run merge).
 
     Returns (shard, n_terms, n_postings, docs_bytes, tfs_bytes,
     weights_bytes, positions_bytes) sorted by shard, total row first

@@ -44,6 +44,7 @@ import shutil
 import numpy as np
 import pyarrow as pa
 
+from ..config import BuildConfig
 from ..functions import codec
 from ..stages.encode import (
     _empty_segment_table,
@@ -123,8 +124,7 @@ def purge_segment_table(t: pa.Table, deleted: np.ndarray,
     return out.take(np.argsort(np.concatenate([same, redo]), kind="stable"))
 
 
-def purge_deletes(index_dir: str, *, concurrency: int | None = None,
-                  segment_row_group_size: int = 512) -> dict:
+def purge_deletes(index_dir: str) -> dict:
     """Physically remove tombstoned docs (module docstring).  Returns
     ``{"n_purged", "n_docs_before", "n_docs_after", "tombstone_fraction",
     "n_term_rows_before", "n_term_rows_after"}``; no-op when the
@@ -171,10 +171,9 @@ def purge_deletes(index_dir: str, *, concurrency: int | None = None,
             pa.table({"shard": pa.array(range(num_shards), pa.int32())})
         )
         .repartition(num_shards)
-        .map_batches(purge_shard, batch_format="pyarrow", batch_size=1,
-                     **({"concurrency": concurrency} if concurrency else {}))
+        .map_batches(purge_shard, batch_format="pyarrow", batch_size=1)
         .write_parquet(tmp_seg, partition_cols=["shard"],
-                       row_group_size=segment_row_group_size)
+                       row_group_size=BuildConfig.segment_row_group_size)
     )
 
     # ---- side tables: streaming live-mask filter -------------------------

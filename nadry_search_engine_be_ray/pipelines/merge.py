@@ -6,10 +6,11 @@ into its own index (cheap, only the new docs) and merged with the base in
 one pass: per shard, the build's own term walk (stages/encode.
 merge_shard_runs; where doc ranges interleave across indexes its run
 merger merge-sorts by doc_int and re-encodes with a single byte-gather for
-the positions payload), doc-stats / documents tables are concatenated by
-file copy, and global stats recompute from footers.
+the positions payload), the doc-stats / documents / term-vector
+(``postings``) tables are concatenated by file copy, and global stats
+recompute from footers.
 
-Preconditions (asserted): identical (num_shards, salt_bits), compacted
+Preconditions (asserted): identical (num_shards, salt_bits), varint
 segments, and DISJOINT document sets (run exact dedup across corpora first —
 the merge raises on a duplicate doc_int).
 
@@ -18,8 +19,9 @@ merging applies deletes physically): each source's
 ``deletes/tombstones.parquet`` set is unioned and dead docs are dropped
 from posting rows before the k-way merge (the row loop of
 ``pipelines.deletes.purge_deletes``, byte-identical fast path when a term
-touches no dead doc), doc_stats / prepped copies are live-filtered, stats
-recompute over survivors, and the merged index carries NO tombstone file.
+touches no dead doc), doc_stats / prepped / postings copies are
+live-filtered, stats recompute over survivors, and the merged index
+carries NO tombstone file.
 
 Shape: one Ray task per shard (the parts-table pattern used everywhere in
 build.py) — parallelism = num_shards, no all-to-all: shard routing is a pure
@@ -35,43 +37,59 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..config import BuildConfig
 from ..stages.encode import (
     _empty_segment_table,
     merge_shard_runs,
     read_shard_runs,
 )
 from ..state import deletes as deletes_state
-from ..state.deletes import live_mask
+from ..state.segments import segment_root
 from .build import live_stats
 from .deletes import purge_segment_table
 
 
 def _copy_parquet_dir(src: str, dst: str, tag: str,
                       dead: np.ndarray | None = None) -> None:
-    """Copy (or, with a non-empty ``dead`` set, live-filter-copy) every
-    parquet file of ``src`` into ``dst``.  Filtering streams one file at a
-    time — no table ever exceeds one source file."""
+    """Copy every parquet file of ``src`` into the same subdirectory of
+    ``dst`` (hive ``part=K`` dirs stay partitions).  With a non-empty
+    ``dead`` set, each directory's files instead stream batch by batch
+    through one filtered write that drops those docs' rows, so a
+    directory of many small files lands as one."""
     os.makedirs(dst, exist_ok=True)
-    for fp in glob.glob(os.path.join(src, "**", "*.parquet"), recursive=True):
-        out = os.path.join(dst, f"{tag}-{os.path.basename(fp)}")
-        if dead is None or dead.size == 0:
-            shutil.copy2(fp, out)
-        else:
-            t = pq.read_table(fp)
-            di = t["doc_int"].to_numpy(zero_copy_only=False).astype(np.int64)
-            pq.write_table(t.filter(pa.array(live_mask(di, dead))), out)
+    live = (None if dead is None or dead.size == 0
+            else ~pc.field("doc_int").isin(pa.array(dead)))
+    by_dir: dict[str, list[str]] = {}
+    for fp in sorted(glob.glob(os.path.join(src, "**", "*.parquet"),
+                               recursive=True)):
+        by_dir.setdefault(os.path.dirname(fp), []).append(fp)
+    for d, fps in by_dir.items():
+        out = os.path.join(dst, os.path.relpath(d, src))
+        os.makedirs(out, exist_ok=True)
+        if live is None:
+            for fp in fps:
+                shutil.copy2(fp, os.path.join(
+                    out, f"{tag}-{os.path.basename(fp)}"))
+            continue
+        pads.write_dataset(
+            pads.dataset(fps, format="parquet").scanner(
+                filter=live, use_threads=False),
+            out, format="parquet", basename_template=f"{tag}-{{i}}.parquet",
+            # prepped's content read unit (build_index writes 64K-row groups)
+            max_rows_per_group=64 * 1024,
+            existing_data_behavior="overwrite_or_ignore", use_threads=False)
 
 
-def merge_indexes(index_dirs: list[str], out_dir: str,
-                  segment_row_group_size: int = 512) -> dict:
-    """Merge ≥2 compacted indexes with identical layout config into
-    ``out_dir``; returns the merged stats dict.  ``segment_row_group_size``
-    mirrors BuildConfig's knob so merged segments keep the page-lazy
-    reader's fetch unit."""
+def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
+    """Merge ≥2 indexes with identical layout config into ``out_dir``;
+    returns the merged stats dict.  Merged segments keep the build's row
+    group size, the page-lazy reader's fetch unit."""
     assert len(index_dirs) >= 2
     stats = []
     for d in index_dirs:
@@ -81,7 +99,6 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
     for s in stats[1:]:
         assert s["num_shards"] == num_shards, "num_shards mismatch"
         assert s["salt_bits"] == stats[0]["salt_bits"], "salt_bits mismatch"
-        assert s["compacted"], "merge requires compacted indexes"
     for s in stats:
         # the k-way merge concatenates/re-encodes per-value varint streams;
         # bitpack/ef are write-once FINAL tiers — merge varint indexes, then
@@ -89,6 +106,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
         assert s.get("docs_codec", "varint") == "varint", (
             "merge_indexes requires varint docs streams; "
             f"got docs_codec={s.get('docs_codec')!r}")
+    seg_roots = [segment_root(d) for d in index_dirs]
 
     os.makedirs(out_dir, exist_ok=True)
 
@@ -103,15 +121,18 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
     # side tables: concatenate by file copy (live-filtered when any source
     # carries tombstones; docs must be disjoint); the disjointness check
     # runs FIRST on the thin doc-stats key column so a bad merge fails
-    # fast, before any segment work.  dup_losers stays unfiltered — losers
-    # were never indexed, so liveness doesn't apply to them.
-    for sub in ("doc_stats", "prepped", "dup_losers"):
-        sub_dead = dead if sub in ("doc_stats", "prepped") else None
+    # fast, before the large tables or any segment work.  postings (the
+    # term vectors more_like_this and rocchio read) is filtered like
+    # prepped; dup_losers stays unfiltered — losers were never indexed, so
+    # liveness doesn't apply to them.
+    def copy_side(sub: str) -> None:
         for i, d in enumerate(index_dirs):
             src = os.path.join(d, sub)
             if os.path.isdir(src):
-                _copy_parquet_dir(src, os.path.join(out_dir, sub),
-                                  f"src{i}", dead=sub_dead)
+                _copy_parquet_dir(src, os.path.join(out_dir, sub), f"src{i}",
+                                  dead=None if sub == "dup_losers" else dead)
+
+    copy_side("doc_stats")
     di = pa.concat_tables(
         [pq.read_table(fp, columns=["doc_int"])
          for fp in glob.glob(os.path.join(out_dir, "doc_stats", "*.parquet"))]
@@ -119,11 +140,12 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
     if np.unique(di).size != di.size:
         shutil.rmtree(out_dir, ignore_errors=True)
         raise ValueError("indexes share documents — dedup before merging")
+    for sub in ("prepped", "postings", "dup_losers"):
+        copy_side(sub)
 
     shards_tbl = pa.table(
         {"shard": pa.array(list(range(num_shards)), pa.int32())}
     )
-    dirs = list(index_dirs)
     merged_root = os.path.join(out_dir, "segments_merged")
     dead_ref = ray.put(dead)
 
@@ -132,8 +154,8 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
         outs = []
         for shard in batch["shard"].to_pylist():
             t = read_shard_runs(
-                [fp for d in dirs for fp in sorted(glob.glob(os.path.join(
-                    d, "segments_merged", f"shard={shard}", "*.parquet")))],
+                [fp for root in seg_roots for fp in sorted(glob.glob(
+                    os.path.join(root, f"shard={shard}", "*.parquet")))],
                 shard)
             if dead_set.size:
                 t = purge_segment_table(t, dead_set, "varint")
@@ -145,7 +167,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
         .repartition(num_shards)
         .map_batches(merge_shard, batch_format="pyarrow", batch_size=1)
         .write_parquet(merged_root, partition_cols=["shard"],
-                       row_group_size=segment_row_group_size)
+                       row_group_size=BuildConfig.segment_row_group_size)
     )
 
     merged_stats = {

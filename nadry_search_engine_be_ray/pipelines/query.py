@@ -22,7 +22,6 @@ per-query math stays identical because both call this class.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 import math
@@ -1226,26 +1225,20 @@ def _rows(schema: pa.Schema, rows) -> pa.Table:
 def _scan_dictionary(index_dir: str, kernel, schema: pa.Schema,
                      concurrency: int) -> pa.Table:
     """Stream the segment tier's (term, df) dictionary columns — never the
-    posting payloads — through ``kernel(batch, compacted)``, whose rows
-    follow ``schema`` with ``df`` last, and sum df over the other columns:
-    an uncompacted tier splits a term's df across salt runs that may land
-    in different batches, so both tiers answer identically."""
+    posting payloads — through ``kernel(batch)``, whose rows follow
+    ``schema``, and concatenate the partials.  The dictionary holds one
+    row per term, so a term's df is whole in the one batch that sees it;
+    callers order the result themselves."""
     import ray
     import ray.data
 
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        compacted = json.load(f)["compacted"]
     parts = (
         ray.data.read_parquet(segment_root(index_dir), columns=["term", "df"])
-        .map_batches(functools.partial(kernel, compacted=compacted),
-                     batch_format="pyarrow", concurrency=concurrency)
+        .map_batches(kernel, batch_format="pyarrow", concurrency=concurrency)
     )
-    combined = pa.concat_tables(
+    return pa.concat_tables(
         [schema.empty_table()] + ray.get(parts.to_arrow_refs())
     )
-    keys = schema.names[:-1]
-    merged = combined.group_by(keys).aggregate([("df", "sum")])
-    return merged.select(keys + ["df_sum"]).rename_columns(schema.names)
 
 
 def _edit_matches(word: str, tbytes: list[bytes], max_distance: int):
@@ -1292,8 +1285,8 @@ def _gram_candidates(index_dir: str, grams: dict[str, set],
     sharing at least ``need[w]`` of its distinct grams ``grams[w]``.  The
     gram-sorted k-gram index is read once, at the union of all grams
     (row-group predicate pushdown), and its (gram, term) rows are
-    deduplicated first — the index repeats them per salt run and per
-    repeated gram occurrence — so a count is of DISTINCT matched grams."""
+    deduplicated first — the index repeats them per repeated gram
+    occurrence — so a count is of DISTINCT matched grams."""
     from .build import build_kgram_index
 
     wanted = _rows(pa.schema([("word", pa.string()), ("gram", pa.string())]),
@@ -1329,11 +1322,9 @@ def spell_correct(index_dir: str, words: list[str], *,
     (never the posting payloads); the query words (small) ride the closure.
     Each batch length-filters candidates per word (|len(t) - len(w)| <=
     max_distance bounds the distance from below), runs the m-wide
-    vectorized DP, and — on the compacted tier — emits at most one best
-    candidate per (word, batch), so the driver combine is bounded by
-    batches x words.  Uncompacted indexes emit every in-range candidate
-    with its per-salt partial df; the combine sums df per (word, term)
-    before ranking so both tiers answer identically.
+    vectorized DP, and emits at most one best candidate per (word,
+    batch) — a term's df is whole in its one dictionary row — so the
+    final combine is bounded by batches x words.
 
     Returns an Arrow table (query, suggestion, distance, df) sorted by
     query — one row per word that has a candidate.
@@ -1342,7 +1333,7 @@ def spell_correct(index_dir: str, words: list[str], *,
     if not qs:
         return _SPELL_SCHEMA.empty_table()
 
-    def _candidates(batch: pa.Table, compacted: bool) -> pa.Table:
+    def _candidates(batch: pa.Table) -> pa.Table:
         terms = batch["term"].to_pylist()
         tbytes = [t.encode("utf-8") for t in terms]
         dfs = batch["df"].to_pylist()
@@ -1351,13 +1342,7 @@ def spell_correct(index_dir: str, words: list[str], *,
             idx, dist = _edit_matches(w, tbytes, max_distance)
             hits = sorted((d, -dfs[i], terms[i])
                           for i, d in zip(idx.tolist(), dist.tolist()))
-            # compacted: one (term -> total df) row per term exists, so the
-            # local best per word is safe — one row per (word, batch).
-            # uncompacted: a term's df is SPLIT across salt rows that may
-            # land in different batches, so every in-range candidate must
-            # reach the driver for the df sum before ranking.
-            rows += [(w, t, d, -nf)
-                     for d, nf, t in (hits[:1] if compacted else hits)]
+            rows += [(w, t, d, -nf) for d, nf, t in hits[:1]]
         return _rows(_SPELL_SCHEMA, rows)
 
     return _best_suggestion(
@@ -1429,9 +1414,7 @@ def prefix_suggest(index_dir: str, prefixes: list[str], *, k: int = 5,
 
     Same distributed shape as :func:`spell_correct`: the (term, df)
     dictionary columns stream from the segment parquet, each batch keeps
-    its local top-k per prefix (uncompacted tiers emit every per-salt row
-    for matched terms instead, see spell_correct's df-split note), and
-    the driver merges bounded partials.
+    its local top-k per prefix, and the caller merges bounded partials.
 
     Returns an Arrow table (prefix, term, df, rank) sorted by
     (prefix, rank).
@@ -1442,12 +1425,12 @@ def prefix_suggest(index_dir: str, prefixes: list[str], *, k: int = 5,
 
     partial_schema = pa.schema(list(_PREFIX_SCHEMA)[:3])
 
-    def _partial(batch: pa.Table, compacted: bool) -> pa.Table:
+    def _partial(batch: pa.Table) -> pa.Table:
         pairs = list(zip(batch["term"].to_pylist(), batch["df"].to_pylist()))
         rows = []
         for p in ps:
             hits = sorted((-d, t) for t, d in pairs if t.startswith(p))
-            rows += [(p, t, -nd) for nd, t in (hits[:k] if compacted else hits)]
+            rows += [(p, t, -nd) for nd, t in hits[:k]]
         return _rows(partial_schema, rows)
 
     merged = _scan_dictionary(index_dir, _partial, partial_schema, concurrency)
@@ -1611,10 +1594,10 @@ def wildcard_terms(index_dir: str, patterns: list[str], *,
     oracle is a direct LIKE join.
 
     Same dictionary-stream shape as :func:`prefix_suggest` — (term, df)
-    columns only, vectorized kernel per batch, df summed per term at the
-    combine for uncompacted tiers.  :func:`wildcard_terms_kgram` and
-    :func:`wildcard_terms_permuterm` front this with a term index and
-    post-verify their candidates with this same kernel.
+    columns only, vectorized kernel per batch.
+    :func:`wildcard_terms_kgram` and :func:`wildcard_terms_permuterm`
+    front this with a term index and post-verify their candidates with
+    this same kernel.
 
     Returns an Arrow table (pattern, term, df) sorted by (pattern, term).
     """
@@ -1622,7 +1605,7 @@ def wildcard_terms(index_dir: str, patterns: list[str], *,
     if not ps:
         return _WILDCARD_SCHEMA.empty_table()
 
-    def _match(batch: pa.Table, compacted: bool) -> pa.Table:
+    def _match(batch: pa.Table) -> pa.Table:
         rows = []
         for p in ps:
             sel = batch.filter(pc.match_like(batch["term"], p))

@@ -4,8 +4,9 @@ This is the reduce side of THE wide shuffle (SURVEY.md §2.5 A3): posting
 tuples grouped by ``part`` (shard × doc-range salt), then within each group a
 vectorized local sort + group-walk builds one encoded posting-list *run* per
 term.  A term's complete posting list is the concatenation of its runs in
-salt order (runs cover disjoint, ordered doc_int ranges), which is what the
-compaction stage (streaming k-way merge analog, north_rule) produces.
+salt order (runs cover disjoint, ordered doc_int ranges), which the build's
+per-shard merge (streaming k-way merge analog, north_rule) writes as the
+term's one segment row.
 
 Replaces the reference's merge-on-write design (InvertedIndex.java:47-214,
 MongoDBIndexStore.java:278-324): no random-access upserts — the build is a
@@ -19,7 +20,7 @@ Segment row schema (:data:`SEGMENT_SCHEMA`; a posting is the reference's
     weights:binary (per-doc accumulated field weight, f64le),
     positions:binary (per-(doc,field) position lists, see codec),
     pos_offsets:binary (per-doc byte offsets into positions, delta+varint)
-The compacted tier may re-encode docs/tfs/pos_offsets with a whole-stream
+The merged row may re-encode docs/tfs/pos_offsets with a whole-stream
 codec (``BuildConfig.docs_codec``).  This module owns the row: the build,
 the cross-index merge (pipelines/merge.py) and the purge
 (pipelines/deletes.py) all emit it through :func:`merge_shard_runs`, or
@@ -249,7 +250,8 @@ def encode_part_dirs(
 
 def encode_docs_stream(docs: np.ndarray, docs_codec: str) -> bytes:
     """Encode a sorted doc_int stream with the configured FINAL-tier codec
-    (BuildConfig.docs_codec; pre-compaction salt runs are always varint).
+    (BuildConfig.docs_codec; the salt runs staged before the build's merge
+    are always varint).
     The "ef" tier (Elias-Fano, codec.encode_ef) applies to the MONOTONE
     streams only — docs and pos_offsets; its tfs stream falls back to the
     FOR block code since tf values are unsorted."""

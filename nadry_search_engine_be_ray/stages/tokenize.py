@@ -64,7 +64,8 @@ def doc_salt(doc_int: int, salt_bits: int) -> int:
 
 
 class TokenizeBatch:
-    """Callable-class stage for ``map_batches`` (actor pool or tasks)."""
+    """Callable stage for ``map_batches``: the build passes one instance,
+    run as stateless tasks that each hold a copy of its tokenizer."""
 
     def __init__(self, config: BuildConfig | None = None):
         self.config = config or BuildConfig()

@@ -9,8 +9,9 @@ Laziness is two-level (the 100 TB working-set story):
 * SHARD-lazy: ``term -> shard`` is the same pure hash the build used
   (stages/tokenize.term_shard), so a query only faults in the shards its
   terms route to; ``terms()`` / ``has_term`` force-load the dictionary.
-* PAGE-lazy: faulting in a shard reads ONLY the (term, salt, df)
-  dictionary columns; the binary payload columns
+* PAGE-lazy: faulting in a shard reads ONLY the (term, df) dictionary
+  columns — one row per term, since the build merges a term's salt
+  runs; the binary payload columns
   (stages/encode.SEGMENT_SCHEMA) are fetched per parquet ROW GROUP on
   first touch and kept decoded in a small LRU — a cold serving actor pays
   for the row groups its queries actually hit, not the whole segment.
@@ -105,12 +106,15 @@ class LRU:
 
 
 def segment_root(index_dir: str) -> str:
-    """The segment tier queries read: ``segments_merged`` once the build
-    compacted its salted runs, else the raw ``segments`` runs."""
+    """The segment tier queries read: ``segments_merged``, one row per
+    term.  An index whose stats.json says ``compacted: false`` left its
+    salt runs unmerged, a layout nothing reads any more."""
     with open(os.path.join(index_dir, "stats.json")) as f:
-        compacted = json.load(f)["compacted"]
-    return os.path.join(index_dir,
-                        "segments_merged" if compacted else "segments")
+        if not json.load(f)["compacted"]:
+            raise ValueError(
+                f"{index_dir}: unmerged segment runs (compacted: false) are "
+                "not readable; rebuild the index")
+    return os.path.join(index_dir, "segments_merged")
 
 
 @dataclass
@@ -173,7 +177,7 @@ class PostingList:
 
 
 class _SegFile:
-    """One segment parquet file: dictionary columns (term, salt, df) eager,
+    """One segment parquet file: dictionary columns (term, df) eager,
     payload columns fetched and decoded per row group on first touch."""
 
     def __init__(self, path: str, docs_codec: str = "varint"):
@@ -183,9 +187,8 @@ class _SegFile:
         self.rg_offsets = np.cumsum(
             [0] + [md.row_group(i).num_rows for i in range(md.num_row_groups)]
         )
-        small = self.pf.read(columns=["term", "salt", "df"])
+        small = self.pf.read(columns=["term", "df"])
         self.terms = small["term"].to_pylist()
-        self.salts = small["salt"].to_pylist()
         self.dfs = small["df"].to_numpy()
 
     def _group(self, row: int) -> tuple[int, int]:
@@ -238,23 +241,16 @@ class _SegFile:
                 offs[bounds[i]:bounds[i + 1]])
 
 
-def _load_positions(parts: list[tuple[_SegFile, int]], rg_cache: LRU,
+def _load_positions(sf: _SegFile, row: int, rg_cache: LRU,
                     keep: np.ndarray | None) -> tuple[bytes, np.ndarray]:
-    """The positions pair of the posting list joined from ``parts``
-    (``(file, row)`` runs in doc order), masked to the docs ``keep`` marks.
-    It holds no ``SegmentReader``: a cached PostingList that referenced its
-    reader would make a reader -> _pl_cache -> PostingList cycle, and the
-    reader would outlive ``del`` until cyclic GC ran."""
-    bufs, off_parts, shift = [], [], 0
-    for j, (sf, row) in enumerate(parts):
-        buf, off = sf.positions(row, rg_cache)
-        bufs.append(buf)
-        off_parts.append((off[1:] if j else off) + shift)
-        shift += int(off[-1])
-    buf, offs = b"".join(bufs), np.concatenate(off_parts)
+    """The positions pair of ``sf``'s ``row``, masked to the docs ``keep``
+    marks.  It holds no ``SegmentReader``: a cached PostingList that
+    referenced its reader would make a reader -> _pl_cache -> PostingList
+    cycle, and the reader would outlive ``del`` until cyclic GC ran."""
+    buf, offs = sf.positions(row, rg_cache)
     if keep is not None:
-        buf, offs = deletes_state.mask_positions(buf, offs, keep)
-    return buf, offs
+        return deletes_state.mask_positions(buf, offs, keep)
+    return buf, offs.copy()  # a loaded list must not pin its row group
 
 
 class SegmentReader:
@@ -275,8 +271,8 @@ class SegmentReader:
         # applied to every decoded posting list; empty array = zero overhead
         self.deleted = deletes_state.load_tombstones(index_dir)
         self.shards = shards if shards is not None else list(range(self.num_shards))
-        # term -> list[(file_idx, row, salt)] — multiple rows when uncompacted
-        self._term_index: dict[str, list[tuple[int, int, int]]] = {}
+        # term -> (file_idx, row) of its one segment row
+        self._term_index: dict[str, tuple[int, int]] = {}
         # decoded postings (Zipfian term reuse across queries)
         self._pl_cache = LRU(POSTING_CACHE_ENTRIES)
         self._files: list[_SegFile] = []
@@ -296,17 +292,13 @@ class SegmentReader:
             files = sorted(glob.glob(
                 os.path.join(self._seg_root, f"shard={shard}", "*.parquet")
             ))
-            # a term routes to one shard, so this shard's runs are all of it
-            index: dict[str, list[tuple[int, int, int]]] = {}
+            index: dict[str, tuple[int, int]] = {}
             for fp in files:
                 sf = _SegFile(fp, self._docs_codec)
                 ti = len(self._files)
                 self._files.append(sf)
-                for row, (term, salt) in enumerate(zip(sf.terms, sf.salts)):
-                    index.setdefault(term, []).append((ti, row, salt))
-            # order runs by salt so concatenation preserves doc_int order
-            for rows in index.values():
-                rows.sort(key=lambda r: r[2])
+                index.update((term, (ti, row))
+                             for row, term in enumerate(sf.terms))
             self._term_index.update(index)
             self._loaded.add(shard)
 
@@ -323,26 +315,24 @@ class SegmentReader:
         return self._term_index.keys()
 
     def df(self, term: str) -> int:
-        """On-disk document frequency, summed over the term's runs; 0 for
-        an unknown term.  Dictionary-only (no payload read) and, like
+        """On-disk document frequency of the term's row; 0 for an unknown
+        term.  Dictionary-only (no payload read) and, like
         ``PostingList.df_stale``, it counts tombstoned docs until purge."""
         self._load_shard(self.shard_for(term))
-        return sum(int(self._files[ti].dfs[row])
-                   for ti, row, _salt in self._term_index.get(term, ()))
+        loc = self._term_index.get(term)
+        return 0 if loc is None else int(self._files[loc[0]].dfs[loc[1]])
 
     def postings(self, term: str) -> PostingList | None:
         self._load_shard(self.shard_for(term))
-        rows = self._term_index.get(term)
-        if not rows:
+        loc = self._term_index.get(term)
+        if loc is None:
             return None
         cached = self._pl_cache.get(term)
         if cached is not None:
             return cached
-        parts = [(self._files[ti], row) for ti, row, _salt in rows]
-        docs, tfs, weights = (
-            np.concatenate(c)
-            for c in zip(*(sf.row(row, self._rg_cache) for sf, row in parts))
-        )
+        sf, row = self._files[loc[0]], loc[1]
+        # copies: a cached list must not pin its decoded row group
+        docs, tfs, weights = (c.copy() for c in sf.row(row, self._rg_cache))
         keep = df_total = None
         if self.deleted.size:
             live = deletes_state.live_mask(docs, self.deleted)
@@ -355,7 +345,7 @@ class SegmentReader:
             tfs=tfs,
             weights=weights,
             positions=functools.partial(
-                _load_positions, parts, self._rg_cache, keep),
+                _load_positions, sf, row, self._rg_cache, keep),
             df_total=df_total,
         )
         self._pl_cache.put(term, pl)

@@ -55,19 +55,6 @@ def oracle_index(tiny_corpus_dir):
 
 
 @pytest.fixture(scope="session")
-def uncompacted_index(ray_session, tiny_corpus_dir, tmp_path_factory):
-    """The same corpus left as unmerged salted runs: a term's dictionary
-    row (and df) is split across up to four salt runs."""
-    from nadry_search_engine_be_ray.config import BuildConfig
-    from nadry_search_engine_be_ray.pipelines.build import build_index
-
-    index_dir = str(tmp_path_factory.mktemp("index_uncompacted"))
-    build_index(tiny_corpus_dir, index_dir,
-                BuildConfig(num_shards=2, salt_bits=2, compact_segments=False))
-    return index_dir
-
-
-@pytest.fixture(scope="session")
 def tombstoned_index(built_index, tmp_path_factory):
     """A copy of ``built_index`` with every 7th doc tombstoned (not
     purged): readers mask the postings, the on-disk dictionary is as
@@ -89,8 +76,31 @@ def tombstoned_index(built_index, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def index_tiers(built_index, uncompacted_index, tombstoned_index):
-    """The three dictionary layouts every term-dictionary lookup must
-    answer identically on."""
-    return {"compacted": built_index, "uncompacted": uncompacted_index,
-            "tombstoned": tombstoned_index}
+def assert_one_row_per_term():
+    """Checks the segment invariant the reader relies on: every term has
+    exactly one dictionary row in ``segments_merged``, and stats.json
+    counts those rows."""
+    import glob
+    import json
+
+    import pyarrow.parquet as pq
+
+    def check(index_dir: str) -> None:
+        terms = [
+            t for fp in glob.glob(os.path.join(
+                index_dir, "segments_merged", "shard=*", "*.parquet"))
+            for t in pq.read_table(fp, columns=["term"])["term"].to_pylist()
+        ]
+        assert terms and len(terms) == len(set(terms)), index_dir
+        with open(os.path.join(index_dir, "stats.json")) as f:
+            stats = json.load(f)
+        assert stats["compacted"] and stats["n_term_rows"] == len(terms)
+
+    return check
+
+
+@pytest.fixture(scope="session")
+def index_tiers(built_index, tombstoned_index):
+    """The two dictionary layouts every term-dictionary lookup must answer
+    identically on: as built, and with tombstones masking the postings."""
+    return {"compacted": built_index, "tombstoned": tombstoned_index}

@@ -98,48 +98,46 @@ def test_content_sha_invariant(built_index, tiny_corpus_dir):
         assert hashlib.sha256(content.encode()).digest() == sha
 
 
-def test_build_is_resumable(built_index, tiny_corpus_dir, ray_session):
-    # rerunning build_index over a completed dir must skip all phases
+def test_build_is_resumable(built_index, tiny_corpus_dir, ray_session,
+                            assert_one_row_per_term):
+    # rerunning build_index over a completed dir must skip all phases; the
+    # dedup exchange is gone once its one reader (the losers phase) is done
     import time
 
     from nadry_search_engine_be_ray.config import BuildConfig
     from nadry_search_engine_be_ray.pipelines.build import build_index
 
+    assert not os.path.exists(os.path.join(built_index, "dedup_parts"))
+    with open(os.path.join(built_index, "manifest.json")) as f:
+        before = json.load(f)["phases"]
     t0 = time.time()
     manifest = build_index(tiny_corpus_dir, built_index, BuildConfig(num_shards=4, salt_bits=1))
     assert time.time() - t0 < 5.0  # no phase re-ran
+    assert manifest["phases"] == before
     assert set(manifest["phases"]) >= {"prep", "losers", "postings", "segments"}
+    assert not os.path.exists(os.path.join(built_index, "dedup_parts"))
+    assert_one_row_per_term(built_index)
     with open(os.path.join(built_index, "stats.json")) as f:
         stats = json.load(f)
     assert stats["n_docs"] > 0
 
 
-def test_uncompacted_build_matches_compacted(tiny_corpus_dir, built_index,
-                                             ray_session, tmp_path):
-    """compact_segments=False leaves salted runs unmerged on disk; the
-    reader concatenates runs in salt order, so decoded postings must be
-    IDENTICAL to the merged index."""
-    from nadry_search_engine_be_ray.config import BuildConfig
-    from nadry_search_engine_be_ray.pipelines.build import build_index
+def test_unmerged_segment_layout_is_refused(built_index, tmp_path):
+    """An index whose stats.json says ``compacted: false`` holds unmerged
+    salt runs that nothing reads: opening it fails loudly instead of
+    serving an empty dictionary."""
+    from nadry_search_engine_be_ray.state.segments import segment_root
 
-    idx = str(tmp_path / "uncompacted")
-    build_index(
-        tiny_corpus_dir, idx,
-        BuildConfig(num_shards=4, salt_bits=1, compact_segments=False),
-    )
-    ra, rb = SegmentReader(built_index), SegmentReader(idx)
-    assert set(ra.terms()) == set(rb.terms())
-    for term in list(ra.terms())[:40]:
-        pa_, pb_ = ra.postings(term), rb.postings(term)
-        assert pa_.docs.tolist() == pb_.docs.tolist(), term
-        assert pa_.tfs.tolist() == pb_.tfs.tolist(), term
-        assert pa_.weights.tolist() == pb_.weights.tolist(), term
-        for i in range(min(pa_.df, 5)):
-            fa = pa_.positions_for(i)
-            fb = pb_.positions_for(i)
-            assert fa.keys() == fb.keys()
-            for f in fa:
-                assert fa[f].tolist() == fb[f].tolist()
+    with open(os.path.join(built_index, "stats.json")) as f:
+        stats = json.load(f)
+    with open(tmp_path / "stats.json", "w") as f:
+        json.dump({**stats, "compacted": False}, f)
+    with pytest.raises(ValueError, match="compacted: false"):
+        segment_root(str(tmp_path))
+    with pytest.raises(ValueError, match="compacted: false"):
+        SegmentReader(str(tmp_path))
+    assert segment_root(built_index) == os.path.join(built_index,
+                                                     "segments_merged")
 
 
 def test_batched_position_decode_matches_single(built_index, ray_session):
@@ -200,26 +198,6 @@ def test_resume_after_partial_phase_crash(tiny_corpus_dir, ray_session, tmp_path
         assert pa_.tfs.tolist() == pb_.tfs.tolist()
     shutil.rmtree(idx_a, ignore_errors=True)
     shutil.rmtree(idx_b, ignore_errors=True)
-
-
-def test_actor_pool_tokenize_matches_tasks(tiny_corpus_dir, built_index,
-                                           ray_session, tmp_path):
-    """tokenize_concurrency=N switches the tokenize stage to an actor pool
-    (T1 stateful-stage mapping); output must be identical to the stateless-
-    task path."""
-    from nadry_search_engine_be_ray.config import BuildConfig
-    from nadry_search_engine_be_ray.pipelines.build import build_index
-
-    idx = str(tmp_path / "actor_tok")
-    build_index(
-        tiny_corpus_dir, idx,
-        BuildConfig(num_shards=4, salt_bits=1, tokenize_concurrency=2),
-    )
-    ra, rb = SegmentReader(built_index), SegmentReader(idx)
-    assert set(ra.terms()) == set(rb.terms())
-    for term in list(ra.terms())[:30]:
-        assert ra.postings(term).docs.tolist() == rb.postings(term).docs.tolist()
-        assert ra.postings(term).tfs.tolist() == rb.postings(term).tfs.tolist()
 
 
 def test_posting_codec_sizes_matches_local_recompute(built_index):
@@ -327,22 +305,6 @@ def test_whole_stream_docs_codec_build_is_query_identical(tiny_corpus_dir,
         assert np.array_equal(pa_.weights, pb.weights), t
         assert pa_.positions_buf == pb.positions_buf, t
         assert np.array_equal(pa_.pos_offsets, pb.pos_offsets), t
-
-
-@_pytest.mark.parametrize("codec_name", ["bitpack", "ef"])
-def test_whole_stream_docs_codec_requires_compaction(tiny_corpus_dir,
-                                                     tmp_path_factory,
-                                                     codec_name):
-    import pytest
-
-    from nadry_search_engine_be_ray.config import BuildConfig
-    from nadry_search_engine_be_ray.pipelines.build import build_index
-
-    idx = str(tmp_path_factory.mktemp("index_badcfg"))
-    cfg = BuildConfig(num_shards=2, salt_bits=1, docs_codec=codec_name,
-                      compact_segments=False)
-    with pytest.raises(ValueError, match="compact_segments"):
-        build_index(tiny_corpus_dir, idx, cfg)
 
 
 @_pytest.mark.parametrize("codec_name", ["bitpack", "ef"])

@@ -222,7 +222,8 @@ def test_boolean_not_does_not_resurrect(setup):
 # purge == fresh build over the surviving corpus
 # ---------------------------------------------------------------------------
 
-def test_purge_metrics_and_stats(setup, purged_vs_fresh):
+def test_purge_metrics_and_stats(setup, purged_vs_fresh,
+                                assert_one_row_per_term):
     m = purged_vs_fresh["metrics"]
     assert m["n_purged"] == len(setup["deleted"])
     assert 0 < m["tombstone_fraction"] < 1
@@ -233,6 +234,7 @@ def test_purge_metrics_and_stats(setup, purged_vs_fresh):
     for k in ("n_docs", "total_words", "avgdl", "n_term_rows",
               "num_shards", "salt_bits", "compacted", "docs_codec"):
         assert sp[k] == ss[k], k
+    assert_one_row_per_term(purged_vs_fresh["idx_purge"])
 
 
 def test_purge_postings_byte_equal_fresh_build(purged_vs_fresh):

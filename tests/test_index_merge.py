@@ -40,7 +40,7 @@ def merged_and_full(ray_session, tmp_path_factory):
     return idx_m, idx_full, stats
 
 
-def test_merged_stats_match_full(merged_and_full):
+def test_merged_stats_match_full(merged_and_full, assert_one_row_per_term):
     idx_m, idx_full, stats = merged_and_full
     full = SegmentReader(idx_full).stats
     # dedup is per-build: a cross-half duplicate pair survives in the split
@@ -49,6 +49,7 @@ def test_merged_stats_match_full(merged_and_full):
     # the merge machinery is exercised below on the common doc set.
     assert stats["n_docs"] >= full["n_docs"]
     assert stats["merged_from"] == 2
+    assert_one_row_per_term(idx_m)
 
 
 def test_merged_postings_match_full(merged_and_full):
@@ -88,7 +89,7 @@ def test_merge_rejects_shared_docs(ray_session, tmp_path):
         merge_indexes([ia, ib], str(tmp_path / "im"))
 
 
-def test_upsert_index(ray_session, tmp_path):
+def test_upsert_index(ray_session, tmp_path, assert_one_row_per_term):
     """upsert_index == Lucene updateDocument: new versions (same
     (repo,path), new commit ⇒ new doc_int) replace the old ones via
     tombstone + consuming merge; genuinely new docs are added.  Oracle:
@@ -135,6 +136,7 @@ def test_upsert_index(ray_session, tmp_path):
     # base got the logical delete; the upserted index carries none
     assert load_tombstones(base_i).size == 40
     assert load_tombstones(out).size == 0
+    assert_one_row_per_term(out)
 
     # pandas recompute of per-term df from the raw dumps
     def dump(d, sub, cols):
@@ -172,3 +174,76 @@ def test_upsert_index(ray_session, tmp_path):
     eng = SearchEngine(out)
     hits = eng.search("xylophone")
     assert len(hits) > 0
+
+
+@pytest.fixture(scope="module")
+def upserted_and_fresh(ray_session, tmp_path_factory):
+    """An upserted index (base build, delta of 20 new versions of base docs
+    plus 40 new docs, tombstone-consuming merge) and a fresh build of the
+    same live corpus.  Rows with repeated content are dropped first, so
+    per-build dedup cannot tell the two indexes apart."""
+    import pyarrow as pa
+
+    from nadry_search_engine_be_ray.pipelines.merge import upsert_index
+
+    tmp = tmp_path_factory.mktemp("upsert_fresh")
+    corpus = str(tmp / "c")
+    write_corpus(corpus, n_docs=260, seed=5)
+    tbl = pads.dataset(corpus, format="parquet").to_table()
+    seen: set = set()
+    first = [not (c in seen or seen.add(c))
+             for c in tbl["content"].to_pylist()]
+    tbl = tbl.filter(pa.array(first))
+    base, new = tbl.slice(0, 200), tbl.slice(200, 40)
+    upd = base.slice(0, 20)
+    upd = upd.set_column(
+        upd.schema.get_field_index("commit"), "commit",
+        pa.array([c[::-1] for c in upd["commit"].to_pylist()], pa.string()))
+    upd = upd.set_column(
+        upd.schema.get_field_index("content"), "content",
+        pa.array([c + "\nupdated marker line xylophone"
+                  for c in upd["content"].to_pylist()], pa.string()))
+
+    def corpus_dir(name, *parts):
+        d = str(tmp / name)
+        os.makedirs(d)
+        pq.write_table(pa.concat_tables(parts), os.path.join(d, "p.parquet"))
+        return d
+
+    cfg = BuildConfig(num_shards=4, salt_bits=1)
+    base_i, up, fresh = (str(tmp / n) for n in ("bi", "up", "fresh"))
+    build_index(corpus_dir("base_c", base), base_i, cfg)
+    upsert_index(base_i, corpus_dir("delta_c", upd, new), up, cfg)
+    build_index(corpus_dir("live_c", base.slice(20), upd, new), fresh, cfg)
+    return up, fresh
+
+
+def test_upserted_term_vectors_match_fresh_build(upserted_and_fresh):
+    """more_like_this and the rocchio mode read per-doc term vectors from
+    ``postings/``; merge carries it over live-filtered, so on an upserted
+    index both answer exactly as on a fresh build of the live corpus."""
+    import pandas as pd
+    import pyarrow as pa
+
+    from nadry_search_engine_be_ray.pipelines.query import more_like_this
+    from nadry_search_engine_be_ray.pipelines.serve import QueryEvalActor
+
+    up, fresh = upserted_and_fresh
+    docs = sorted(pads.dataset(os.path.join(fresh, "doc_stats"),
+                               format="parquet")
+                  .to_table(columns=["doc_int"])["doc_int"].to_pylist())
+    assert docs == sorted(pads.dataset(os.path.join(up, "doc_stats"),
+                                       format="parquet")
+                          .to_table(columns=["doc_int"])["doc_int"]
+                          .to_pylist())
+    for d in docs[::23]:
+        got, exp = more_like_this(up, d), more_like_this(fresh, d)
+        assert exp.num_rows > 0
+        assert got.to_pylist() == exp.to_pylist(), d
+
+    queries = pa.table({"query": ["xylophone marker", "search engine index",
+                                  "return value", "zzzznotaterm"]})
+    got = QueryEvalActor(up, "rocchio")(queries).to_pandas()
+    exp = QueryEvalActor(fresh, "rocchio")(queries).to_pandas()
+    assert len(exp) > 0
+    pd.testing.assert_frame_equal(got, exp)

@@ -318,10 +318,10 @@ def test_facet_counts_edges(built_index):
 
 
 def test_spell_correct_matches_bruteforce_and_tiers(built_index,
-                                                    uncompacted_index):
+                                                    tombstoned_index):
     """spell_correct's vectorized byte-DP + distributed combine must equal
-    a brute per-pair recompute, and the uncompacted tier (per-salt df rows
-    summed at the combine) must answer identically to the compacted one."""
+    a brute per-pair recompute, and the tombstoned tier (on-disk df, as
+    Lucene's docFreq) must answer identically to the built one."""
     from nadry_search_engine_be_ray.pipelines.query import spell_correct
     from nadry_search_engine_be_ray.state.segments import SegmentReader
 
@@ -361,12 +361,12 @@ def test_spell_correct_matches_bruteforce_and_tiers(built_index,
     assert got == exp
     assert "nosuchwordatall" not in got and "serch" in got
 
-    out_u = spell_correct(uncompacted_index, words, max_distance=2)
-    assert out_u.to_pylist() == out.to_pylist()
+    out_t = spell_correct(tombstoned_index, words, max_distance=2)
+    assert out_t.to_pylist() == out.to_pylist()
 
 
 def test_prefix_suggest_matches_bruteforce_and_tiers(built_index,
-                                                     uncompacted_index):
+                                                     tombstoned_index):
     from nadry_search_engine_be_ray.pipelines.query import prefix_suggest
     from nadry_search_engine_be_ray.state.segments import SegmentReader
 
@@ -387,8 +387,8 @@ def test_prefix_suggest_matches_bruteforce_and_tiers(built_index,
     assert any(p == "se" for p, *_ in got)
     assert not any(p == "zzqx" for p, *_ in got)
 
-    out_u = prefix_suggest(uncompacted_index, prefixes, k=3)
-    assert out_u.to_pylist() == out.to_pylist()
+    out_t = prefix_suggest(tombstoned_index, prefixes, k=3)
+    assert out_t.to_pylist() == out.to_pylist()
 
 
 def test_boolean_search_matches_set_bruteforce(built_index):
@@ -436,8 +436,7 @@ def test_boolean_search_matches_set_bruteforce(built_index):
 def test_wildcard_kgram_equals_scan_path(index_tiers):
     """The k-gram-pruned wildcard path must return exactly the stream-scan
     path's answers, including unprunable patterns (fallback) and patterns
-    with no matches — on the compacted, uncompacted and tombstoned
-    dictionary layouts."""
+    with no matches — on the built and tombstoned dictionary layouts."""
     from nadry_search_engine_be_ray.pipelines.query import (
         wildcard_terms, wildcard_terms_kgram,
     )
@@ -918,7 +917,7 @@ def test_prefix_suggest_kgram_equals_stream_path(index_tiers):
 
 
 def test_reader_df_is_dictionary_df_stale(index_tiers):
-    """``SegmentReader.df`` (on-disk df summed over a term's runs) equals
+    """``SegmentReader.df`` (the on-disk df of a term's row) equals
     the decoded list's ``df_stale`` for every term — tombstoned docs
     included, as Lucene's docFreq — and is 0 for an unknown term."""
     from nadry_search_engine_be_ray.state.segments import SegmentReader
@@ -945,10 +944,10 @@ def test_reader_df_reads_no_payload(built_index):
 
 
 def _eager_postings(index_dir):
-    """Every term's posting list decoded row by row from the segment
-    files with the per-row stream decoders, runs joined in salt order and
-    tombstoned docs dropped doc by doc: the reader's answer, computed
-    without its row-group decode or its lazy positions."""
+    """Every term's posting list decoded from its one segment row with
+    the per-row stream decoders and tombstoned docs dropped doc by doc:
+    the reader's answer, computed without its row-group decode or its
+    lazy positions."""
     import glob
     import json
 
@@ -963,29 +962,26 @@ def _eager_postings(index_dir):
 
     with open(os.path.join(index_dir, "stats.json")) as f:
         c = json.load(f).get("docs_codec", "varint")
-    runs: dict[str, list] = {}
+    dead = set(load_tombstones(index_dir).tolist())
+    out = {}
     for fp in sorted(glob.glob(os.path.join(segment_root(index_dir), "*",
                                             "*.parquet"))):
         for r in pq.read_table(fp).to_pylist():
-            runs.setdefault(r["term"], []).append(r)
-    dead = set(load_tombstones(index_dir).tolist())
-    out = {}
-    for term, rows in runs.items():
-        docs, tfs, ws, slices = [], [], [], []
-        for r in sorted(rows, key=lambda r: r["salt"]):
+            term = r["term"]
+            assert term not in out, term
             off = decode_docs_stream(r["pos_offsets"], c).astype(np.int64)
-            docs += decode_docs_stream(r["docs"], c).astype(np.int64).tolist()
-            tfs += decode_tfs_stream(r["tfs"], c).astype(np.int64).tolist()
-            ws += codec.decode_f64(r["weights"]).tolist()
-            slices += [r["positions"][a:b] for a, b in zip(off[:-1], off[1:])]
-        live = [i for i, d in enumerate(docs) if d not in dead]
-        kept = [slices[i] for i in live]
-        out[term] = (
-            [docs[i] for i in live], [tfs[i] for i in live],
-            [ws[i] for i in live], b"".join(kept),
-            np.cumsum([0] + [len(s) for s in kept]).tolist(),
-            None if len(live) == len(docs) else len(docs),
-        )
+            docs = decode_docs_stream(r["docs"], c).astype(np.int64).tolist()
+            tfs = decode_tfs_stream(r["tfs"], c).astype(np.int64).tolist()
+            ws = codec.decode_f64(r["weights"]).tolist()
+            slices = [r["positions"][a:b] for a, b in zip(off[:-1], off[1:])]
+            live = [i for i, d in enumerate(docs) if d not in dead]
+            kept = [slices[i] for i in live]
+            out[term] = (
+                [docs[i] for i in live], [tfs[i] for i in live],
+                [ws[i] for i in live], b"".join(kept),
+                np.cumsum([0] + [len(s) for s in kept]).tolist(),
+                None if len(live) == len(docs) else len(docs),
+            )
     return out
 
 
