@@ -308,6 +308,47 @@ def test_whole_stream_docs_codec_build_is_query_identical(tiny_corpus_dir,
 
 
 @_pytest.mark.parametrize("codec_name", ["bitpack", "ef"])
+def test_whole_stream_docs_codec_requires_compaction(tiny_corpus_dir,
+                                                     built_index,
+                                                     tmp_path_factory,
+                                                     assert_one_row_per_term,
+                                                     codec_name):
+    """A write-once codec encodes a term's whole doc stream as one block,
+    so the build must merge every salt run of a term into that one row:
+    with four salts per term, each term still has exactly one row whose
+    stream holds every doc of the term, and the same index marked
+    ``compacted: false`` is refused rather than read."""
+    import shutil
+
+    import pytest
+
+    from nadry_search_engine_be_ray.config import BuildConfig
+    from nadry_search_engine_be_ray.pipelines.build import build_index
+
+    idx = str(tmp_path_factory.mktemp(f"index_{codec_name}_salted"))
+    build_index(tiny_corpus_dir, idx,
+                BuildConfig(num_shards=2, salt_bits=2, docs_codec=codec_name))
+    assert_one_row_per_term(idx)
+
+    a, b = SegmentReader(built_index), SegmentReader(idx)
+    assert set(a.terms()) == set(b.terms())
+    for t in sorted(a.terms()):
+        pa_, pb = a.postings(t), b.postings(t)
+        assert b.df(t) == pb.df == len(pb.docs) == a.df(t), t
+        assert np.array_equal(pa_.docs, pb.docs), t
+        assert np.array_equal(pa_.tfs, pb.tfs), t
+
+    bad = str(tmp_path_factory.mktemp(f"index_{codec_name}_unmerged"))
+    shutil.copytree(idx, bad, dirs_exist_ok=True)
+    with open(os.path.join(bad, "stats.json")) as f:
+        stats = json.load(f)
+    with open(os.path.join(bad, "stats.json"), "w") as f:
+        json.dump({**stats, "compacted": False}, f)
+    with pytest.raises(ValueError, match="compacted: false"):
+        SegmentReader(bad)
+
+
+@_pytest.mark.parametrize("codec_name", ["bitpack", "ef"])
 def test_merge_indexes_refuses_whole_stream_sources(tiny_corpus_dir,
                                                     tmp_path_factory,
                                                     codec_name):
