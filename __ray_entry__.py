@@ -26,7 +26,7 @@ def _corpus_docs_for(sf_dir: str) -> int:
 
 
 # bump when the build's on-disk format changes: keys every /tmp entry index
-_INDEX_FORMAT = "v6"
+_INDEX_FORMAT = "v7"
 # merge/delete/upsert fixture roots: keyed on the format too, so a format
 # change rebuilds them instead of re-reading indexes the old code merged
 _INDEX_MERGE_ROOT = f"/tmp/nadry_entry/index_merge_{_INDEX_FORMAT}"
@@ -5113,6 +5113,19 @@ def _q_search_api_page(sf_dir: str):
     return out.sort_values(["query", "rank"]).reset_index(drop=True)
 
 
+def _write_term_rows(index_dir: str, path: str) -> None:
+    """Oracle-side term vectors of every doc of ``index_dir``: the
+    (term, doc_int, field, tf) rows ``DocStore.term_rows`` re-tokenizes
+    from prepped, for SQL that recomputes df over a source index (the
+    index itself keeps no term vectors)."""
+    import pyarrow.parquet as pq
+
+    from nadry_search_engine_be_ray.pipelines.query import DocStore
+
+    docs = DocStore.load(index_dir)
+    pq.write_table(docs.term_rows(docs.doc_ints).drop_columns(["pos"]), path)
+
+
 def _q_index_merge(sf_dir: str):
     """Incremental-merge demo (rows-only; pytest asserts byte-parity with a
     full build): two half-corpus indexes k-way merged, returning the merged
@@ -5131,7 +5144,8 @@ def _q_index_merge(sf_dir: str):
 
     root = _INDEX_MERGE_ROOT
     idx_m = os.path.join(root, "merged")
-    if not os.path.exists(os.path.join(idx_m, "stats.json")):
+    # the term-row dumps are written last, so they mark a whole fixture
+    if not os.path.exists(os.path.join(root, "ib_terms.parquet")):
         shutil.rmtree(root, ignore_errors=True)
         corpus = os.path.join(root, "corpus")
         write_corpus(corpus, n_docs=400, seed=42)
@@ -5145,6 +5159,8 @@ def _q_index_merge(sf_dir: str):
         build_index(ca, ia, cfg)
         build_index(cb, ib, cfg)
         merge_indexes([ia, ib], idx_m)
+        for d in (ia, ib):
+            _write_term_rows(d, d + "_terms.parquet")
     r = SegmentReader(idx_m)
     rows = sorted((t, r.postings(t).df) for t in r.terms())
     return pd.DataFrame(rows, columns=["term", "df"])
@@ -5283,7 +5299,7 @@ def _q_delete_merge_df(sf_dir: str):
     segment-merge semantics, pipelines/merge.py): two half-corpus indexes
     each tombstoned with doc_int%7==3, k-way merged — dead docs are
     dropped during the merge itself, no purge step; the oracle recomputes
-    df from the sources' raw postings dumps under the same predicate."""
+    df from the sources' term-row dumps under the same predicate."""
     import shutil
 
     import numpy as np
@@ -5300,7 +5316,7 @@ def _q_delete_merge_df(sf_dir: str):
 
     root = _DELETE_MERGE_ROOT
     idx_m = os.path.join(root, "merged")
-    if not os.path.exists(os.path.join(idx_m, "stats.json")):
+    if not os.path.exists(os.path.join(root, "ib_terms.parquet")):
         shutil.rmtree(root, ignore_errors=True)
         corpus = os.path.join(root, "corpus")
         write_corpus(corpus, n_docs=400, seed=99)
@@ -5321,6 +5337,8 @@ def _q_delete_merge_df(sf_dir: str):
             ).astype(np.int64)
             delete_docs(d, di[di % 7 == 3])
         merge_indexes([ia, ib], idx_m)
+        for d in (ia, ib):
+            _write_term_rows(d, d + "_terms.parquet")
     r = SegmentReader(idx_m)
     rows = sorted(
         (t, r.postings(t).df) for t in r.terms() if r.postings(t).df > 0
@@ -5336,7 +5354,7 @@ def _q_upsert_df(sf_dir: str):
     commit + appended line ⇒ new doc_int, same (repo, path) key) and 100
     genuinely new docs arrive; the old versions are tombstoned by key and
     consumed by the merge.  Oracle recomputes the delete-by-key algebra
-    from the raw prepped/postings dumps."""
+    from the raw prepped files and the term-row dumps."""
     import shutil
 
     import numpy as np
@@ -5352,7 +5370,7 @@ def _q_upsert_df(sf_dir: str):
 
     root = _UPSERT_ROOT
     idx_up = os.path.join(root, "merged")
-    if not os.path.exists(os.path.join(idx_up, "stats.json")):
+    if not os.path.exists(os.path.join(root, "delta_terms.parquet")):
         shutil.rmtree(root, ignore_errors=True)
         corpus = os.path.join(root, "corpus")
         write_corpus(corpus, n_docs=400, seed=123)
@@ -5382,6 +5400,9 @@ def _q_upsert_df(sf_dir: str):
         build_index(base_c, base_i, BuildConfig(num_shards=4, salt_bits=1))
         upsert_index(base_i, delta_c, idx_up,
                      BuildConfig(num_shards=4, salt_bits=1))
+        _write_term_rows(base_i, os.path.join(root, "base_terms.parquet"))
+        _write_term_rows(idx_up + ".delta",
+                         os.path.join(root, "delta_terms.parquet"))
     r = SegmentReader(idx_up)
     rows = sorted(
         (t, r.postings(t).df) for t in r.terms() if r.postings(t).df > 0
@@ -6220,12 +6241,10 @@ def _collapse_sql(group_col: str = "repo") -> str:
 _INDEX_MERGE_SQL = f"""
     SELECT term, count(DISTINCT doc_int) AS df FROM (
         SELECT term, doc_int
-        FROM read_parquet('{_INDEX_MERGE_ROOT}/ia/postings/*/*.parquet')
-        WHERE field >= 0
+        FROM read_parquet('{_INDEX_MERGE_ROOT}/ia_terms.parquet')
         UNION ALL
         SELECT term, doc_int
-        FROM read_parquet('{_INDEX_MERGE_ROOT}/ib/postings/*/*.parquet')
-        WHERE field >= 0
+        FROM read_parquet('{_INDEX_MERGE_ROOT}/ib_terms.parquet')
     ) GROUP BY term ORDER BY term
 """
 
@@ -10581,23 +10600,21 @@ def oracle_sql() -> dict[str, str]:
         """,
         "delete_stale_bm25": _search_bm25_sql(live_pred=_DELETE_PRED),
         "index_merge": _INDEX_MERGE_SQL,
-        # merge-consumes-tombstones: df over the sources' raw postings
-        # dumps minus the delete rule (engine side drops those docs
-        # DURING the k-way merge, pipelines/merge.py)
+        # merge-consumes-tombstones: df over the sources' term-row dumps
+        # minus the delete rule (engine side drops those docs DURING the
+        # k-way merge, pipelines/merge.py)
         "delete_merge_df": f"""
             SELECT term, count(DISTINCT doc_int) AS df FROM (
                 SELECT term, doc_int FROM read_parquet(
-                    '{_DELETE_MERGE_ROOT}/ia/postings/*/*.parquet')
-                WHERE field >= 0
+                    '{_DELETE_MERGE_ROOT}/ia_terms.parquet')
                 UNION ALL
                 SELECT term, doc_int FROM read_parquet(
-                    '{_DELETE_MERGE_ROOT}/ib/postings/*/*.parquet')
-                WHERE field >= 0
+                    '{_DELETE_MERGE_ROOT}/ib_terms.parquet')
             ) WHERE doc_int % 7 != 3
             GROUP BY term ORDER BY term
         """,
         # upsert = delete-by-(repo,path) + add: dead = base docs whose key
-        # matches a delta doc; df over (base postings - dead) ∪ delta
+        # matches a delta doc; df over (base term rows - dead) ∪ delta
         "upsert_df": f"""
             WITH dkeys AS (
                 SELECT DISTINCT repo, path FROM read_parquet(
@@ -10611,13 +10628,11 @@ def oracle_sql() -> dict[str, str]:
             ),
             u AS (
                 SELECT term, doc_int FROM read_parquet(
-                    '{_UPSERT_ROOT}/base/postings/*/*.parquet')
-                WHERE field >= 0
-                  AND doc_int NOT IN (SELECT doc_int FROM dead)
+                    '{_UPSERT_ROOT}/base_terms.parquet')
+                WHERE doc_int NOT IN (SELECT doc_int FROM dead)
                 UNION ALL
                 SELECT term, doc_int FROM read_parquet(
-                    '{_UPSERT_ROOT}/merged.delta/postings/*/*.parquet')
-                WHERE field >= 0
+                    '{_UPSERT_ROOT}/delta_terms.parquet')
             )
             SELECT term, count(DISTINCT doc_int) AS df
             FROM u GROUP BY term ORDER BY term

@@ -18,7 +18,9 @@ satisfying the north_rule resumability requirement):
                doc_id per content_sha256)
   3. postings  prepped -> postings/        tokenize map side (T1/A1/A2);
                the written intermediate IS the map-side shuffle spill, making
-               the reduce side restartable without re-tokenizing
+               the reduce side restartable without re-tokenizing.  It is
+               deleted once the segments are done: the index keeps no term
+               vectors (query.DocStore.term_rows re-tokenizes prepped)
   4. segments  per-part encode tasks (A3; salted posting-list runs) feed
                a per-shard k-way merge (streaming concatenation of sorted
                runs, the segment-merge primitive) that writes one row per
@@ -272,7 +274,8 @@ def build_index(
 
     # ---- phase 3: postings (tokenize map side) ---------------------------
     postings_dir = os.path.join(index_dir, POSTINGS)
-    if not _done(postings_dir):
+    merged_dir = os.path.join(index_dir, MERGED)
+    if not _done(merged_dir) and not _done(postings_dir):
         t0 = time.time()
         _fresh(postings_dir)
         ds = ray.data.read_parquet(
@@ -305,7 +308,6 @@ def build_index(
     # Also lands doc stats: each encode task splits off the one-per-doc
     # sentinel rows (routed here by the tokenize stage) and writes them as
     # final (doc_int, total_words) partials — A2 with zero extra passes.
-    merged_dir = os.path.join(index_dir, MERGED)
     doc_stats_dir = os.path.join(index_dir, DOC_STATS)
     if not _done(merged_dir):
         _fresh(merged_dir)
@@ -382,6 +384,9 @@ def build_index(
                n_parts=len(part_dirs))
         record("merge", t0, n_shards=cfg.num_shards)
         record("doc_stats", t0, note="piggybacked on segment encode")
+    # the tokenize exchange's only reader is the phase above, which a
+    # resume skips once the segments are done
+    shutil.rmtree(postings_dir, ignore_errors=True)
 
     # ---- phase 5: global stats -------------------------------------------
     stats_path = os.path.join(index_dir, "stats.json")

@@ -14,11 +14,11 @@ implements the Lucene delete lifecycle over immutable parquet segments:
   kept byte-identical when none of its docs are deleted (the common case
   — only its share of one docs-column decode and one searchsorted probe
   per shard is paid), else masked and re-encoded with the index's own
-  codec tier.  Side
-  tables (doc_stats / prepped / postings / popularity) stream through a
-  vectorized live-mask filter; stats.json is recomputed; derived kgram,
-  permuterm and champion-tier dirs are invalidated (they rebuild behind
-  their _DONE marker); the tombstone file is cleared last.
+  codec tier.  Side tables (doc_stats / prepped / popularity) stream
+  through one filtered write each, the live filter ``merge_indexes``
+  uses too; stats.json is recomputed; derived kgram, permuterm and
+  champion-tier dirs are invalidated (they rebuild behind their _DONE
+  marker); the tombstone file is cleared last.
 
 After a purge the index is EQUIVALENT to a fresh build over the surviving
 corpus — doc_ints are content-derived (stages/prep.py M2), so posting
@@ -28,7 +28,7 @@ rows re-encode to exactly what the fresh build would emit
 
 Scale shape: purge parallelism = num_shards, no all-to-all — the term ->
 shard routing is untouched, so every rewrite is shard-local.  The side-
-table filters are embarrassingly parallel streaming scans.  The only
+table filters are streaming scans in the calling process.  The only
 broadcast is the tombstone set itself (8 B/doc; see state/deletes.py for
 the purge-before-it-outgrows-the-heap contract, tracked by the
 ``tombstone_fraction`` this function returns).
@@ -43,6 +43,8 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
 
 from ..config import BuildConfig
 from ..functions import codec
@@ -60,7 +62,31 @@ from ..state.deletes import live_mask
 from ..state.segments import segment_root
 from .build import _done, _mark_done, live_stats
 
-_SIDE_TABLES = ("doc_stats", "prepped", "postings", "popularity")
+_SIDE_TABLES = ("doc_stats", "prepped", "popularity")
+
+
+def _copy_parquet_dir(src: str, dst: str, tag: str,
+                      dead: np.ndarray | None = None) -> None:
+    """Copy every parquet file of flat side-table dir ``src`` into ``dst``,
+    each name prefixed with ``tag``.  With a non-empty ``dead`` set, the
+    files instead stream batch by batch through one filtered write that
+    drops those docs' rows, so a directory of many small files lands as
+    one.  The one live filter: merge runs it per source, purge per
+    side table."""
+    os.makedirs(dst, exist_ok=True)
+    fps = sorted(glob.glob(os.path.join(src, "*.parquet")))
+    if fps and dead is not None and dead.size:
+        pads.write_dataset(
+            pads.dataset(fps, format="parquet").scanner(
+                filter=~pc.field("doc_int").isin(pa.array(dead)),
+                use_threads=False),
+            dst, format="parquet", basename_template=f"{tag}-{{i}}.parquet",
+            # prepped's content read unit (build_index writes 64K-row groups)
+            max_rows_per_group=64 * 1024,
+            existing_data_behavior="overwrite_or_ignore", use_threads=False)
+        return
+    for fp in fps:
+        shutil.copy2(fp, os.path.join(dst, f"{tag}-{os.path.basename(fp)}"))
 
 
 def delete_docs(index_dir: str, doc_ints) -> dict:
@@ -177,11 +203,6 @@ def purge_deletes(index_dir: str) -> dict:
     )
 
     # ---- side tables: streaming live-mask filter -------------------------
-    def drop_dead(batch: pa.Table) -> pa.Table:
-        dead = ray.get(deleted_ref)
-        di = batch["doc_int"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.filter(pa.array(live_mask(di, dead)))
-
     rewritten: list[tuple[str, str, bool]] = []  # (live, tmp, had_marker)
     for sub in _SIDE_TABLES:
         live = os.path.join(index_dir, sub)
@@ -189,11 +210,7 @@ def purge_deletes(index_dir: str) -> dict:
             continue
         tmp = live + ".purge"
         shutil.rmtree(tmp, ignore_errors=True)
-        (
-            ray.data.read_parquet(live, file_extensions=["parquet"])
-            .map_batches(drop_dead, batch_format="pyarrow")
-            .write_parquet(tmp)
-        )
+        _copy_parquet_dir(live, tmp, "live", deleted)
         rewritten.append((live, tmp, _done(live)))
 
     # ---- swap everything, then stats / invalidation / clear --------------

@@ -6,9 +6,8 @@ into its own index (cheap, only the new docs) and merged with the base in
 one pass: per shard, the build's own term walk (stages/encode.
 merge_shard_runs; where doc ranges interleave across indexes its run
 merger merge-sorts by doc_int and re-encodes with a single byte-gather for
-the positions payload), the doc-stats / documents / term-vector
-(``postings``) tables are concatenated by file copy, and global stats
-recompute from footers.
+the positions payload), the doc-stats / documents tables are
+concatenated by file copy, and global stats recompute from footers.
 
 Preconditions (asserted): identical (num_shards, salt_bits), varint
 segments, and DISJOINT document sets (run exact dedup across corpora first —
@@ -19,9 +18,9 @@ merging applies deletes physically): each source's
 ``deletes/tombstones.parquet`` set is unioned and dead docs are dropped
 from posting rows before the k-way merge (the row loop of
 ``pipelines.deletes.purge_deletes``, byte-identical fast path when a term
-touches no dead doc), doc_stats / prepped / postings copies are
-live-filtered, stats recompute over survivors, and the merged index
-carries NO tombstone file.
+touches no dead doc), doc_stats / prepped copies are live-filtered,
+stats recompute over survivors, and the merged index carries NO
+tombstone file.
 
 Shape: one Ray task per shard (the parts-table pattern used everywhere in
 build.py) — parallelism = num_shards, no all-to-all: shard routing is a pure
@@ -37,7 +36,6 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
@@ -52,38 +50,7 @@ from ..stages.encode import (
 from ..state import deletes as deletes_state
 from ..state.segments import segment_root
 from .build import live_stats
-from .deletes import purge_segment_table
-
-
-def _copy_parquet_dir(src: str, dst: str, tag: str,
-                      dead: np.ndarray | None = None) -> None:
-    """Copy every parquet file of ``src`` into the same subdirectory of
-    ``dst`` (hive ``part=K`` dirs stay partitions).  With a non-empty
-    ``dead`` set, each directory's files instead stream batch by batch
-    through one filtered write that drops those docs' rows, so a
-    directory of many small files lands as one."""
-    os.makedirs(dst, exist_ok=True)
-    live = (None if dead is None or dead.size == 0
-            else ~pc.field("doc_int").isin(pa.array(dead)))
-    by_dir: dict[str, list[str]] = {}
-    for fp in sorted(glob.glob(os.path.join(src, "**", "*.parquet"),
-                               recursive=True)):
-        by_dir.setdefault(os.path.dirname(fp), []).append(fp)
-    for d, fps in by_dir.items():
-        out = os.path.join(dst, os.path.relpath(d, src))
-        os.makedirs(out, exist_ok=True)
-        if live is None:
-            for fp in fps:
-                shutil.copy2(fp, os.path.join(
-                    out, f"{tag}-{os.path.basename(fp)}"))
-            continue
-        pads.write_dataset(
-            pads.dataset(fps, format="parquet").scanner(
-                filter=live, use_threads=False),
-            out, format="parquet", basename_template=f"{tag}-{{i}}.parquet",
-            # prepped's content read unit (build_index writes 64K-row groups)
-            max_rows_per_group=64 * 1024,
-            existing_data_behavior="overwrite_or_ignore", use_threads=False)
+from .deletes import _copy_parquet_dir, purge_segment_table
 
 
 def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
@@ -121,10 +88,9 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
     # side tables: concatenate by file copy (live-filtered when any source
     # carries tombstones; docs must be disjoint); the disjointness check
     # runs FIRST on the thin doc-stats key column so a bad merge fails
-    # fast, before the large tables or any segment work.  postings (the
-    # term vectors more_like_this and rocchio read) is filtered like
-    # prepped; dup_losers stays unfiltered — losers were never indexed, so
-    # liveness doesn't apply to them.
+    # fast, before the large tables or any segment work.  dup_losers stays
+    # unfiltered — losers were never indexed, so liveness doesn't apply to
+    # them.
     def copy_side(sub: str) -> None:
         for i, d in enumerate(index_dirs):
             src = os.path.join(d, sub)
@@ -140,7 +106,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
     if np.unique(di).size != di.size:
         shutil.rmtree(out_dir, ignore_errors=True)
         raise ValueError("indexes share documents — dedup before merging")
-    for sub in ("prepped", "postings", "dup_losers"):
+    for sub in ("prepped", "dup_losers"):
         copy_side(sub)
 
     shards_tbl = pa.table(
@@ -215,8 +181,6 @@ def upsert_index(base_dir: str, delta_corpus_dir: str, out_dir: str, cfg,
     if not os.path.exists(os.path.join(delta_idx, "stats.json")):
         shutil.rmtree(delta_idx, ignore_errors=True)
         build_index(delta_corpus_dir, delta_idx, cfg)
-
-    import pyarrow.dataset as pads
 
     dk = pads.dataset(
         os.path.join(delta_idx, "prepped"), format="parquet"

@@ -2,14 +2,15 @@
 oracles (the "dumped-token-table" trick).
 
 The real tokenizer (Porter2 + special tokens) is not SQL-expressible, but
-its OUTPUT is: the map-side posting stream (phase-3 parquet, pre-shuffle)
-is re-materialized here as flat tables so a DuckDB oracle can recompute —
-independently of the segment encode/merge/read path — per-term document
-frequencies, the exact reference-ranker arithmetic (Ranker.java:25-162),
-BM25 and the phrase adjacency join, and be hash-compared against the
-engine's answers.  The token stream itself is golden-tested (pytest
-tokenizer suite); the dump converts everything DOWNSTREAM of tokenization
-into driver-checkable SQL evidence.
+its OUTPUT is: the build's tokenize-stage rows, re-derived from the
+stored docs (``DocStore.term_rows``), are materialized here as flat
+tables so a DuckDB oracle can recompute — independently of the segment
+encode/merge/read path — per-term document frequencies, the exact
+reference-ranker arithmetic (Ranker.java:25-162), BM25 and the phrase
+adjacency join, and be hash-compared against the engine's answers.  The
+token stream itself is golden-tested (pytest tokenizer suite); the dump
+converts everything DOWNSTREAM of tokenization into driver-checkable SQL
+evidence.
 
 Tables written to ``dump_dir`` (single parquet file each, overwritten):
 
@@ -40,6 +41,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
@@ -57,6 +59,17 @@ def _decode_row_positions(buf: bytes) -> np.ndarray:
     return np.cumsum(vals[1 : 1 + count]).astype(np.int64)
 
 
+def _sum_by(t: pa.Table, keys: list[str], col: str) -> pa.Table:
+    """``col`` summed per ``keys`` group, under its own name, sorted by
+    ``keys``.  The sort fixes the row order DuckDB reads: oracles that sum
+    floats per doc (BM25 over ``tok``) and rank exact ties by those sums
+    otherwise flip the tie with the summation order."""
+    out = t.group_by(keys).aggregate([(col, "sum")])
+    return out.rename_columns(
+        [col if c == f"{col}_sum" else c for c in out.column_names]
+    ).sort_by([(k, "ascending") for k in keys])
+
+
 def dump_index_tables(index_dir: str, dump_dir: str,
                       phrase_terms: list[str]) -> str:
     os.makedirs(dump_dir, exist_ok=True)
@@ -65,7 +78,9 @@ def dump_index_tables(index_dir: str, dump_dir: str,
     pop_dir = os.path.join(index_dir, "popularity")
     key = json.dumps(
         {
-            "fmt": 6,  # v2 docmeta; v3 tokw; v4 tokf; v5 docmap+url; v6 seg
+            # v2 docmeta; v3 tokw; v4 tokf; v5 docmap+url; v6 seg;
+            # v7 token tables re-tokenized from prepped
+            "fmt": 7,
             "index_dir": index_dir,
             "stats_mtime": os.path.getmtime(stats_path),
             "pop_mtime": os.path.getmtime(os.path.join(pop_dir, "popularity.parquet"))
@@ -79,26 +94,15 @@ def dump_index_tables(index_dir: str, dump_dir: str,
             if f.read() == key:
                 return dump_dir
 
-    postings = pads.dataset(
-        os.path.join(index_dir, "postings"), format="parquet",
-        partitioning="hive",
-    )
-    import pyarrow.compute as pc
+    from .query import DocStore
 
-    t = postings.to_table(columns=["term", "doc_int", "field", "tf", "pos"])
-    real = t.filter(pc.field("field") >= 0)
+    docs = DocStore.load(index_dir)
+    real = docs.term_rows(docs.doc_ints)
 
     # tok: per-(term, doc) tf summed across fields (matches the segment
     # encoder's np.add.reduceat, stages/encode.py)
-    tok = (
-        real.select(["term", "doc_int", "tf"])
-        .group_by(["term", "doc_int"])
-        .aggregate([("tf", "sum")])
-    )
-    tok = tok.rename_columns(
-        ["tf" if c == "tf_sum" else c for c in tok.column_names]
-    )
-    pq.write_table(tok, os.path.join(dump_dir, "tok.parquet"))
+    pq.write_table(_sum_by(real, ["term", "doc_int"], "tf"),
+                   os.path.join(dump_dir, "tok.parquet"))
 
     # tokw: per-(term, doc) accumulated FIELD WEIGHT (tf x boost summed
     # across fields — the additive scorer's quantity, same boost map as
@@ -110,34 +114,16 @@ def dump_index_tables(index_dir: str, dump_dir: str,
     boosts = np.array([FIELD_WEIGHTS[f] for f in sorted(FIELD_WEIGHTS)],
                       dtype=np.float64)
     w = real["tf"].to_numpy(zero_copy_only=False).astype(np.float64) * boosts[fld]
-    tokw = (
-        pa.table(
-            {
-                "term": real["term"],
-                "doc_int": real["doc_int"].cast(pa.int64()),
-                "weight": pa.array(w, pa.float64()),
-            }
-        )
-        .group_by(["term", "doc_int"])
-        .aggregate([("weight", "sum")])
-    )
-    tokw = tokw.rename_columns(
-        ["weight" if c == "weight_sum" else c for c in tokw.column_names]
-    )
-    pq.write_table(tokw, os.path.join(dump_dir, "tokw.parquet"))
+    tokw = pa.table({"term": real["term"], "doc_int": real["doc_int"],
+                     "weight": pa.array(w, pa.float64())})
+    pq.write_table(_sum_by(tokw, ["term", "doc_int"], "weight"),
+                   os.path.join(dump_dir, "tokw.parquet"))
 
     # tokf: per-(term, doc, FIELD) tf — the fielded-search oracle's input
     # (the engine derives the same numbers from the positions payload's
     # field masks at query time, pipelines/serve.field_postings)
-    tokf = (
-        real.select(["term", "doc_int", "field", "tf"])
-        .group_by(["term", "doc_int", "field"])
-        .aggregate([("tf", "sum")])
-    )
-    tokf = tokf.rename_columns(
-        ["tf" if c == "tf_sum" else c for c in tokf.column_names]
-    )
-    pq.write_table(tokf, os.path.join(dump_dir, "tokf.parquet"))
+    pq.write_table(_sum_by(real, ["term", "doc_int", "field"], "tf"),
+                   os.path.join(dump_dir, "tokf.parquet"))
 
     # pos: exploded positions for the phrase terms only
     if phrase_terms:
@@ -240,8 +226,6 @@ def dump_index_tables(index_dir: str, dump_dir: str,
     # seg: per-row segment-tier facts (shard, term, df, payload octet
     # lengths — payloads themselves never leave the index) for the
     # index_lineage oracle's SQL aggregation
-    import pyarrow.compute as _pc
-
     from ..state.segments import segment_root
 
     seg = pads.dataset(
@@ -254,13 +238,13 @@ def dump_index_tables(index_dir: str, dump_dir: str,
                 "shard": seg["shard"].cast(pa.int32()),
                 "term": seg["term"],
                 "df": seg["df"].cast(pa.int64()),
-                "docs_bytes": _pc.binary_length(
+                "docs_bytes": pc.binary_length(
                     seg["docs"].combine_chunks()).cast(pa.int64()),
-                "tfs_bytes": _pc.binary_length(
+                "tfs_bytes": pc.binary_length(
                     seg["tfs"].combine_chunks()).cast(pa.int64()),
-                "weights_bytes": _pc.binary_length(
+                "weights_bytes": pc.binary_length(
                     seg["weights"].combine_chunks()).cast(pa.int64()),
-                "positions_bytes": _pc.binary_length(
+                "positions_bytes": pc.binary_length(
                     seg["positions"].combine_chunks()).cast(pa.int64()),
             }
         ),

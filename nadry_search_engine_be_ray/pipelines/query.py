@@ -38,6 +38,7 @@ import pyarrow.parquet as pq
 
 from ..functions.scoring import paginate, rank_fast
 from ..functions.tokenizer import Tokenizer
+from ..stages.tokenize import POSTING_SCHEMA, SENTINEL_FIELD, TokenizeBatch
 from ..state.segments import LRU, PostingList, SegmentReader, segment_root
 
 # SearchController.java:129 — first quoted phrase switches to phrase search
@@ -108,7 +109,8 @@ class _DocMaps:
 class DocStore:
     """doc_int-indexed arrays (sorted by doc_int) loaded eagerly, plus the
     lazy ``_DocMaps``: per-doc details and a locator that reads a page's
-    content straight from its prepped row groups.
+    content, or the text ``term_rows`` re-analyzes, straight from its
+    prepped row groups.
 
     The prepped files stay memory-mapped once loaded, so a store keeps
     serving the snapshot it opened even after ``purge_deletes`` replaces
@@ -121,6 +123,9 @@ class DocStore:
     _maps: _DocMaps | None = field(default=None, init=False, repr=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False
+    )
+    _tokenize: TokenizeBatch = field(
+        default_factory=TokenizeBatch, init=False, repr=False
     )
 
     @classmethod
@@ -175,13 +180,13 @@ class DocStore:
         m = self._detail_maps().details
         return {d: m[d] for d in doc_ints if d in m}
 
-    def content_for(self, doc_ints: list[int]) -> dict[int, str]:
-        """Content of the visible page for snippet generation (M11).
+    def _read_located(self, doc_ints, columns: list[str]) -> list[pa.Table]:
+        """The prepped rows of the known ``doc_ints`` (unknown ones
+        omitted), ``columns`` only, one table per touched row group.
 
-        Each known doc_int is located through the sorted locator, and each
-        touched row group is read once (``doc_int`` + ``content`` only) and
-        ``take``n at the page's rows; unknown doc_ints are omitted.  The
-        row group is the read unit, so its size (``build_index`` writes
+        Each doc_int is located through the sorted locator, and each
+        touched row group is read once and ``take``n at its rows.  The row
+        group is the read unit, so its size (``build_index`` writes
         prepped with 64K-row groups) bounds the bytes one lookup reads."""
         m = self._detail_maps()
         want = np.unique(np.asarray(doc_ints, dtype=np.int64))
@@ -195,18 +200,41 @@ class DocStore:
             ids, rows = by_group.setdefault((f, g), ([], []))
             ids.append(d)
             rows.append(r)
-        out: dict[int, str] = {}
+        out = []
         for (f, g), (ids, rows) in by_group.items():
             t = m.files[f].read_row_group(
-                g, columns=["doc_int", "content"], use_threads=False
+                g, columns=columns, use_threads=False
             ).take(rows)
             got = t["doc_int"].to_pylist()
             if got != ids:
                 raise RuntimeError(
                     f"prepped file {f} row group {g}: located {ids}, read {got}"
                 )
-            out.update(zip(got, t["content"].to_pylist()))
+            out.append(t)
         return out
+
+    def content_for(self, doc_ints: list[int]) -> dict[int, str]:
+        """Content of the visible page for snippet generation (M11)."""
+        out: dict[int, str] = {}
+        for t in self._read_located(doc_ints, ["doc_int", "content"]):
+            out.update(zip(t["doc_int"].to_pylist(), t["content"].to_pylist()))
+        return out
+
+    def term_rows(self, doc_ints) -> pa.Table:
+        """Term vectors of the indexed ``doc_ints``: one (term, doc_int,
+        field, tf, pos) row per term x doc x field, exactly the rows the
+        build's tokenize stage fed the segment encoder.  The index stores
+        no term vectors; like Lucene's ``MoreLikeThis`` without them, this
+        re-analyzes the stored text with the build's own ``TokenizeBatch``.
+        Doc_ints not in ``doc_stats`` (dup losers, unknown ids) give no
+        rows."""
+        want = np.asarray(doc_ints, dtype=np.int64)
+        parts = [self._tokenize(t) for t in self._read_located(
+            want[np.isin(want, self.doc_ints)],
+            ["doc_int", "title", "description", "content"])]
+        t = pa.concat_tables([POSTING_SCHEMA.empty_table(), *parts])
+        return t.filter(pc.field("field") != SENTINEL_FIELD).drop_columns(
+            ["part"])
 
 
 class SearchEngine:
@@ -450,6 +478,19 @@ class SearchEngine:
             # term fixes BM25's long-document tf underflow
             return idf * (sat + 1.0)
         return idf * sat
+
+    def representative_terms(self, doc_ints, n: int,
+                             exclude=frozenset()) -> list[str]:
+        """The ``n`` top terms of ``doc_ints``' summed term vector, outside
+        ``exclude``: INTEGER-ONLY (tf DESC, df ASC, term ASC), so SQL
+        oracles reproduce the choice without float-log hazards.  The
+        more_like_this and rocchio term selection."""
+        tv = self.docs.term_rows(doc_ints).group_by("term").aggregate(
+            [("tf", "sum")])
+        return [t for _, _, t in sorted(
+            (-tf, self.reader.df(t), t)
+            for t, tf in zip(tv["term"].to_pylist(), tv["tf_sum"].to_pylist())
+            if t not in exclude)[:n]]
 
     def all_scores(self, query: str, scorer: str = "additive"):
         """Exact score of EVERY candidate doc: ``(docs, scores)`` sorted by
@@ -1792,44 +1833,27 @@ def more_like_this(index_dir: str, doc_int: int, *, n_terms: int = 5,
     additive accumulated-field-weight sum (exact multiples of 0.5), and
     the source doc is excluded.
 
-    The source doc's term vector comes from the postings-phase parquet
-    (the build's map-side spill doubles as Lucene's stored term vectors)
-    via doc_int predicate pushdown; candidate scoring is the vectorized
-    TAAT accumulation over the selected terms' posting lists — a
-    point-query path (same latency class as search), not a corpus job.
+    The source doc's term vector is ``DocStore.term_rows``: its stored
+    text re-analyzed by the build's tokenizer (the index keeps no term
+    vectors; ``SearchEngine.representative_terms`` picks the terms);
+    candidate scoring is the vectorized TAAT accumulation over the
+    selected terms' posting lists — a point-query path (same latency
+    class as search), not a corpus job.
 
     Returns an Arrow table (rank, doc_int, score) — top-k by
     (score DESC, doc_int ASC), score rounded to 9 decimals.
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads_mod
-
     out_schema = pa.schema(
         [("rank", pa.int64()), ("doc_int", pa.int64()),
          ("score", pa.float64())]
     )
-    tv = pads_mod.dataset(
-        os.path.join(index_dir, "postings"), format="parquet",
-        partitioning="hive",
-    ).to_table(
-        columns=["term", "doc_int", "field", "tf"],
-        filter=(pc.field("doc_int") == doc_int) & (pc.field("field") >= 0),
-    )
-    if tv.num_rows == 0:
+    engine = SearchEngine(index_dir)
+    sel = engine.representative_terms([doc_int], n_terms)
+    if not sel:
         return out_schema.empty_table()
-    agg = tv.group_by("term").aggregate([("tf", "sum")])
-    reader = SegmentReader(index_dir)
-    terms = agg["term"].to_pylist()
-    tfs = agg["tf_sum"].to_pylist()
-    dfs = [reader.df(t) for t in terms]
-    order = sorted(range(len(terms)),
-                   key=lambda i: (-tfs[i], dfs[i], terms[i]))[:n_terms]
-    sel = [terms[i] for i in order]
-
     docs_parts, w_parts = [], []
     for t in sel:
-        pl = reader.postings(t)
+        pl = engine.reader.postings(t)
         docs_parts.append(pl.docs)
         w_parts.append(pl.weights)
     docs_all = np.concatenate(docs_parts)

@@ -146,29 +146,11 @@ def _rocchio(engine, index_dir, r=5, e=3, beta=0.5):
     re-score with the expanded weighted query (original multiplicities at
     weight 1.0, expansion terms at ``beta``).
 
-    Term vectors come from the build's postings-phase parquet via doc_int
-    predicate pushdown (Lucene's stored term vectors analog); at 100 TB
-    this is a forward-index point lookup per feedback doc, never a scan.
+    ``engine.representative_terms`` picks them from the feedback docs'
+    stored text, re-analyzed by the build's tokenizer (Lucene's
+    ``MoreLikeThis`` without stored term vectors) — a point lookup per
+    feedback doc through the prepped row-group locator, never a scan.
     """
-    vectors = pads.dataset(os.path.join(index_dir, "postings"),
-                           format="parquet", partitioning="hive")
-
-    def expansion_terms(fb_docs: np.ndarray, exclude: set[str]) -> list[str]:
-        tv = vectors.to_table(
-            columns=["term", "doc_int", "field", "tf"],
-            filter=pc.field("doc_int").isin(fb_docs.tolist())
-            & (pc.field("field") >= 0),
-        )
-        if tv.num_rows == 0:
-            return []
-        agg = tv.group_by("term").aggregate([("tf", "sum")])
-        cand = [(t, tf) for t, tf in zip(agg["term"].to_pylist(),
-                                         agg["tf_sum"].to_pylist())
-                if t not in exclude]
-        scored = sorted(
-            (-tf, engine.reader.df(t), t) for t, tf in cand
-        )[:e]
-        return [t for _, _, t in scored]
 
     def run(q, page, size):
         docs, acc = engine.all_scores(q, "bm25")
@@ -177,7 +159,7 @@ def _rocchio(engine, index_dir, r=5, e=3, beta=0.5):
         fb_docs = docs[np.lexsort((docs, -acc))[:r]]
         tokens = engine.tokenizer.tokenize(q)
         weights = {t: float(m) for t, m in Counter(tokens).items()}
-        for t in expansion_terms(fb_docs, set(tokens)):
+        for t in engine.representative_terms(fb_docs, e, set(tokens)):
             weights[t] = beta
         return _top(*engine.all_scores_weighted(weights, "bm25"), 10)
     return _RANKED, run

@@ -100,6 +100,46 @@ def assert_one_row_per_term():
 
 
 @pytest.fixture(scope="session")
+def assert_term_rows_match_segments():
+    """Checks that the term vectors ``DocStore.term_rows`` re-tokenizes
+    from the stored docs are the segments' postings: per term, the docs,
+    the tf summed over fields and each field's positions all equal the
+    decoded posting list.  Also checks that the index keeps no
+    ``postings/`` (the build's tokenize exchange)."""
+    import numpy as np
+
+    from nadry_search_engine_be_ray.pipelines.oracle_dump import (
+        _decode_row_positions,
+    )
+    from nadry_search_engine_be_ray.pipelines.query import DocStore
+    from nadry_search_engine_be_ray.state.segments import SegmentReader
+
+    def check(index_dir: str) -> None:
+        assert not os.path.exists(os.path.join(index_dir, "postings"))
+        docs = DocStore.load(index_dir)
+        rows = docs.term_rows(docs.doc_ints)
+        vectors: dict[str, dict[int, dict[int, list[int]]]] = {}
+        for t, d, f, tf, pos in zip(*(rows[c].to_pylist() for c in (
+                "term", "doc_int", "field", "tf", "pos"))):
+            positions = _decode_row_positions(pos).tolist()
+            assert len(positions) == tf
+            vectors.setdefault(t, {}).setdefault(d, {})[f] = positions
+        reader = SegmentReader(index_dir)
+        assert set(reader.terms()) == set(vectors), index_dir
+        for t, per_doc in vectors.items():
+            pl = reader.postings(t)
+            doc_list = sorted(per_doc)
+            assert pl.docs.tolist() == doc_list, t
+            assert pl.tfs.tolist() == [
+                sum(map(len, per_doc[d].values())) for d in doc_list], t
+            got = pl.positions_for_many(np.arange(pl.df))
+            assert [{f: p.tolist() for f, p in g.items()} for g in got] \
+                == [per_doc[d] for d in doc_list], t
+
+    return check
+
+
+@pytest.fixture(scope="session")
 def index_tiers(built_index, tombstoned_index):
     """The two dictionary layouts every term-dictionary lookup must answer
     identically on: as built, and with tombstones masking the postings."""

@@ -122,6 +122,13 @@ def test_build_is_resumable(built_index, tiny_corpus_dir, ray_session,
     assert stats["n_docs"] > 0
 
 
+def test_term_rows_match_segments(built_index,
+                                  assert_term_rows_match_segments):
+    """The built index keeps no tokenize exchange, and re-tokenizing its
+    stored docs gives back every term's postings and positions."""
+    assert_term_rows_match_segments(built_index)
+
+
 def test_unmerged_segment_layout_is_refused(built_index, tmp_path):
     """An index whose stats.json says ``compacted: false`` holds unmerged
     salt runs that nothing reads: opening it fails loudly instead of
@@ -165,7 +172,8 @@ def test_batched_position_decode_matches_single(built_index, ray_session):
 def test_resume_after_partial_phase_crash(tiny_corpus_dir, ray_session, tmp_path):
     """A phase dir left WITHOUT its _DONE marker (crash mid-write) must be
     rebuilt from scratch, not appended to — duplicated rows would corrupt
-    postings silently."""
+    postings silently.  The tokenize exchange (``postings/``) is gone after
+    each build: the resume re-tokenizes, since the segments are not done."""
     import shutil
 
     from nadry_search_engine_be_ray.config import BuildConfig
@@ -177,13 +185,15 @@ def test_resume_after_partial_phase_crash(tiny_corpus_dir, ray_session, tmp_path
     build_index(tiny_corpus_dir, idx_a, cfg)
     ref_stats = json.load(open(os.path.join(idx_a, "stats.json")))
 
-    # simulate a crash: postings phase COMPLETE files but no marker
+    # simulate a crash: segment phase COMPLETE files but no marker
     idx_b = str(tmp_path / "crashed")
     build_index(tiny_corpus_dir, idx_b, cfg)
-    for phase in ("postings", "segments_merged", "doc_stats"):
+    assert not os.path.exists(os.path.join(idx_b, "postings"))
+    for phase in ("segments_merged", "doc_stats"):
         os.remove(os.path.join(idx_b, phase, "_DONE"))
     os.remove(os.path.join(idx_b, "stats.json"))
     build_index(tiny_corpus_dir, idx_b, cfg)
+    assert not os.path.exists(os.path.join(idx_b, "postings"))
 
     got_stats = json.load(open(os.path.join(idx_b, "stats.json")))
     assert got_stats["n_docs"] == ref_stats["n_docs"]

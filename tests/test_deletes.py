@@ -237,6 +237,11 @@ def test_purge_metrics_and_stats(setup, purged_vs_fresh,
     assert_one_row_per_term(purged_vs_fresh["idx_purge"])
 
 
+def test_purged_term_rows_match_segments(purged_vs_fresh,
+                                         assert_term_rows_match_segments):
+    assert_term_rows_match_segments(purged_vs_fresh["idx_purge"])
+
+
 def test_purge_postings_byte_equal_fresh_build(purged_vs_fresh):
     rp = SegmentReader(purged_vs_fresh["idx_purge"])
     rs = SegmentReader(purged_vs_fresh["idx_surv"])
@@ -302,7 +307,7 @@ def test_purge_invalidates_permuterm(setup, tmp_path):
 def test_purge_filters_side_tables(setup, purged_vs_fresh):
     idx = purged_vs_fresh["idx_purge"]
     deleted = setup["deleted"]
-    for sub in ("doc_stats", "prepped", "postings"):
+    for sub in ("doc_stats", "prepped"):
         root = os.path.join(idx, sub)
         if not os.path.isdir(root):
             continue

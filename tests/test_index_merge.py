@@ -138,7 +138,10 @@ def test_upsert_index(ray_session, tmp_path, assert_one_row_per_term):
     assert load_tombstones(out).size == 0
     assert_one_row_per_term(out)
 
-    # pandas recompute of per-term df from the raw dumps
+    # pandas recompute of per-term df from the prepped keys and the
+    # re-tokenized term rows
+    from nadry_search_engine_be_ray.pipelines.query import DocStore
+
     def dump(d, sub, cols):
         return pads.dataset(
             os.path.join(d, sub), format="parquet"
@@ -150,11 +153,14 @@ def test_upsert_index(ray_session, tmp_path, assert_one_row_per_term):
     dead = set(
         bprep.merge(dkeys, on=["repo", "path"])["doc_int"].astype("int64")
     )
-    bp = dump(base_i, "postings", ["term", "doc_int", "field"])
-    bp = bp[(bp["field"] >= 0) & ~bp["doc_int"].isin(dead)]
-    dp = dump(delta_i, "postings", ["term", "doc_int", "field"])
-    dp = dp[dp["field"] >= 0]
-    bp, dp = bp[["term", "doc_int"]], dp[["term", "doc_int"]]
+    def term_rows(d):
+        docs = DocStore.load(d)
+        return docs.term_rows(docs.doc_ints).select(
+            ["term", "doc_int"]).to_pandas()
+
+    bp = term_rows(base_i)
+    bp = bp[~bp["doc_int"].isin(dead)]
+    dp = term_rows(delta_i)
     exp = (
         pd.concat([bp, dp])
         .drop_duplicates()
@@ -218,10 +224,21 @@ def upserted_and_fresh(ray_session, tmp_path_factory):
     return up, fresh
 
 
+@pytest.mark.parametrize("which", ["merged", "upserted"])
+def test_term_rows_match_segments(which, request,
+                                  assert_term_rows_match_segments):
+    """Merge and upsert write no tokenize exchange, and re-tokenizing the
+    docs they carried over gives back every term's postings and
+    positions."""
+    fixture = {"merged": "merged_and_full", "upserted": "upserted_and_fresh"}
+    assert_term_rows_match_segments(request.getfixturevalue(fixture[which])[0])
+
+
 def test_upserted_term_vectors_match_fresh_build(upserted_and_fresh):
-    """more_like_this and the rocchio mode read per-doc term vectors from
-    ``postings/``; merge carries it over live-filtered, so on an upserted
-    index both answer exactly as on a fresh build of the live corpus."""
+    """more_like_this and the rocchio mode re-tokenize each doc's stored
+    text from ``prepped/``, which merge carries over live-filtered, so on
+    an upserted index both answer exactly as on a fresh build of the live
+    corpus."""
     import pandas as pd
     import pyarrow as pa
 

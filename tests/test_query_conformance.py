@@ -697,26 +697,19 @@ def test_stem_thesaurus_drops_multi_token_and_self(built_index):
 
 def test_field_search_matches_postings_dump(built_index):
     """serve.field_postings' positions-derived per-field tf must equal
-    the build's postings-phase parquet rows (the same numbers the SQL
-    oracle reads)."""
-    import pyarrow as pa
+    the re-tokenized term rows (``DocStore.term_rows``, the same numbers
+    the SQL oracle reads)."""
     import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-    import ray.data
 
     from nadry_search_engine_be_ray.pipelines.serve import field_postings
 
     eng = SearchEngine(built_index)
-    post = pads.dataset(
-        os.path.join(built_index, "postings"), format="parquet",
-        partitioning="hive",
-    )
+    post = eng.docs.term_rows(eng.docs.doc_ints)
     for term in ["search", "engin", "queri"]:
         fp = field_postings(eng, term, 1)
-        rows = post.to_table(
-            columns=["doc_int", "tf"],
-            filter=(pc.field("term") == term) & (pc.field("field") == 1),
-        )
+        rows = post.filter(
+            (pc.field("term") == term) & (pc.field("field") == 1)
+        ).select(["doc_int", "tf"])
         exp = rows.to_pandas().groupby("doc_int")["tf"].sum().sort_index()
         if fp is None:
             assert len(exp) == 0, term
