@@ -15,7 +15,7 @@ implements the Lucene delete lifecycle over immutable parquet segments:
   — only its share of one docs-column decode and one searchsorted probe
   per shard is paid), else masked and re-encoded with the index's own
   codec tier.  Side tables (doc_stats / prepped / popularity) stream
-  through one filtered write each, the live filter ``merge_indexes``
+  through one filtered write task each, the live filter ``merge_indexes``
   uses too; stats.json is recomputed; derived kgram, permuterm and
   champion-tier dirs are invalidated (they rebuild behind their _DONE
   marker); the tombstone file is cleared last.
@@ -28,7 +28,7 @@ rows re-encode to exactly what the fresh build would emit
 
 Scale shape: purge parallelism = num_shards, no all-to-all — the term ->
 shard routing is untouched, so every rewrite is shard-local.  The side-
-table filters are streaming scans in the calling process.  The only
+table filters are streaming scans, one task per table.  The only
 broadcast is the tombstone set itself (8 B/doc; see state/deletes.py for
 the purge-before-it-outgrows-the-heap contract, tracked by the
 ``tombstone_fraction`` this function returns).
@@ -203,15 +203,20 @@ def purge_deletes(index_dir: str) -> dict:
     )
 
     # ---- side tables: streaming live-mask filter -------------------------
+    # one task per table: run in the caller, the scans' Arrow buffers stay
+    # resident and raise its peak RSS
     rewritten: list[tuple[str, str, bool]] = []  # (live, tmp, had_marker)
+    copies = []
     for sub in _SIDE_TABLES:
         live = os.path.join(index_dir, sub)
         if not os.path.isdir(live):
             continue
         tmp = live + ".purge"
         shutil.rmtree(tmp, ignore_errors=True)
-        _copy_parquet_dir(live, tmp, "live", deleted)
+        copies.append(ray.remote(_copy_parquet_dir).remote(
+            live, tmp, "live", deleted_ref))
         rewritten.append((live, tmp, _done(live)))
+    ray.get(copies)
 
     # ---- swap everything, then stats / invalidation / clear --------------
     # (not crash-atomic across dirs; a re-run of purge_deletes after a

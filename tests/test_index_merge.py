@@ -153,6 +153,7 @@ def test_upsert_index(ray_session, tmp_path, assert_one_row_per_term):
     dead = set(
         bprep.merge(dkeys, on=["repo", "path"])["doc_int"].astype("int64")
     )
+
     def term_rows(d):
         docs = DocStore.load(d)
         return docs.term_rows(docs.doc_ints).select(
