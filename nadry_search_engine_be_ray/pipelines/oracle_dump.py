@@ -9,7 +9,7 @@ encode/merge/read path — per-term document frequencies, the exact
 reference-ranker arithmetic (Ranker.java:25-162), BM25 and the phrase
 adjacency join, and be hash-compared against the engine's answers.  The
 token stream itself is golden-tested (pytest tokenizer suite); the dump
-converts everything DOWNSTREAM of tokenization into driver-checkable SQL
+converts everything DOWNSTREAM of tokenization into SQL-checkable
 evidence.
 
 Tables written to ``dump_dir`` (single parquet file each, overwritten):
