@@ -1128,21 +1128,21 @@ def _q_crawl_sim(sf_dir: str):
     import ray.data
 
     from nadry_search_engine_be_ray.pipelines.crawl import SimulatedWeb, crawl
+    from nadry_search_engine_be_ray.pipelines.pagerank import link_targets
 
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     ).to_pandas().sort_values("doc_id")
-    n = len(docs)
+    _, dst = link_targets(docs["doc_id"].to_numpy(), len(docs),
+                          quadratic=False)
 
     def url_of(i: int) -> str:
         return f"https://s{i % 4}.test/p{i}"
 
     pages = {}
-    for i, text in zip(docs["doc_id"], docs["text"]):
-        links = "".join(
-            f'<a href="{url_of((31 * int(i) + 97 * k) % n)}">x</a>'
-            for k in (1, 2, 3)
-        )
+    for i, text, targets in zip(docs["doc_id"], docs["text"],
+                                dst.reshape(-1, 3)):
+        links = "".join(f'<a href="{url_of(int(t))}">x</a>' for t in targets)
         body = (text or "")[:200]
         pages[url_of(int(i))] = (
             f"<html><head><title>doc {int(i)}</title></head>"
@@ -1513,24 +1513,12 @@ def _q_random_walks(sf_dir: str, n_seeds: int = 20, steps: int = 8):
     import ray
     import ray.data
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
+    from nadry_search_engine_be_ray.pipelines.pagerank import (
+        synthetic_edges,
+        undirected_edges,
+    )
 
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        keep = src != dst
-        u = np.minimum(src[keep], dst[keep])
-        v = np.maximum(src[keep], dst[keep])
-        return pa.table({"u": pa.array(u, pa.int64()),
-                         "v": pa.array(v, pa.int64())})
-
-    edges = (docs.map_batches(mk_edges, batch_format="pyarrow")
-             .groupby(["u", "v"]).count()
-             .select_columns(["u", "v"]).to_pandas())
+    edges = undirected_edges(synthetic_edges(sf_dir)[0]).to_pandas()
     adj: dict[int, np.ndarray] = {}
     both = pd.concat([
         edges.rename(columns={"u": "a", "v": "b"}),
@@ -2875,27 +2863,12 @@ def _q_triangle_count(sf_dir: str):
     """Triangle count of the synthetic link graph (degree-oriented
     node-iterator, pipelines/pagerank.triangle_count); the oracle closes
     wedges with a 3-way self-join over the same edge rule."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
+    from nadry_search_engine_be_ray.pipelines.pagerank import (
+        synthetic_edges,
+        triangle_count,
+    )
 
-    from nadry_search_engine_be_ray.pipelines.pagerank import triangle_count
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, _ = synthetic_edges(sf_dir, quadratic=False)
     return triangle_count(edges).to_pandas()
 
 
@@ -2904,27 +2877,12 @@ def _q_kcore(sf_dir: str):
     5 rounds) on the QUADRATIC skewed link graph (the hits_scores edge
     rule — the 6-regular linear rule would make k-core all-or-nothing);
     the oracle unrolls the same rounds as MATERIALIZED CTE chains."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
+    from nadry_search_engine_be_ray.pipelines.pagerank import (
+        kcore_nodes,
+        synthetic_edges,
+    )
 
-    from nadry_search_engine_be_ray.pipelines.pagerank import kcore_nodes
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, _ = synthetic_edges(sf_dir)
     return kcore_nodes(edges, k=4, n_rounds=5).to_pandas()
 
 
@@ -2971,27 +2929,12 @@ def _q_ktruss(sf_dir: str):
     graph; the oracle unrolls the same rounds — triangles via the
     canonical 3-way self-join, per-edge support via the 3-projection
     UNION ALL, survivors re-joined — as MATERIALIZED CTE chains."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
+    from nadry_search_engine_be_ray.pipelines.pagerank import (
+        ktruss_nodes,
+        synthetic_edges,
+    )
 
-    from nadry_search_engine_be_ray.pipelines.pagerank import ktruss_nodes
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, _ = synthetic_edges(sf_dir)
     out = ktruss_nodes(edges, k=3, n_rounds=4).to_pandas()
     return out
 
@@ -3045,20 +2988,20 @@ def _q_katz(sf_dir: str, alpha: float = 0.05, iters: int = 6, k: int = 20):
     import ray
     import ray.data
 
+    from nadry_search_engine_be_ray.pipelines.pagerank import link_targets
+
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id"])
     n = int(docs.count())
 
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
+    def loop_free_edges(batch: pa.Table) -> pa.Table:
+        src, dst = link_targets(
+            batch["doc_id"].to_numpy(zero_copy_only=False), n)
         keep = src != dst
         return pa.table({"src": pa.array(src[keep], pa.int64()),
                          "dst": pa.array(dst[keep], pa.int64())})
 
-    edges = (docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges = (docs.map_batches(loop_free_edges, batch_format="pyarrow")
              .groupby(["src", "dst"]).count()
              .select_columns(["src", "dst"]).materialize())
 
@@ -3133,29 +3076,12 @@ def _q_link_pred_cn(sf_dir: str):
     """Link prediction by common-neighbor count over the quadratic skewed
     link graph (pipelines/pagerank.common_neighbors_topk): top-20
     non-adjacent pairs; oracle = wedge self-join + edge anti-join."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
     from nadry_search_engine_be_ray.pipelines.pagerank import (
         common_neighbors_topk,
+        synthetic_edges,
     )
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, _ = synthetic_edges(sf_dir)
     return common_neighbors_topk(edges, k=20).to_pandas()
 
 
@@ -3164,29 +3090,12 @@ def _q_adamic_adar(sf_dir: str):
     over the quadratic skewed link graph: top-20 non-adjacent pairs by
     the degree-discounted common-neighbor sum; oracle = weighted wedge
     self-join + edge anti-join, ranked on the 6-dp-rounded score."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
     from nadry_search_engine_be_ray.pipelines.pagerank import (
         adamic_adar_topk,
+        synthetic_edges,
     )
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, _ = synthetic_edges(sf_dir)
     return adamic_adar_topk(edges, k=20)
 
 
@@ -3196,29 +3105,12 @@ def _q_link_pred_jaccard(sf_dir: str):
     score="jaccard"): top-20 non-adjacent pairs by integer-ppm Jaccard;
     the oracle adds a degree join to the wedge self-join and states the
     same FLOOR(10⁶·c/union) integer division."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
     from nadry_search_engine_be_ray.pipelines.pagerank import (
         common_neighbors_topk,
+        synthetic_edges,
     )
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, _ = synthetic_edges(sf_dir)
     return common_neighbors_topk(edges, k=20, score="jaccard").to_pandas()
 
 
@@ -3226,27 +3118,12 @@ def _q_bfs_depths(sf_dir: str):
     """Fixed-round synchronous BFS from node 0 over the quadratic skewed
     link graph (pipelines/pagerank.bfs_depths, 4 rounds); the oracle
     unrolls frontier/visited rounds as chained MATERIALIZED CTEs."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
+    from nadry_search_engine_be_ray.pipelines.pagerank import (
+        bfs_depths,
+        synthetic_edges,
+    )
 
-    from nadry_search_engine_be_ray.pipelines.pagerank import bfs_depths
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, _ = synthetic_edges(sf_dir)
     return bfs_depths(edges, source=0, n_rounds=4).to_pandas()
 
 
@@ -3257,29 +3134,12 @@ def _q_closeness(sf_dir: str):
     multi_bfs_closeness, 4 rounds, shared edge materialization), exact
     integer micro-ratio; the oracle unrolls a per-seed frontier/visited
     CTE chain."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
     from nadry_search_engine_be_ray.pipelines.pagerank import (
         multi_bfs_closeness,
+        synthetic_edges,
     )
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, n = synthetic_edges(sf_dir)
     seeds = [(97 * i) % n for i in range(5)]
     return multi_bfs_closeness(edges, seeds, n_rounds=4).to_pandas()
 
@@ -3300,19 +3160,19 @@ def _q_reciprocity(sf_dir: str):
     import pyarrow as pa
     import ray.data
 
+    from nadry_search_engine_be_ray.pipelines.pagerank import link_targets
+
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id"])
     n = int(docs.count())
 
-    def mk_edges(batch: pa.Table) -> pa.Table:
+    def planted_edges(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * 31 + ks * 97) % n
+        src, dst = link_targets(ids, n, quadratic=False)
         # planted reciprocal edges: reverse of the k=1 edge for every
         # 5th source (the linear rule alone has no mutual pairs here)
         fifth = ids[ids % 5 == 0]
-        rsrc = (fifth * 31 + 97) % n
+        rsrc = link_targets(fifth, n, quadratic=False)[1][::3]
         src = np.concatenate([src, rsrc])
         dst = np.concatenate([dst, fifth])
         keep = src != dst
@@ -3321,7 +3181,7 @@ def _q_reciprocity(sf_dir: str):
              "dst": pa.array(dst[keep], pa.int64())}
         )
 
-    edges = (docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges = (docs.map_batches(planted_edges, batch_format="pyarrow")
              .groupby(["src", "dst"]).count()
              .select_columns(["src", "dst"])
              .materialize())
@@ -3383,27 +3243,12 @@ def _q_clustering_coeff(sf_dir: str):
     link graph (pipelines/pagerank.clustering_coeff — degree-oriented
     wedge closing with per-triangle corner emission); the oracle counts
     each node's closed neighbor pairs with an adjacency self-join."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
+    from nadry_search_engine_be_ray.pipelines.pagerank import (
+        clustering_coeff,
+        synthetic_edges,
+    )
 
-    from nadry_search_engine_be_ray.pipelines.pagerank import clustering_coeff
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, _ = synthetic_edges(sf_dir)
     return clustering_coeff(edges, k=20).to_pandas()
 
 
@@ -3412,29 +3257,12 @@ def _q_label_prop(sf_dir: str):
     quadratic skewed link graph (pipelines/pagerank.label_propagation_min,
     5 rounds); the oracle unrolls the same recurrence as MATERIALIZED
     CTE rounds and histograms the final labels."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
     from nadry_search_engine_be_ray.pipelines.pagerank import (
         label_propagation_min,
+        synthetic_edges,
     )
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, n = synthetic_edges(sf_dir)
     return label_propagation_min(edges, n, n_rounds=5).to_pandas()
 
 
@@ -3478,29 +3306,12 @@ def _q_assortativity(sf_dir: str):
     (pipelines/pagerank.degree_assortativity — integer edge-moment sums,
     one float division at the end); the oracle recomputes the same
     moments from a degree self-join."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
     from nadry_search_engine_be_ray.pipelines.pagerank import (
         degree_assortativity,
+        synthetic_edges,
     )
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, _ = synthetic_edges(sf_dir)
     return degree_assortativity(edges).to_pandas()
 
 
@@ -3510,27 +3321,12 @@ def _q_scc_seeded(sf_dir: str):
     nodes both forward- and backward-reachable within 4 hops; the oracle
     unrolls both directed BFS sweeps as chained MATERIALIZED CTEs and
     intersects them."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
+    from nadry_search_engine_be_ray.pipelines.pagerank import (
+        scc_seeded,
+        synthetic_edges,
+    )
 
-    from nadry_search_engine_be_ray.pipelines.pagerank import scc_seeded
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, _ = synthetic_edges(sf_dir)
     return scc_seeded(edges, source=191, n_rounds=4)
 
 
@@ -3584,27 +3380,12 @@ def _q_luby_mis(sf_dir: str):
     """Fixed-round deterministic Luby MIS (pipelines/pagerank.luby_mis,
     4 rounds, injective affine priorities) over the undirected quadratic
     link graph; the oracle unrolls identical join/exclude rounds."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
+    from nadry_search_engine_be_ray.pipelines.pagerank import (
+        luby_mis,
+        synthetic_edges,
+    )
 
-    from nadry_search_engine_be_ray.pipelines.pagerank import luby_mis
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, n = synthetic_edges(sf_dir)
     return luby_mis(edges, n_nodes=n, n_rounds=4)
 
 
@@ -3674,21 +3455,21 @@ def _q_sssp_fixed(sf_dir: str):
     Bellman-Ford min-plus, 4 rounds) from node 191 over the directed
     quadratic graph with integer weights w = (src+dst)%7 + 1; the
     oracle unrolls relax/min rounds as MATERIALIZED CTEs."""
-    import numpy as np
     import pyarrow as pa
     import ray.data
 
-    from nadry_search_engine_be_ray.pipelines.pagerank import sssp_fixed
+    from nadry_search_engine_be_ray.pipelines.pagerank import (
+        link_targets,
+        sssp_fixed,
+    )
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id"])
     n = int(docs.count())
 
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
+    def weighted_edges(batch: pa.Table) -> pa.Table:
+        src, dst = link_targets(
+            batch["doc_id"].to_numpy(zero_copy_only=False), n)
         w = (src + dst) % 7 + 1
         return pa.table(
             {"src": pa.array(src, pa.int64()),
@@ -3696,7 +3477,7 @@ def _q_sssp_fixed(sf_dir: str):
              "w": pa.array(w, pa.int64())}
         )
 
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges = docs.map_batches(weighted_edges, batch_format="pyarrow")
     out = sssp_fixed(edges, source=191, n_rounds=4)
     out["node"] = out["node"].astype("int64")
     out["dist"] = out["dist"].astype("int64")
@@ -3831,29 +3612,12 @@ def _q_ppr_scores(sf_dir: str):
     Haveliwala 2002; 5 fixed iterations) over the quadratic skewed link
     graph — pipelines/pagerank.pagerank_power_int(restart_node=0); the
     oracle unrolls the same recurrence with the indicator teleport."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
     from nadry_search_engine_be_ray.pipelines.pagerank import (
         pagerank_power_int,
+        synthetic_edges,
     )
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, n = synthetic_edges(sf_dir)
     out = pagerank_power_int(edges, n, restart_node=0).to_pandas()
     # drop never-visited nodes so the result is reach-sized, not n-sized
     return out[out["rank"] > 0].reset_index(drop=True)
@@ -3900,25 +3664,12 @@ def _q_pagerank_power(sf_dir: str):
     graph on the documents table (doc i -> (31*i + 97*k) mod n, k=1..3) —
     the SQL-checkable complement to the reference-quirk `pagerank` query
     (the oracle unrolls the same 5 power iterations as chained CTEs)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
+    from nadry_search_engine_be_ray.pipelines.pagerank import (
+        pagerank_power_int,
+        synthetic_edges,
+    )
 
-    from nadry_search_engine_be_ray.pipelines.pagerank import pagerank_power_int
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n = int(docs.count())  # metadata-only for a fresh parquet read
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, n = synthetic_edges(sf_dir, quadratic=False)
     return (
         pagerank_power_int(edges, n, damping=0.85, n_iter=5)
         .to_pandas()
@@ -3935,27 +3686,12 @@ def _q_hits(sf_dir: str):
     non-trivial (the pagerank_power linear rule is a union of three
     bijections, which makes HITS converge to the uniform vector); the
     oracle unrolls the iterations as chained materialized CTEs."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
+    from nadry_search_engine_be_ray.pipelines.pagerank import (
+        hits_int,
+        synthetic_edges,
+    )
 
-    from nadry_search_engine_be_ray.pipelines.pagerank import hits_int
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = int(docs.count())
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, n = synthetic_edges(sf_dir)
     return (
         hits_int(edges, n, n_iter=5)
         .to_pandas()
@@ -4093,30 +3829,12 @@ def _q_pagerank_quirk(sf_dir: str):
     the same synthetic link graph as `pagerank_power` — the SQL-checkable
     witness for the quirk arithmetic (the converge-to-tolerance `pagerank`
     stays rows-only for its stop rule only)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
     from nadry_search_engine_be_ray.pipelines.pagerank import (
         pagerank_quirk_int,
+        synthetic_edges,
     )
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-    n = int(docs.count())  # metadata-only for a fresh parquet read
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * 31 + ks * 97) % n
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    edges, n = synthetic_edges(sf_dir, quadratic=False)
     return (
         pagerank_quirk_int(edges, n, damping=0.85, n_iter=5)
         .to_pandas()

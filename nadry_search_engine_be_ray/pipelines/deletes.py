@@ -71,8 +71,8 @@ def _copy_parquet_dir(src: str, dst: str, tag: str,
     each name prefixed with ``tag``.  With a non-empty ``dead`` set, the
     files instead stream batch by batch through one filtered write that
     drops those docs' rows, so a directory of many small files lands as
-    one.  The one live filter: merge runs it per source, purge per
-    side table."""
+    one.  The one live filter: merge and purge run it as Ray tasks, merge
+    one per (source, table), purge one per side table."""
     os.makedirs(dst, exist_ok=True)
     fps = sorted(glob.glob(os.path.join(src, "*.parquet")))
     if fps and dead is not None and dead.size:

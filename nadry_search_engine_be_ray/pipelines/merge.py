@@ -25,6 +25,8 @@ tombstone file.
 Shape: one Ray task per shard (the parts-table pattern used everywhere in
 build.py) — parallelism = num_shards, no all-to-all: shard routing is a pure
 function of the term, so the same shard of every index holds the same terms.
+The side-table copies run as tasks too, one per (source, table), so their
+Arrow scan buffers never land in the caller.
 """
 
 from __future__ import annotations
@@ -90,13 +92,18 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
     # runs FIRST on the thin doc-stats key column so a bad merge fails
     # fast, before the large tables or any segment work.  dup_losers stays
     # unfiltered — losers were never indexed, so liveness doesn't apply to
-    # them.
-    def copy_side(sub: str) -> None:
-        for i, d in enumerate(index_dirs):
-            src = os.path.join(d, sub)
-            if os.path.isdir(src):
-                _copy_parquet_dir(src, os.path.join(out_dir, sub), f"src{i}",
-                                  dead=None if sub == "dup_losers" else dead)
+    # them.  One task per (source, table): run in the caller, the filtered
+    # scans' Arrow buffers stay resident and raise its peak RSS.
+    dead_ref = ray.put(dead)
+    copy_task = ray.remote(_copy_parquet_dir)
+
+    def copy_side(*subs: str) -> None:
+        ray.get([
+            copy_task.remote(src, os.path.join(out_dir, sub), f"src{i}",
+                             None if sub == "dup_losers" else dead_ref)
+            for sub in subs
+            for i, src in enumerate(os.path.join(d, sub) for d in index_dirs)
+            if os.path.isdir(src)])
 
     copy_side("doc_stats")
     di = pa.concat_tables(
@@ -106,14 +113,12 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
     if np.unique(di).size != di.size:
         shutil.rmtree(out_dir, ignore_errors=True)
         raise ValueError("indexes share documents — dedup before merging")
-    for sub in ("prepped", "dup_losers"):
-        copy_side(sub)
+    copy_side("prepped", "dup_losers")
 
     shards_tbl = pa.table(
         {"shard": pa.array(list(range(num_shards)), pa.int32())}
     )
     merged_root = os.path.join(out_dir, "segments_merged")
-    dead_ref = ray.put(dead)
 
     def merge_shard(batch: pa.Table) -> pa.Table:
         dead_set = ray.get(dead_ref)

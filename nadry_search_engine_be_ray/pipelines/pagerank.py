@@ -22,6 +22,13 @@ Structure:
 Output: ``popularity/`` parquet (doc_int, url, popularity) inside the index
 dir — the immutable-rewrite analog of the per-URL score write-back (S13,
 MongoDBIndexStore.java:105-129); DocStore picks it up automatically.
+
+Integer graph kernels (``pagerank_power_int`` onwards) take a Dataset of
+int64 ``(src, dst)`` edges — the one edge schema.  The SQL-checked
+queries feed them :func:`synthetic_edges`, the 3-out-link graph of
+``documents.parquet`` whose rule :func:`link_targets` owns; the
+undirected kernels canonicalise through :func:`undirected_edges` (no
+self-loops, u < v, distinct) and collect with :func:`uv_table`.
 """
 
 from __future__ import annotations
@@ -334,6 +341,67 @@ def run_pagerank(
     return result
 
 
+def link_targets(ids, n: int, quadratic: bool = True):
+    """The synthetic link rule: doc ``i`` links to ``(31·i² + 97k) mod n``
+    for k = 1..3 (``quadratic=False``: ``31·i`` — a union of three
+    bijections, so every in-degree is 3; the quadratic rule skews them).
+    Returns int64 ``(src, dst)`` arrays, three rows per id in k order."""
+    src = np.repeat(np.asarray(ids, dtype=np.int64), 3)
+    ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
+    base = src * src if quadratic else src
+    return src, (base * 31 + ks * 97) % n
+
+
+def synthetic_edges(sf_dir: str, quadratic: bool = True):
+    """``(Dataset[src, dst], n)``: :func:`link_targets` over every doc_id of
+    ``documents.parquet``, one map over a fresh read (``n`` is its
+    metadata-only count), so the edges come in the read's batch order."""
+    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
+                                 columns=["doc_id"])
+    n = int(docs.count())
+
+    def link_batch(batch: pa.Table) -> pa.Table:
+        src, dst = link_targets(
+            batch["doc_id"].to_numpy(zero_copy_only=False), n, quadratic)
+        return pa.table({"src": pa.array(src, pa.int64()),
+                         "dst": pa.array(dst, pa.int64())})
+
+    return docs.map_batches(link_batch, batch_format="pyarrow"), n
+
+
+def _canonical_uv(batch: pa.Table) -> pa.Table:
+    s = batch["src"].to_numpy(zero_copy_only=False).astype(np.int64)
+    d = batch["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
+    keep = s != d
+    s, d = s[keep], d[keep]
+    return pa.table({"u": pa.array(np.minimum(s, d), pa.int64()),
+                     "v": pa.array(np.maximum(s, d), pa.int64())})
+
+
+def undirected_edges(edges_ds) -> "ray.data.Dataset":
+    """The simple undirected graph of ``(src, dst)`` edges: self-loops
+    dropped, each edge as (u, v) with u < v, distinct (one groupby-dedup
+    exchange), materialized."""
+    return (
+        edges_ds.map_batches(_canonical_uv, batch_format="pyarrow")
+        .groupby(["u", "v"])
+        .count()
+        .select_columns(["u", "v"])
+        .materialize()
+    )
+
+
+def uv_table(ds) -> pa.Table:
+    """Collect a ``(u, v)`` Dataset on the driver; the empty-schema blocks
+    an empty input leaves are skipped, so no edges is a 0-row int64
+    table."""
+    return pa.concat_tables(
+        [pa.table({"u": pa.array([], pa.int64()),
+                   "v": pa.array([], pa.int64())})]
+        + [t.select(["u", "v"]) for t in ray.get(ds.to_arrow_refs())
+           if "u" in t.schema.names])
+
+
 def pagerank_power_int(
     edges_ds: "ray.data.Dataset",
     n_nodes: int,
@@ -595,7 +663,7 @@ def hits_int(
     )
 
 
-def triangle_count(edges_ds, *, src_col: str = "src", dst_col: str = "dst"):
+def triangle_count(edges_ds):
     """Distributed triangle counting (node-iterator with degree
     orientation): undirect + dedup the edge list, orient every edge from
     the lower (degree, node) endpoint to the higher — bounding per-node
@@ -608,34 +676,7 @@ def triangle_count(edges_ds, *, src_col: str = "src", dst_col: str = "dst"):
 
     Returns an Arrow table (n_nodes, n_edges, n_triangles) — one row.
     """
-    import pyarrow as pa
-    import ray
-    import ray.data
-
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        u = np.minimum(s, d)
-        v = np.maximum(s, d)
-        return pa.table({"u": pa.array(u, pa.int64()),
-                         "v": pa.array(v, pa.int64())})
-
-    # distinct undirected edges (one groupby-dedup exchange)
-    e0 = (
-        edges_ds.map_batches(undirect, batch_format="pyarrow")
-        .groupby(["u", "v"])
-        .count()
-        .select_columns(["u", "v"])
-        .materialize()
-    )
-    et = pa.concat_tables(
-        [pa.table({"u": pa.array([], pa.int64()),
-                   "v": pa.array([], pa.int64())})]
-        + [t.select(["u", "v"]) for t in ray.get(e0.to_arrow_refs())
-           if "u" in t.schema.names]  # empty-schema blocks from empty input
-    )
+    et = uv_table(undirected_edges(edges_ds))
     uu = et["u"].to_numpy(zero_copy_only=False).astype(np.int64)
     vv = et["v"].to_numpy(zero_copy_only=False).astype(np.int64)
     n_edges = int(uu.size)
@@ -695,8 +736,7 @@ def triangle_count(edges_ds, *, src_col: str = "src", dst_col: str = "dst"):
     )
 
 
-def kcore_nodes(edges_ds, k: int = 3, n_rounds: int = 5, *,
-                src_col: str = "src", dst_col: str = "dst"):
+def kcore_nodes(edges_ds, k: int = 3, n_rounds: int = 5):
     """Fixed-round k-core peeling: repeatedly drop nodes of undirected
     degree < ``k`` (``n_rounds`` synchronous rounds — the pagerank_power
     fixed-iteration idiom, so the SQL oracle unrolls the same rounds as
@@ -708,18 +748,7 @@ def kcore_nodes(edges_ds, k: int = 3, n_rounds: int = 5, *,
     Returns (node, deg) over the final surviving edge subgraph, sorted by
     node.
     """
-    import pyarrow as pa
-    import ray
-    import ray.data
     from ray.data.aggregate import Sum
-
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        return pa.table({"u": pa.array(np.minimum(s, d), pa.int64()),
-                         "v": pa.array(np.maximum(s, d), pa.int64())})
 
     def degree_partial(batch: pa.Table) -> pa.Table:
         nodes = np.concatenate([
@@ -744,13 +773,7 @@ def kcore_nodes(edges_ds, k: int = 3, n_rounds: int = 5, *,
                       if "node" in t.schema.names]  # drop empty-schema blocks
         )
 
-    cur = (
-        edges_ds.map_batches(undirect, batch_format="pyarrow")
-        .groupby(["u", "v"])
-        .count()
-        .select_columns(["u", "v"])
-        .materialize()
-    )
+    cur = undirected_edges(edges_ds)
     for _ in range(n_rounds):
         deg_tbl = degrees_of(cur)
         nd = deg_tbl["node"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -776,8 +799,7 @@ def kcore_nodes(edges_ds, k: int = 3, n_rounds: int = 5, *,
     return degrees_of(cur).sort_by("node")
 
 
-def common_neighbors_topk(edges_ds, k: int = 20, *, src_col: str = "src",
-                          dst_col: str = "dst", cap: int = 10_000,
+def common_neighbors_topk(edges_ds, k: int = 20, *, cap: int = 10_000,
                           score: str = "cn"):
     """Link prediction by common-neighbor count (the integer-exact core
     of Adamic-Adar — the 1/ln(deg) weighting is deliberately omitted so
@@ -800,31 +822,7 @@ def common_neighbors_topk(edges_ds, k: int = 20, *, src_col: str = "src",
     counts; existing edges are masked with a broadcast packed-key probe;
     the driver sees only the k-row result and the edge key array.
     """
-    import pyarrow as pa
-    import ray
-    import ray.data
-
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        return pa.table({"u": pa.array(np.minimum(s, d), pa.int64()),
-                         "v": pa.array(np.maximum(s, d), pa.int64())})
-
-    e0 = (
-        edges_ds.map_batches(undirect, batch_format="pyarrow")
-        .groupby(["u", "v"])
-        .count()
-        .select_columns(["u", "v"])
-        .materialize()
-    )
-    et = pa.concat_tables(
-        [pa.table({"u": pa.array([], pa.int64()),
-                   "v": pa.array([], pa.int64())})]
-        + [t.select(["u", "v"]) for t in ray.get(e0.to_arrow_refs())
-           if "u" in t.schema.names]
-    )
+    et = uv_table(undirected_edges(edges_ds))
     uu = et["u"].to_numpy(zero_copy_only=False).astype(np.int64)
     vv = et["v"].to_numpy(zero_copy_only=False).astype(np.int64)
     if uu.size == 0:
@@ -889,8 +887,6 @@ def common_neighbors_topk(edges_ds, k: int = 20, *, src_col: str = "src",
                               batch_format="pyarrow").to_arrow_refs())
            if "x" in t.schema.names]
     )
-    import pandas as pd
-
     if score == "jaccard":
         nodes, counts = np.unique(np.concatenate([uu, vv]),
                                   return_counts=True)
@@ -922,8 +918,7 @@ def common_neighbors_topk(edges_ds, k: int = 20, *, src_col: str = "src",
     })
 
 
-def bfs_depths(edges_ds, source: int = 0, n_rounds: int = 4, *,
-               src_col: str = "src", dst_col: str = "dst"):
+def bfs_depths(edges_ds, source: int = 0, n_rounds: int = 4):
     """Fixed-round synchronous BFS over the undirected link graph:
     shortest-hop depth from ``source`` for every node reached within
     ``n_rounds`` rounds (the pagerank_power fixed-iteration idiom — the
@@ -939,25 +934,7 @@ def bfs_depths(edges_ds, source: int = 0, n_rounds: int = 4, *,
     driver holds only node-set-bounded arrays.  Returns (node, depth),
     sorted by node.
     """
-    import pyarrow as pa
-    import ray
-    import ray.data
-
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        return pa.table({"u": pa.array(np.minimum(s, d), pa.int64()),
-                         "v": pa.array(np.maximum(s, d), pa.int64())})
-
-    edges = (
-        edges_ds.map_batches(undirect, batch_format="pyarrow")
-        .groupby(["u", "v"])
-        .count()
-        .select_columns(["u", "v"])
-        .materialize()
-    )
+    edges = undirected_edges(edges_ds)
 
     visited_nodes = np.array([source], dtype=np.int64)
     visited_depth = np.array([0], dtype=np.int64)
@@ -1005,8 +982,7 @@ def bfs_depths(edges_ds, source: int = 0, n_rounds: int = 4, *,
     })
 
 
-def multi_bfs_closeness(edges_ds, seeds: list[int], n_rounds: int = 4, *,
-                        src_col: str = "src", dst_col: str = "dst"):
+def multi_bfs_closeness(edges_ds, seeds: list[int], n_rounds: int = 4):
     """Bounded-radius closeness centrality for a SEED SET: one
     simultaneous multi-source BFS (all seeds advance in the same
     ``n_rounds`` synchronous rounds over ONE deduped undirected edge
@@ -1023,25 +999,7 @@ def multi_bfs_closeness(edges_ds, seeds: list[int], n_rounds: int = 4, *,
     arrays.  Returns (seed, n_reached, sum_depth, closeness_micro)
     sorted by seed.
     """
-    import pyarrow as pa
-    import ray
-    import ray.data
-
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        return pa.table({"u": pa.array(np.minimum(s, d), pa.int64()),
-                         "v": pa.array(np.maximum(s, d), pa.int64())})
-
-    edges = (
-        edges_ds.map_batches(undirect, batch_format="pyarrow")
-        .groupby(["u", "v"])
-        .count()
-        .select_columns(["u", "v"])
-        .materialize()
-    )
+    edges = undirected_edges(edges_ds)
 
     seeds_arr = np.array(sorted(set(seeds)), dtype=np.int64)
     # per-seed visited sets + depth sums, all driver-side and
@@ -1127,8 +1085,7 @@ def multi_bfs_closeness(edges_ds, seeds: list[int], n_rounds: int = 4, *,
     })
 
 
-def clustering_coeff(edges_ds, k: int = 20, *, src_col: str = "src",
-                     dst_col: str = "dst"):
+def clustering_coeff(edges_ds, k: int = 20):
     """Per-node local clustering coefficient (watts-strogatz):
     c(v) = 2·T(v) / (deg(v)·(deg(v)−1)) over the undirected deduped
     graph.  Reuses the degree-oriented wedge machinery of
@@ -1141,31 +1098,8 @@ def clustering_coeff(edges_ds, k: int = 20, *, src_col: str = "src",
     asc) among deg ≥ 2 nodes, coefficient as an exact rational rounded
     to 6 dp."""
     import pandas as pd
-    import pyarrow as pa
-    import ray
-    import ray.data
 
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        return pa.table({"u": pa.array(np.minimum(s, d), pa.int64()),
-                         "v": pa.array(np.maximum(s, d), pa.int64())})
-
-    e0 = (
-        edges_ds.map_batches(undirect, batch_format="pyarrow")
-        .groupby(["u", "v"])
-        .count()
-        .select_columns(["u", "v"])
-        .materialize()
-    )
-    et = pa.concat_tables(
-        [pa.table({"u": pa.array([], pa.int64()),
-                   "v": pa.array([], pa.int64())})]
-        + [t.select(["u", "v"]) for t in ray.get(e0.to_arrow_refs())
-           if "u" in t.schema.names]
-    )
+    et = uv_table(undirected_edges(edges_ds))
     uu = et["u"].to_numpy(zero_copy_only=False).astype(np.int64)
     vv = et["v"].to_numpy(zero_copy_only=False).astype(np.int64)
     if uu.size == 0:
@@ -1231,8 +1165,7 @@ def clustering_coeff(edges_ds, k: int = 20, *, src_col: str = "src",
     return pa.Table.from_pandas(df.reset_index(drop=True), preserve_index=False)
 
 
-def label_propagation_min(edges_ds, n_nodes: int, n_rounds: int = 5,
-                          *, src_col: str = "src", dst_col: str = "dst"):
+def label_propagation_min(edges_ds, n_nodes: int, n_rounds: int = 5):
     """Synchronous min-label community propagation over integer nodes
     0..n_nodes−1: l₀(v) = v; each round every node takes the minimum of
     its own label and its undirected neighbors' labels.  Fixed
@@ -1246,19 +1179,17 @@ def label_propagation_min(edges_ds, n_nodes: int, n_rounds: int = 5,
 
     Returns (community, size) counts for the final labels, community asc.
     """
-    import ray
-
     block_refs = nonempty_refs(
-        edges_ds.select_columns([src_col, dst_col]), [src_col, dst_col]
+        edges_ds.select_columns(["src", "dst"]), ["src", "dst"]
     )
 
     @ray.remote
     def undirect(tbl: pa.Table):
-        if not block_ok(tbl, src_col, dst_col):  # empty-schema block guard
+        if not block_ok(tbl, "src", "dst"):  # empty-schema block guard
             e = np.array([], dtype=np.int64)
             return e, e
-        s = tbl[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = tbl[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        s = tbl["src"].to_numpy(zero_copy_only=False).astype(np.int64)
+        d = tbl["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
         keep = s != d
         s, d = s[keep], d[keep]
         if s.size and (min(s.min(), d.min()) < 0
@@ -1293,8 +1224,7 @@ def label_propagation_min(edges_ds, n_nodes: int, n_rounds: int = 5,
                      "size": pa.array(size.astype(np.int64), pa.int64())})
 
 
-def degree_assortativity(edges_ds, *, src_col: str = "src",
-                         dst_col: str = "dst"):
+def degree_assortativity(edges_ds):
     """Degree assortativity coefficient r (Newman 2002): the Pearson
     correlation of endpoint degrees over the undirected deduped edge
     list.  Every moment is an INTEGER sum over edges (Σdᵢdⱼ, Σ(dᵢ+dⱼ),
@@ -1307,30 +1237,8 @@ def degree_assortativity(edges_ds, *, src_col: str = "src",
     S_xx = Σ(dᵢ²+dⱼ²), m = 2·n_edges directed half-edges.  The edge
     dedup groupby is the only exchange; degrees are the O(n) driver
     arrays the other graph ops already hold."""
-    import ray
-    import ray.data
 
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        return pa.table({"u": pa.array(np.minimum(s, d), pa.int64()),
-                         "v": pa.array(np.maximum(s, d), pa.int64())})
-
-    e0 = (
-        edges_ds.map_batches(undirect, batch_format="pyarrow")
-        .groupby(["u", "v"])
-        .count()
-        .select_columns(["u", "v"])
-        .materialize()
-    )
-    et = pa.concat_tables(
-        [pa.table({"u": pa.array([], pa.int64()),
-                   "v": pa.array([], pa.int64())})]
-        + [t.select(["u", "v"]) for t in ray.get(e0.to_arrow_refs())
-           if "u" in t.schema.names]
-    )
+    et = uv_table(undirected_edges(edges_ds))
     uu = et["u"].to_numpy(zero_copy_only=False).astype(np.int64)
     vv = et["v"].to_numpy(zero_copy_only=False).astype(np.int64)
     n_edges = int(uu.size)
@@ -1356,19 +1264,15 @@ def degree_assortativity(edges_ds, *, src_col: str = "src",
 
 
 def reachable_fixed(edges_ds, source: int = 0, n_rounds: int = 4, *,
-                    reverse: bool = False,
-                    src_col: str = "src", dst_col: str = "dst"):
+                    reverse: bool = False):
     """Fixed-round DIRECTED reachability from ``source``: hop depth for
     every node reachable within ``n_rounds`` following edge direction
     (``reverse=True`` follows edges backwards).  Same bounded-broadcast
     frontier shape as :func:`bfs_depths`, but over the directed distinct
     edge list.  Returns a (node -> depth) dict-shaped pandas frame."""
     import pandas as pd
-    import pyarrow as pa
-    import ray
-    import ray.data
 
-    a_col, b_col = (dst_col, src_col) if reverse else (src_col, dst_col)
+    a_col, b_col = ("dst", "src") if reverse else ("src", "dst")
 
     def dedup(batch: pa.Table) -> pa.Table:
         a = batch[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1426,8 +1330,7 @@ def reachable_fixed(edges_ds, source: int = 0, n_rounds: int = 4, *,
                          "depth": visited_depth[order]})
 
 
-def scc_seeded(edges_ds, source: int = 0, n_rounds: int = 4, *,
-               src_col: str = "src", dst_col: str = "dst"):
+def scc_seeded(edges_ds, source: int = 0, n_rounds: int = 4):
     """Radius-bounded strongly-connected component of ``source`` — the
     forward-backward (Fleischer/Hendrickson/Pinar) seed step with FIXED
     rounds: nodes both forward- and backward-reachable from the seed
@@ -1436,12 +1339,8 @@ def scc_seeded(edges_ds, source: int = 0, n_rounds: int = 4, *,
     intersection, sorted by node.  The fixed-round bound is the same
     declared contract as bfs_depths / kcore_nodes (the SQL oracle
     unrolls identical rounds)."""
-    import pandas as pd
-
-    fwd = reachable_fixed(edges_ds, source, n_rounds,
-                          src_col=src_col, dst_col=dst_col)
-    bwd = reachable_fixed(edges_ds, source, n_rounds, reverse=True,
-                          src_col=src_col, dst_col=dst_col)
+    fwd = reachable_fixed(edges_ds, source, n_rounds)
+    bwd = reachable_fixed(edges_ds, source, n_rounds, reverse=True)
     out = fwd.rename(columns={"depth": "fwd_depth"}).merge(
         bwd.rename(columns={"depth": "bwd_depth"}), on="node")
     out["node"] = out["node"].astype("int64")
@@ -1451,7 +1350,6 @@ def scc_seeded(edges_ds, source: int = 0, n_rounds: int = 4, *,
 
 
 def sssp_fixed(edges_ds, source: int = 0, n_rounds: int = 4, *,
-               src_col: str = "src", dst_col: str = "dst",
                weight_col: str = "w"):
     """Fixed-round single-source shortest paths (Bellman-Ford over the
     min-plus semiring) on a DIRECTED weighted edge list: after round r,
@@ -1462,9 +1360,6 @@ def sssp_fixed(edges_ds, source: int = 0, n_rounds: int = 4, *,
     folds them; the driver keeps only the node-sized dist array).
     Integer weights make every min exact."""
     import pandas as pd
-    import pyarrow as pa
-    import ray
-    import ray.data
     from ray.data.aggregate import Min
 
     edges = edges_ds.materialize()
@@ -1481,8 +1376,8 @@ def sssp_fixed(edges_ds, source: int = 0, n_rounds: int = 4, *,
 
         def relax(batch: pa.Table, ref=ref) -> pa.Table:
             fn, fv = ray.get(ref)
-            a = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            b = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
+            a = batch["src"].to_numpy(zero_copy_only=False).astype(np.int64)
+            b = batch["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
             w = batch[weight_col].to_numpy(
                 zero_copy_only=False).astype(np.int64)
             idx = np.searchsorted(fn, a)
@@ -1526,8 +1421,7 @@ def sssp_fixed(edges_ds, source: int = 0, n_rounds: int = 4, *,
                          "dist": dist_vals[order].astype(np.int64)})
 
 
-def luby_mis(edges_ds, n_nodes: int, n_rounds: int = 4, *,
-             src_col: str = "src", dst_col: str = "dst"):
+def luby_mis(edges_ds, n_nodes: int, n_rounds: int = 4):
     """Fixed-round Luby maximal-independent-set (Luby 1986, the
     deterministic-priority variant): each round every UNDECIDED node
     whose affine-hash priority beats all undecided neighbors joins the
@@ -1544,9 +1438,6 @@ def luby_mis(edges_ds, n_nodes: int, n_rounds: int = 4, *,
     all DECIDED nodes after ``n_rounds``; undecided nodes are absent.
     """
     import pandas as pd
-    import pyarrow as pa
-    import ray
-    import ray.data
     from ray.data.aggregate import Max
 
     M = 2_147_483_647
@@ -1554,17 +1445,7 @@ def luby_mis(edges_ds, n_nodes: int, n_rounds: int = 4, *,
     def prio(v: np.ndarray) -> np.ndarray:
         return (2654435761 * v + 12345) % M
 
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        return pa.table({"u": pa.array(np.minimum(s, d), pa.int64()),
-                         "v": pa.array(np.maximum(s, d), pa.int64())})
-
-    edges = (edges_ds.map_batches(undirect, batch_format="pyarrow")
-             .groupby(["u", "v"]).count().select_columns(["u", "v"])
-             .materialize())
+    edges = undirected_edges(edges_ds)
 
     undecided = np.arange(n_nodes, dtype=np.int64)
     out_nodes, out_status, out_round = [], [], []
@@ -1651,8 +1532,7 @@ def luby_mis(edges_ds, n_nodes: int, n_rounds: int = 4, *,
     })
 
 
-def adamic_adar_topk(edges_ds, k: int = 20, *, src_col: str = "src",
-                     dst_col: str = "dst", cap: int = 10_000):
+def adamic_adar_topk(edges_ds, k: int = 20, *, cap: int = 10_000):
     """Adamic-Adar link prediction: top-k non-adjacent pairs by
     Σ_z 1/ln(deg(z)) over common neighbors z — the degree-discounted
     refinement of :func:`common_neighbors_topk`, riding the identical
@@ -1662,27 +1542,9 @@ def adamic_adar_topk(edges_ds, k: int = 20, *, src_col: str = "src",
     is bit-deterministic against the SQL oracle (ln = libm both
     sides; only summation order differs, absorbed by the rounding)."""
     import pandas as pd
-    import pyarrow as pa
-    import ray
-    import ray.data
     from ray.data.aggregate import Sum
 
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        return pa.table({"u": pa.array(np.minimum(s, d), pa.int64()),
-                         "v": pa.array(np.maximum(s, d), pa.int64())})
-
-    e0 = (edges_ds.map_batches(undirect, batch_format="pyarrow")
-          .groupby(["u", "v"]).count().select_columns(["u", "v"])
-          .materialize())
-    et = pa.concat_tables(
-        [pa.table({"u": pa.array([], pa.int64()),
-                   "v": pa.array([], pa.int64())})]
-        + [t.select(["u", "v"]) for t in ray.get(e0.to_arrow_refs())
-           if "u" in t.schema.names])
+    et = uv_table(undirected_edges(edges_ds))
     uu = et["u"].to_numpy(zero_copy_only=False).astype(np.int64)
     vv = et["v"].to_numpy(zero_copy_only=False).astype(np.int64)
     if uu.size == 0:
@@ -1736,8 +1598,7 @@ def adamic_adar_topk(edges_ds, k: int = 20, *, src_col: str = "src",
     return df[["x", "y", "aa_score"]].reset_index(drop=True)
 
 
-def ktruss_nodes(edges_ds, k: int = 4, n_rounds: int = 4, *,
-                 src_col: str = "src", dst_col: str = "dst"):
+def ktruss_nodes(edges_ds, k: int = 4, n_rounds: int = 4):
     """Fixed-round k-truss peeling: repeatedly drop edges supported by
     fewer than ``k - 2`` triangles (``n_rounds`` synchronous rounds —
     the kcore_nodes fixed-iteration idiom, so the SQL oracle unrolls the
@@ -1753,36 +1614,10 @@ def ktruss_nodes(edges_ds, k: int = 4, n_rounds: int = 4, *,
     edge-set-sized — the same scale as the probe broadcast this op
     already assumes.  Returns (node, deg) over the final truss edges.
     """
-    import pyarrow as pa
-    import ray
-    import ray.data
-
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        return pa.table({"u": pa.array(np.minimum(s, d), pa.int64()),
-                         "v": pa.array(np.maximum(s, d), pa.int64())})
-
-    def collect_edges(ds) -> pa.Table:
-        seed = pa.table({"u": pa.array([], pa.int64()),
-                         "v": pa.array([], pa.int64())})
-        return pa.concat_tables(
-            [seed] + [t.select(["u", "v"])
-                      for t in ray.get(ds.to_arrow_refs())
-                      if "u" in t.schema.names])
-
-    cur = (
-        edges_ds.map_batches(undirect, batch_format="pyarrow")
-        .groupby(["u", "v"])
-        .count()
-        .select_columns(["u", "v"])
-        .materialize()
-    )
+    cur = undirected_edges(edges_ds)
     min_sup = k - 2
     for _ in range(n_rounds):
-        et = collect_edges(cur)
+        et = uv_table(cur)
         uu = et["u"].to_numpy(zero_copy_only=False).astype(np.int64)
         vv = et["v"].to_numpy(zero_copy_only=False).astype(np.int64)
         if uu.size == 0:
@@ -1834,7 +1669,7 @@ def ktruss_nodes(edges_ds, k: int = 4, n_rounds: int = 4, *,
             "v": pa.array(sup["v"].to_numpy(np.int64), pa.int64()),
         })).materialize()
 
-    final = collect_edges(cur)
+    final = uv_table(cur)
     nodes = np.concatenate([
         final["u"].to_numpy(zero_copy_only=False).astype(np.int64),
         final["v"].to_numpy(zero_copy_only=False).astype(np.int64)])

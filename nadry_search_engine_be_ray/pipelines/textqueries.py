@@ -1684,6 +1684,8 @@ def anchor_text_agg(sf_dir: str, max_dst: int = 10, top: int = 3,
     counts, and only the ≤ max_dst targets' counts reach the driver for
     the top-k cut.  Parallel edges (two k-values hitting the same dst)
     count twice — declared, matching the oracle's no-DISTINCT join."""
+    from .pagerank import link_targets
+
     docs = _docs(sf_dir)
     n = int(docs.count())
 
@@ -1703,10 +1705,8 @@ def anchor_text_agg(sf_dir: str, max_dst: int = 10, top: int = 3,
         anchor = pc.fill_null(pc.binary_join(
             pa.ListArray.from_arrays(offsets, flat.take(pa.array(idx))),
             " "), "").to_numpy(zero_copy_only=False)
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.repeat(ids, 3)
-        ks = np.tile(np.array([1, 2, 3], dtype=np.int64), len(ids))
-        dst = (src * src * 31 + ks * 97) % n
+        src, dst = link_targets(
+            batch["doc_id"].to_numpy(zero_copy_only=False), n)
         keep = (dst < max_dst) & (src != dst)
         a = np.repeat(anchor, 3)[keep]
         t = pa.table({

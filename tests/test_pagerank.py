@@ -363,6 +363,8 @@ def test_graph_ops_empty_and_selfloop_inputs(ray_session):
     from nadry_search_engine_be_ray.pipelines.pagerank import (
         common_neighbors_topk,
         triangle_count,
+        undirected_edges,
+        uv_table,
     )
 
     empty = ray.data.from_arrow(pa.table({
@@ -379,6 +381,45 @@ def test_graph_ops_empty_and_selfloop_inputs(ray_session):
     out = triangle_count(loops).to_pandas().iloc[0]
     assert tuple(out) == (0, 0, 0)
     assert common_neighbors_topk(loops).num_rows == 0
+
+    uv_schema = pa.schema([("u", pa.int64()), ("v", pa.int64())])
+    for ds in (empty, loops):
+        und = undirected_edges(ds)
+        assert und.count() == 0
+        t = uv_table(und)
+        assert t.num_rows == 0 and t.schema == uv_schema
+
+
+@pytest.mark.parametrize("quadratic", [True, False])
+def test_synthetic_edges_match_python_rule(ray_session, quadratic):
+    """The one synthetic link graph equals the rule spelled as a plain
+    loop over documents.parquet's doc_ids, and its undirected form is the
+    {(min, max)} set without self-loops."""
+    import pyarrow.parquet as pq
+
+    from nadry_search_engine_be_ray.pipelines.pagerank import (
+        synthetic_edges,
+        undirected_edges,
+        uv_table,
+    )
+
+    sf = "/root/testdata/sf0.001"
+    ids = pq.read_table(f"{sf}/documents.parquet",
+                        columns=["doc_id"])["doc_id"].to_pylist()
+    n = len(ids)
+    want = [(i, ((i * i if quadratic else i) * 31 + 97 * k) % n)
+            for i in ids for k in (1, 2, 3)]
+
+    edges, got_n = synthetic_edges(sf, quadratic=quadratic)
+    assert got_n == n
+    got = edges.to_pandas()
+    assert str(got["src"].dtype) == str(got["dst"].dtype) == "int64"
+    assert sorted(zip(got["src"].tolist(), got["dst"].tolist())) \
+        == sorted(want)
+
+    und = uv_table(undirected_edges(edges))
+    assert sorted(zip(und["u"].to_pylist(), und["v"].to_pylist())) \
+        == sorted({(min(s, d), max(s, d)) for s, d in want if s != d})
 
 
 def test_bfs_depths_bruteforce(ray_session):
