@@ -26,7 +26,7 @@ def _corpus_docs_for(sf_dir: str) -> int:
 
 
 # bump when the build's on-disk format changes: keys every /tmp entry index
-_INDEX_FORMAT = "v7"
+_INDEX_FORMAT = "v8"
 # merge/delete/upsert fixture roots: keyed on the format too, so a format
 # change rebuilds them instead of re-reading indexes the old code merged
 _INDEX_MERGE_ROOT = f"/tmp/nadry_entry/index_merge_{_INDEX_FORMAT}"

@@ -24,11 +24,14 @@ satisfying the north_rule resumability requirement):
   4. segments  per-part encode tasks (A3; salted posting-list runs) feed
                a per-shard k-way merge (streaming concatenation of sorted
                runs, the segment-merge primitive) that writes one row per
-               term to segments_merged/.  Runs reach their merge task via a
-               hive-partitioned staging write — the same shuffle-via-storage
-               pattern as the postings phase, no sort barrier.  The encode
-               tasks also split the per-doc sentinel rows into doc_stats/ (A2) —
-               totalWords costs no extra pass.
+               term to segments_merged/, docs coded as ordinals in the
+               sorted doc-int map written beside the shards
+               (segments_merged/_doc_ints, read once from doc_stats).  Runs
+               reach their merge task via a hive-partitioned staging write —
+               the same shuffle-via-storage pattern as the postings phase, no
+               sort barrier.  The encode tasks also split the per-doc
+               sentinel rows into doc_stats/ (A2) — totalWords costs no
+               extra pass.
   5. stats     global stats.json (N, avgdl, n_terms) for BM25 (A11 analog)
 """
 
@@ -48,7 +51,13 @@ import ray.data
 
 
 from ..config import BuildConfig
-from ..stages.encode import encode_part_dirs, merge_shard_dirs
+from ..stages.encode import (
+    doc_ordinals,
+    encode_part_dirs,
+    load_doc_ints,
+    merge_shard_dirs,
+    write_doc_ints,
+)
 from ..stages.prep import make_loser_filter, prep_batch
 from ..stages.tokenize import TokenizeBatch
 from ..state.segments import segment_root
@@ -322,6 +331,8 @@ def build_index(
         t0 = time.time()
         import glob as _glob
 
+        import pyarrow.dataset as pads
+
         os.makedirs(doc_stats_dir, exist_ok=True)
         part_dirs = sorted(_glob.glob(os.path.join(postings_dir, "part=*")))
         parts_tbl = pa.table(
@@ -353,6 +364,17 @@ def build_index(
         enc.write_parquet(
             staging_dir, partition_cols=["shard"], row_group_size=1_000_000,
         )
+        # the tier's doc-int map: doc_stats is whole once the encode tasks
+        # are done, and the merge tasks rank every posting doc in it
+        doc_ints = np.sort(pads.dataset(doc_stats_dir, format="parquet")
+                           .to_table(columns=["doc_int"])["doc_int"]
+                           .to_numpy(zero_copy_only=False).astype(np.int64))
+        doc_ints_ref = ray.put(doc_ints)
+
+        def merge_dirs(batch: pa.Table) -> pa.Table:
+            return merge_shard_dirs(batch, ray.get(doc_ints_ref),
+                                    cfg.docs_codec)
+
         shard_dirs = sorted(_glob.glob(os.path.join(staging_dir, "shard=*")))
         shards_tbl = pa.table(
             {
@@ -368,7 +390,7 @@ def build_index(
             ray.data.from_arrow(shards_tbl)
             .repartition(max(1, len(shard_dirs)))
             .map_batches(
-                partial(merge_shard_dirs, docs_codec=cfg.docs_codec),
+                merge_dirs,
                 batch_format="pyarrow",
                 batch_size=1,   # one shard per task: bounded memory
             )
@@ -377,6 +399,7 @@ def build_index(
                 row_group_size=cfg.segment_row_group_size,
             )
         )
+        write_doc_ints(merged_dir, doc_ints)
         shutil.rmtree(staging_dir, ignore_errors=True)
         _mark_done(merged_dir)
         _mark_done(doc_stats_dir)
@@ -410,12 +433,23 @@ def build_index(
 def posting_codec_sizes(index_dir: str, *, concurrency: int = 2,
                         batch_size: int = 512, out_path: str | None = None,
                         dense_remap: bool = False):
-    """Per-term docs-stream size under the three posting codecs — the varint
-    delta-gap stream the segments actually store, the frame-of-reference
-    bit-packed alternative (``functions/codec.py`` encode_bitpack; see that
-    module's design note on why the mergeable segment tier stays varint),
-    and quasi-succinct Elias-Fano (encode_ef, the near-optimal monotone
-    code for the write-once tier).
+    """Per-term docs-stream size under the three posting codecs — the
+    varint delta-gap stream, the frame-of-reference bit-packed alternative
+    (``functions/codec.py`` encode_bitpack; see that module's design note
+    on why the mergeable segment tier stays varint), and quasi-succinct
+    Elias-Fano (encode_ef, the near-optimal monotone code for the
+    write-once tier).
+
+    By default the sizes are those of the doc_int HASH-gap stream: the
+    sparse 60-bit keys themselves, which the index stored before format
+    v8 and no longer does.  ``dense_remap=True`` ranks each doc in the
+    tier's sorted doc-int map first (``segments_merged/_doc_ints``), which
+    is the stream the segments store now: ``bitpack_bytes``/``ef_bytes``
+    are the stored ``docs`` cell lengths under those codecs, and
+    ``varint_bytes`` is the stored varint cell plus the one count-header
+    varint every row of this table charges.  Dense gaps tighten the
+    distribution, so Elias-Fano approaches its 2 + log2(u/n) bits/doc
+    bound, where on the hash keys FOR bitpack beats it.
 
     Distributed shape: the term dictionary (small) seeds a Dataset; a
     stateful actor pool opens one SegmentReader per worker (index open +
@@ -434,15 +468,6 @@ def posting_codec_sizes(index_dir: str, *, concurrency: int = 2,
     At 100 TB the term dictionary is itself large; pass ``out_path`` to
     stream the per-term rows to partitioned parquet instead of
     materializing the table on the driver (returns None in that mode).
-
-    ``dense_remap=True`` measures the DOCID-REASSIGNMENT experiment: doc
-    keys are first mapped to their dense rank in the doc universe (the
-    classic index-compression move — our doc_ints are sparse 60-bit hash
-    keys, where FOR bitpack beats EF; after remapping to dense ints the
-    gap distribution tightens and Elias-Fano approaches its 2 + log2(u/n)
-    bits/doc bound).  The rank array is the doc_stats key column, loaded
-    once per actor; at cluster scale it is the same broadcast the scorer
-    actors already hold (DocStore).
     """
     import ray.data
 
@@ -467,18 +492,8 @@ def posting_codec_sizes(index_dir: str, *, concurrency: int = 2,
     class _CodecSizes:
         def __init__(self):
             self.reader = SegmentReader(index_dir)
-            self.universe = None
-            if dense_remap:
-                import os
-
-                import pyarrow.dataset as pads
-
-                di = pads.dataset(
-                    os.path.join(index_dir, "doc_stats"), format="parquet"
-                ).to_table(columns=["doc_int"])["doc_int"]
-                self.universe = np.sort(
-                    di.to_numpy(zero_copy_only=False).astype(np.int64)
-                )
+            self.universe = (load_doc_ints(segment_root(index_dir))
+                             if dense_remap else None)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             ts = batch["term"].to_pylist()
@@ -492,10 +507,7 @@ def posting_codec_sizes(index_dir: str, *, concurrency: int = 2,
                 pl = self.reader.postings(t)
                 docs = pl.docs
                 if self.universe is not None:
-                    # dense rank (sorted input -> sorted, strictly
-                    # increasing output; every posting doc exists in the
-                    # doc universe by construction)
-                    docs = np.searchsorted(self.universe, docs)
+                    docs = doc_ordinals(self.universe, docs)
                 docs = docs.astype(np.uint64)
                 gaps = np.empty_like(docs)
                 if docs.size:

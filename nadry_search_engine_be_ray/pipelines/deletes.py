@@ -10,21 +10,26 @@ implements the Lucene delete lifecycle over immutable parquet segments:
   at decode time and scoring stats stay STALE (docFreq-includes-deletes)
   until purge.
 * :func:`purge_deletes` — the physical rewrite, one Ray task per term
-  shard (the same parts-table shape as build/merge): each segment row is
-  kept byte-identical when none of its docs are deleted (the common case
-  — only its share of one docs-column decode and one searchsorted probe
-  per shard is paid), else masked and re-encoded with the index's own
-  codec tier.  Side tables (doc_stats / prepped / popularity) stream
+  shard (the same parts-table shape as build/merge): the ``docs`` column
+  decodes through the pre-purge doc-int map and, once masked, is
+  re-ranked as one column into the map minus the dead docs (ordinals
+  shift, so every row's docs cell is re-coded).  A row none of whose
+  docs are deleted keeps its other four payload cells byte-identical
+  (the common case); a row that loses docs is masked and re-encoded with
+  the index's own codec tier.  The new map lands inside the rewritten
+  tier, so the one ``os.replace`` of ``segments_merged`` swaps segments
+  and map together.  Side tables (doc_stats / prepped / popularity) stream
   through one filtered write task each, the live filter ``merge_indexes``
   uses too; stats.json is recomputed; derived kgram, permuterm and
   champion-tier dirs are invalidated (they rebuild behind their _DONE
   marker); the tombstone file is cleared last.
 
 After a purge the index is EQUIVALENT to a fresh build over the surviving
-corpus — doc_ints are content-derived (stages/prep.py M2), so posting
-payload bytes for untouched terms are literally identical, and the masked
-rows re-encode to exactly what the fresh build would emit
-(tests/test_deletes.py asserts per-term byte equality).
+corpus — doc_ints are content-derived (stages/prep.py M2) and the
+purged map equals the fresh build's sorted doc_stats ints, so every
+row's docs cell, the untouched rows' other cells and the masked rows'
+re-encodes are all literally the fresh build's bytes
+(tests/test_deletes.py asserts per-term byte equality on disk).
 
 Scale shape: purge parallelism = num_shards, no all-to-all — the term ->
 shard routing is untouched, so every rewrite is shard-local.  The side-
@@ -50,12 +55,16 @@ from ..config import BuildConfig
 from ..functions import codec
 from ..stages.encode import (
     _empty_segment_table,
-    decode_docs_column,
     decode_docs_stream,
     decode_tfs_stream,
     encode_docs_stream,
     encode_tfs_stream,
+    join_docs,
+    load_doc_ints,
     read_shard_runs,
+    row_bounds,
+    split_docs,
+    write_doc_ints,
 )
 from ..state import deletes as deletes_state
 from ..state.deletes import live_mask
@@ -96,11 +105,10 @@ def delete_docs(index_dir: str, doc_ints) -> dict:
     return deletes_state.write_tombstones(index_dir, doc_ints)
 
 
-def _purge_row(row: dict, docs: np.ndarray, keep: np.ndarray,
-               docs_codec: str) -> dict:
-    """One touched segment term row, given its decoded ``docs`` and their
-    keep-mask (some dead, some live) -> the row re-encoded without the dead
-    docs."""
+def _purge_row(row: dict, keep: np.ndarray, docs_codec: str) -> dict:
+    """One touched segment row (no ``docs`` cell), given its docs'
+    keep-mask (some dead, some live) -> the row re-encoded without the
+    dead docs."""
     buf, off = deletes_state.mask_positions(
         row["positions"],
         decode_docs_stream(row["pos_offsets"], docs_codec).astype(np.int64),
@@ -110,7 +118,6 @@ def _purge_row(row: dict, docs: np.ndarray, keep: np.ndarray,
     return {
         **row,
         "df": int(keep.sum()),
-        "docs": encode_docs_stream(docs[keep], docs_codec),
         "tfs": encode_tfs_stream(tfs, docs_codec),
         "weights": codec.encode_f64(codec.decode_f64(row["weights"])[keep]),
         "positions": buf,
@@ -118,36 +125,33 @@ def _purge_row(row: dict, docs: np.ndarray, keep: np.ndarray,
     }
 
 
-def purge_segment_table(t: pa.Table, deleted: np.ndarray,
-                        docs_codec: str) -> pa.Table:
-    """Drop the ``deleted`` docs from every row of segment table ``t``
-    (same schema, same row order out): rows whose docs all died go,
-    untouched rows keep their bytes.  The one tombstone row loop —
-    ``purge_deletes`` runs it per shard, ``merge_indexes`` per source
-    shard before its merge.  The ``docs`` column decodes in one pass and
-    the keep-mask reduces per row, so only the rows that hold a dead doc
-    are decoded further and rewritten."""
-    if t.num_rows == 0:
-        return t
-    dfs = t["df"].to_numpy()
-    docs, bounds = decode_docs_column(t["docs"], dfs, docs_codec)
-    docs = docs.astype(np.int64)
+def purge_rows(rows: pa.Table, docs: np.ndarray, deleted: np.ndarray,
+               docs_codec: str) -> tuple[pa.Table, np.ndarray]:
+    """Drop the ``deleted`` docs from a :func:`~..stages.encode.split_docs`
+    pair (same row order out): rows whose docs all died go, untouched
+    rows keep their bytes, and the surviving doc ints come back flat.
+    The one tombstone row loop — ``purge_deletes`` runs it per shard,
+    ``merge_indexes`` per source shard before its merge.  One membership
+    probe over the flat docs gives the keep-mask, reduced per row, so only
+    the rows that hold a dead doc are decoded further and rewritten."""
+    if rows.num_rows == 0:
+        return rows, docs
+    dfs = rows["df"].to_numpy()
+    bounds = row_bounds(dfs)
     keep = live_mask(docs, deleted)
-    kept = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept[1:])
-    n_keep = kept[bounds[1:]] - kept[bounds[:-1]]
+    n_keep = np.diff(row_bounds(keep)[bounds])
     if np.array_equal(n_keep, dfs):
-        return t
+        return rows, docs
     same = np.flatnonzero(n_keep == dfs)
     redo = np.flatnonzero((n_keep < dfs) & (n_keep > 0))
-    rows = [
-        _purge_row(r, docs[bounds[i]:bounds[i + 1]],
-                   keep[bounds[i]:bounds[i + 1]], docs_codec)
-        for i, r in zip(redo.tolist(), t.take(redo).to_pylist())
+    redone = [
+        _purge_row(r, keep[bounds[i]:bounds[i + 1]], docs_codec)
+        for i, r in zip(redo.tolist(), rows.take(redo).to_pylist())
     ]
     out = pa.concat_tables(
-        [t.take(same), pa.Table.from_pylist(rows, schema=t.schema)])
-    return out.take(np.argsort(np.concatenate([same, redo]), kind="stable"))
+        [rows.take(same), pa.Table.from_pylist(redone, schema=rows.schema)])
+    return (out.take(np.argsort(np.concatenate([same, redo]), kind="stable")),
+            docs[keep])
 
 
 def purge_deletes(index_dir: str) -> dict:
@@ -176,6 +180,9 @@ def purge_deletes(index_dir: str) -> dict:
     num_shards = int(stats["num_shards"])
     docs_codec = stats.get("docs_codec", "varint")
     deleted_ref = ray.put(deleted)
+    doc_ints = load_doc_ints(seg_root)
+    live_ints = doc_ints[live_mask(doc_ints, deleted)]
+    maps_ref = ray.put((doc_ints, live_ints))
 
     # ---- segments: one task per shard, byte-identical fast path ---------
     tmp_seg = seg_root + ".purge"
@@ -183,13 +190,14 @@ def purge_deletes(index_dir: str) -> dict:
 
     def purge_shard(batch: pa.Table) -> pa.Table:
         dead = ray.get(deleted_ref)
-        outs = [
-            purge_segment_table(
-                read_shard_runs(sorted(glob.glob(os.path.join(
-                    seg_root, f"shard={shard}", "*.parquet"))), shard),
-                dead, docs_codec)
-            for shard in batch["shard"].to_pylist()
-        ]
+        old_map, new_map = ray.get(maps_ref)
+        outs = []
+        for shard in batch["shard"].to_pylist():
+            t = read_shard_runs(sorted(glob.glob(os.path.join(
+                seg_root, f"shard={shard}", "*.parquet"))), shard)
+            rows, docs = purge_rows(*split_docs(t, docs_codec, old_map),
+                                    dead, docs_codec)
+            outs.append(join_docs(rows, docs, docs_codec, new_map))
         return pa.concat_tables(outs) if outs else _empty_segment_table()
 
     (
@@ -201,6 +209,7 @@ def purge_deletes(index_dir: str) -> dict:
         .write_parquet(tmp_seg, partition_cols=["shard"],
                        row_group_size=BuildConfig.segment_row_group_size)
     )
+    write_doc_ints(tmp_seg, live_ints)
 
     # ---- side tables: streaming live-mask filter -------------------------
     # one task per table: run in the caller, the scans' Arrow buffers stay

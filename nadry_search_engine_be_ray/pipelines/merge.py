@@ -3,21 +3,24 @@
 The reference cannot do this at all — its index build DROPS the collections
 and starts over (indexer/Main.java:58-61).  Here a delta corpus can be built
 into its own index (cheap, only the new docs) and merged with the base in
-one pass: per shard, the build's own term walk (stages/encode.
-merge_shard_runs; where doc ranges interleave across indexes its run
-merger merge-sorts by doc_int and re-encodes with a single byte-gather for
-the positions payload), the doc-stats / documents tables are
+one pass: per shard, each source's rows decode their ``docs`` through
+that source's own doc-int map (stages/encode.split_docs), then the
+build's own term walk (stages/encode.merge_shard_runs; where doc ranges
+interleave across indexes its run merger merge-sorts by doc_int and
+re-encodes with a single byte-gather for the positions payload) writes
+them ranked in the merged map — the sources' maps minus the dead docs,
+written beside the merged shards.  The doc-stats / documents tables are
 concatenated by file copy, and global stats recompute from footers.
 
 Preconditions (asserted): identical (num_shards, salt_bits), varint
 segments, and DISJOINT document sets (run exact dedup across corpora first —
-the merge raises on a duplicate doc_int).
+the merge raises on a doc_int in two sources' maps).
 
 Tombstones are CONSUMED by the merge (Lucene's segment-merge semantics:
 merging applies deletes physically): each source's
 ``deletes/tombstones.parquet`` set is unioned and dead docs are dropped
 from posting rows before the k-way merge (the row loop of
-``pipelines.deletes.purge_deletes``, byte-identical fast path when a term
+``pipelines.deletes.purge_deletes``, byte-identical cells when a term
 touches no dead doc), doc_stats / prepped copies are live-filtered,
 stats recompute over survivors, and the merged index carries NO
 tombstone file.
@@ -39,20 +42,22 @@ import shutil
 import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
-import pyarrow.parquet as pq
 import ray
 import ray.data
 
 from ..config import BuildConfig
 from ..stages.encode import (
     _empty_segment_table,
+    load_doc_ints,
     merge_shard_runs,
     read_shard_runs,
+    split_docs,
+    write_doc_ints,
 )
 from ..state import deletes as deletes_state
 from ..state.segments import segment_root
 from .build import live_stats
-from .deletes import _copy_parquet_dir, purge_segment_table
+from .deletes import _copy_parquet_dir, purge_rows
 
 
 def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
@@ -77,7 +82,11 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
             f"got docs_codec={s.get('docs_codec')!r}")
     seg_roots = [segment_root(d) for d in index_dirs]
 
-    os.makedirs(out_dir, exist_ok=True)
+    # every source's doc ints, from the maps beside its segments: the
+    # disjointness check runs before anything is written
+    all_ints = np.sort(np.concatenate([load_doc_ints(r) for r in seg_roots]))
+    if np.any(all_ints[1:] == all_ints[:-1]):
+        raise ValueError("indexes share documents — dedup before merging")
 
     # tombstones are consumed by the merge (module docstring): union the
     # per-source sets — doc sets are disjoint, so one sorted array serves
@@ -86,51 +95,46 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
     dead = (np.unique(np.concatenate(dead_parts))
             if sum(p.size for p in dead_parts)
             else np.empty(0, dtype=np.int64))
+    live_ints = all_ints[deletes_state.live_mask(all_ints, dead)]
+
+    os.makedirs(out_dir, exist_ok=True)
 
     # side tables: concatenate by file copy (live-filtered when any source
-    # carries tombstones; docs must be disjoint); the disjointness check
-    # runs FIRST on the thin doc-stats key column so a bad merge fails
-    # fast, before the large tables or any segment work.  dup_losers stays
-    # unfiltered — losers were never indexed, so liveness doesn't apply to
-    # them.  One task per (source, table): run in the caller, the filtered
-    # scans' Arrow buffers stay resident and raise its peak RSS.
+    # carries tombstones).  dup_losers stays unfiltered — losers were
+    # never indexed, so liveness doesn't apply to them.  One task per
+    # (source, table): run in the caller, the filtered scans' Arrow
+    # buffers stay resident and raise its peak RSS.
     dead_ref = ray.put(dead)
     copy_task = ray.remote(_copy_parquet_dir)
-
-    def copy_side(*subs: str) -> None:
-        ray.get([
-            copy_task.remote(src, os.path.join(out_dir, sub), f"src{i}",
-                             None if sub == "dup_losers" else dead_ref)
-            for sub in subs
-            for i, src in enumerate(os.path.join(d, sub) for d in index_dirs)
-            if os.path.isdir(src)])
-
-    copy_side("doc_stats")
-    di = pa.concat_tables(
-        [pq.read_table(fp, columns=["doc_int"])
-         for fp in glob.glob(os.path.join(out_dir, "doc_stats", "*.parquet"))]
-    )["doc_int"].to_numpy(zero_copy_only=False)
-    if np.unique(di).size != di.size:
-        shutil.rmtree(out_dir, ignore_errors=True)
-        raise ValueError("indexes share documents — dedup before merging")
-    copy_side("prepped", "dup_losers")
+    ray.get([
+        copy_task.remote(src, os.path.join(out_dir, sub), f"src{i}",
+                         None if sub == "dup_losers" else dead_ref)
+        for sub in ("doc_stats", "prepped", "dup_losers")
+        for i, src in enumerate(os.path.join(d, sub) for d in index_dirs)
+        if os.path.isdir(src)])
 
     shards_tbl = pa.table(
         {"shard": pa.array(list(range(num_shards)), pa.int32())}
     )
     merged_root = os.path.join(out_dir, "segments_merged")
+    live_ref = ray.put(live_ints)
 
     def merge_shard(batch: pa.Table) -> pa.Table:
-        dead_set = ray.get(dead_ref)
+        dead_set, merged_map = ray.get([dead_ref, live_ref])
         outs = []
         for shard in batch["shard"].to_pylist():
-            t = read_shard_runs(
-                [fp for root in seg_roots for fp in sorted(glob.glob(
-                    os.path.join(root, f"shard={shard}", "*.parquet")))],
-                shard)
-            if dead_set.size:
-                t = purge_segment_table(t, dead_set, "varint")
-            outs.append(merge_shard_runs(t))
+            rows, docs = [], []
+            for root in seg_roots:
+                r, d = split_docs(read_shard_runs(sorted(glob.glob(
+                    os.path.join(root, f"shard={shard}", "*.parquet"))),
+                    shard), "varint", load_doc_ints(root))
+                if dead_set.size:
+                    r, d = purge_rows(r, d, dead_set, "varint")
+                rows.append(r)
+                docs.append(d)
+            outs.append(merge_shard_runs(pa.concat_tables(rows),
+                                         np.concatenate(docs),
+                                         merged_map))
         return pa.concat_tables(outs) if outs else _empty_segment_table()
 
     (
@@ -140,6 +144,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
         .write_parquet(merged_root, partition_cols=["shard"],
                        row_group_size=BuildConfig.segment_row_group_size)
     )
+    write_doc_ints(merged_root, live_ints)
 
     merged_stats = {
         **live_stats(os.path.join(out_dir, "doc_stats"), merged_root),

@@ -79,8 +79,9 @@ def dump_index_tables(index_dir: str, dump_dir: str,
     key = json.dumps(
         {
             # v2 docmeta; v3 tokw; v4 tokf; v5 docmap+url; v6 seg;
-            # v7 token tables re-tokenized from prepped
-            "fmt": 7,
+            # v7 token tables re-tokenized from prepped; v8 seg docs
+            # lengths of ordinal-gap cells
+            "fmt": 8,
             "index_dir": index_dir,
             "stats_mtime": os.path.getmtime(stats_path),
             "pop_mtime": os.path.getmtime(os.path.join(pop_dir, "popularity.parquet"))

@@ -28,7 +28,7 @@ int64 ``(src, dst)`` edges — the one edge schema.  The SQL-checked
 queries feed them :func:`synthetic_edges`, the 3-out-link graph of
 ``documents.parquet`` whose rule :func:`link_targets` owns; the
 undirected kernels canonicalise through :func:`undirected_edges` (no
-self-loops, u < v, distinct) and collect with :func:`uv_table`.
+self-loops, u < v, distinct) and collect with :func:`int_table`.
 """
 
 from __future__ import annotations
@@ -391,15 +391,14 @@ def undirected_edges(edges_ds) -> "ray.data.Dataset":
     )
 
 
-def uv_table(ds) -> pa.Table:
-    """Collect a ``(u, v)`` Dataset on the driver; the empty-schema blocks
-    an empty input leaves are skipped, so no edges is a 0-row int64
-    table."""
+def int_table(ds, cols: list[str]) -> pa.Table:
+    """Collect the int64 ``cols`` of a Dataset on the driver; the
+    empty-schema blocks an empty input leaves are skipped, so no rows is
+    a 0-row int64 table."""
     return pa.concat_tables(
-        [pa.table({"u": pa.array([], pa.int64()),
-                   "v": pa.array([], pa.int64())})]
-        + [t.select(["u", "v"]) for t in ray.get(ds.to_arrow_refs())
-           if "u" in t.schema.names])
+        [pa.table({c: pa.array([], pa.int64()) for c in cols})]
+        + [t.select(cols) for t in ray.get(ds.to_arrow_refs())
+           if cols[0] in t.schema.names])
 
 
 def pagerank_power_int(
@@ -676,7 +675,7 @@ def triangle_count(edges_ds):
 
     Returns an Arrow table (n_nodes, n_edges, n_triangles) — one row.
     """
-    et = uv_table(undirected_edges(edges_ds))
+    et = int_table(undirected_edges(edges_ds), ["u", "v"])
     uu = et["u"].to_numpy(zero_copy_only=False).astype(np.int64)
     vv = et["v"].to_numpy(zero_copy_only=False).astype(np.int64)
     n_edges = int(uu.size)
@@ -760,18 +759,11 @@ def kcore_nodes(edges_ds, k: int = 3, n_rounds: int = 5):
                          "deg": pa.array(ct, pa.int64())})
 
     def degrees_of(ds):
-        parts = ray.get(
+        return int_table(
             ds.map_batches(degree_partial, batch_format="pyarrow")
             .groupby("node")
-            .aggregate(Sum("deg", alias_name="deg"))
-            .to_arrow_refs()
-        )
-        seed = pa.table({"node": pa.array([], pa.int64()),
-                         "deg": pa.array([], pa.int64())})
-        return pa.concat_tables(
-            [seed] + [t.select(["node", "deg"]) for t in parts
-                      if "node" in t.schema.names]  # drop empty-schema blocks
-        )
+            .aggregate(Sum("deg", alias_name="deg")),
+            ["node", "deg"])
 
     cur = undirected_edges(edges_ds)
     for _ in range(n_rounds):
@@ -822,7 +814,7 @@ def common_neighbors_topk(edges_ds, k: int = 20, *, cap: int = 10_000,
     counts; existing edges are masked with a broadcast packed-key probe;
     the driver sees only the k-row result and the edge key array.
     """
-    et = uv_table(undirected_edges(edges_ds))
+    et = int_table(undirected_edges(edges_ds), ["u", "v"])
     uu = et["u"].to_numpy(zero_copy_only=False).astype(np.int64)
     vv = et["v"].to_numpy(zero_copy_only=False).astype(np.int64)
     if uu.size == 0:
@@ -878,15 +870,8 @@ def common_neighbors_topk(edges_ds, k: int = 20, *, cap: int = 10_000,
         idx[idx == ek.size] = 0
         return batch.filter(pa.array(ek[idx] != kk))
 
-    out = pa.concat_tables(
-        [pa.table({"x": pa.array([], pa.int64()),
-                   "y": pa.array([], pa.int64()),
-                   "c": pa.array([], pa.int64())})]
-        + [t.select(["x", "y", "c"]) for t in ray.get(
-            pairs.map_batches(drop_edges,
-                              batch_format="pyarrow").to_arrow_refs())
-           if "x" in t.schema.names]
-    )
+    out = int_table(pairs.map_batches(drop_edges, batch_format="pyarrow"),
+                    ["x", "y", "c"])
     if score == "jaccard":
         nodes, counts = np.unique(np.concatenate([uu, vv]),
                                   return_counts=True)
@@ -957,16 +942,11 @@ def bfs_depths(edges_ds, source: int = 0, n_rounds: int = 4):
                                               u[fr[iv] == v]]))
             return pa.table({"node": pa.array(nodes, pa.int64())})
 
-        parts = ray.get(
+        reached = int_table(
             edges.map_batches(neigh_partial, batch_format="pyarrow")
             .groupby("node")
-            .count()
-            .to_arrow_refs()
-        )
-        seed = pa.table({"node": pa.array([], pa.int64())})
-        reached = pa.concat_tables(
-            [seed] + [t.select(["node"]) for t in parts
-                      if "node" in t.schema.names]
+            .count(),
+            ["node"],
         )["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         fresh = reached[~np.isin(reached, visited_nodes)]
         visited_nodes = np.concatenate([visited_nodes, fresh])
@@ -1051,17 +1031,12 @@ def multi_bfs_closeness(edges_ds, seeds: list[int], n_rounds: int = 4):
                                  else np.array([], np.int64), pa.int64()),
             })
 
-        parts = ray.get(
+        reached = int_table(
             edges.map_batches(neigh_partial, batch_format="pyarrow")
             .groupby(["seed", "node"])
-            .count()
-            .to_arrow_refs()
+            .count(),
+            ["seed", "node"],
         )
-        empty = pa.table({"seed": pa.array([], pa.int64()),
-                          "node": pa.array([], pa.int64())})
-        reached = pa.concat_tables(
-            [empty] + [t.select(["seed", "node"]) for t in parts
-                       if "seed" in t.schema.names])
         rs = reached["seed"].to_numpy(zero_copy_only=False).astype(np.int64)
         rn = reached["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         for s in list(frontier):
@@ -1099,7 +1074,7 @@ def clustering_coeff(edges_ds, k: int = 20):
     to 6 dp."""
     import pandas as pd
 
-    et = uv_table(undirected_edges(edges_ds))
+    et = int_table(undirected_edges(edges_ds), ["u", "v"])
     uu = et["u"].to_numpy(zero_copy_only=False).astype(np.int64)
     vv = et["v"].to_numpy(zero_copy_only=False).astype(np.int64)
     if uu.size == 0:
@@ -1238,7 +1213,7 @@ def degree_assortativity(edges_ds):
     dedup groupby is the only exchange; degrees are the O(n) driver
     arrays the other graph ops already hold."""
 
-    et = uv_table(undirected_edges(edges_ds))
+    et = int_table(undirected_edges(edges_ds), ["u", "v"])
     uu = et["u"].to_numpy(zero_copy_only=False).astype(np.int64)
     vv = et["v"].to_numpy(zero_copy_only=False).astype(np.int64)
     n_edges = int(uu.size)
@@ -1307,16 +1282,11 @@ def reachable_fixed(edges_ds, source: int = 0, n_rounds: int = 4, *,
             nodes = np.unique(b[fr[ia] == a])
             return pa.table({"node": pa.array(nodes, pa.int64())})
 
-        parts = ray.get(
+        reached = int_table(
             edges.map_batches(neigh_partial, batch_format="pyarrow")
             .groupby("node")
-            .count()
-            .to_arrow_refs()
-        )
-        seed = pa.table({"node": pa.array([], pa.int64())})
-        reached = pa.concat_tables(
-            [seed] + [t.select(["node"]) for t in parts
-                      if "node" in t.schema.names]
+            .count(),
+            ["node"],
         )["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         fresh = reached[~np.isin(reached, visited_nodes)]
         visited_nodes = np.concatenate([visited_nodes, fresh])
@@ -1544,7 +1514,7 @@ def adamic_adar_topk(edges_ds, k: int = 20, *, cap: int = 10_000):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    et = uv_table(undirected_edges(edges_ds))
+    et = int_table(undirected_edges(edges_ds), ["u", "v"])
     uu = et["u"].to_numpy(zero_copy_only=False).astype(np.int64)
     vv = et["v"].to_numpy(zero_copy_only=False).astype(np.int64)
     if uu.size == 0:
@@ -1617,7 +1587,7 @@ def ktruss_nodes(edges_ds, k: int = 4, n_rounds: int = 4):
     cur = undirected_edges(edges_ds)
     min_sup = k - 2
     for _ in range(n_rounds):
-        et = uv_table(cur)
+        et = int_table(cur, ["u", "v"])
         uu = et["u"].to_numpy(zero_copy_only=False).astype(np.int64)
         vv = et["v"].to_numpy(zero_copy_only=False).astype(np.int64)
         if uu.size == 0:
@@ -1669,7 +1639,7 @@ def ktruss_nodes(edges_ds, k: int = 4, n_rounds: int = 4):
             "v": pa.array(sup["v"].to_numpy(np.int64), pa.int64()),
         })).materialize()
 
-    final = uv_table(cur)
+    final = int_table(cur, ["u", "v"])
     nodes = np.concatenate([
         final["u"].to_numpy(zero_copy_only=False).astype(np.int64),
         final["v"].to_numpy(zero_copy_only=False).astype(np.int64)])

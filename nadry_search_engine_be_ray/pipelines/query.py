@@ -1070,9 +1070,10 @@ def significant_terms(index_dir: str, terms: list[str], k: int = 20,
     tail.
 
     Distributed shape — index analytics as a Dataset scan: the matched
-    doc set broadcasts once; the SEGMENT term rows stream through
-    ``map_batches`` (pruned to term+docs columns), each row's docs stream
-    is varint-decoded and probed against the matched ids with one
+    doc set broadcasts once, as ordinals in the tier's doc-int map; the
+    SEGMENT term rows stream through ``map_batches`` (pruned to
+    term/df/docs columns), each batch's docs column decodes in one pass
+    and its stored ordinals are probed against the matched ones with one
     searchsorted membership pass, and each batch emits only its partial
     top-k by lift — the driver merges k-sized partials, never the
     dictionary.
@@ -1081,7 +1082,7 @@ def significant_terms(index_dir: str, terms: list[str], k: int = 20,
     import ray
     import ray.data
 
-    from ..stages.encode import decode_docs_stream
+    from ..stages.encode import decode_docs_column, doc_ordinals, row_bounds
 
     out_schema = pa.schema(
         [("term", pa.string()), ("n_match", pa.int64()),
@@ -1104,22 +1105,21 @@ def significant_terms(index_dir: str, terms: list[str], k: int = 20,
     n_docs = int(reader.stats["n_docs"])
     n_matched = int(matched.size)
     docs_codec = reader.stats.get("docs_codec", "varint")
-    matched_ref = ray.put(np.ascontiguousarray(matched, dtype=np.int64))
+    matched_ref = ray.put(doc_ordinals(reader.doc_ints, matched))
 
     def partial(batch: pa.Table) -> pa.Table:
         ids = ray.get(matched_ref)
+        dfs = batch["df"].to_numpy()
+        ords, bounds = decode_docs_column(batch["docs"], dfs, docs_codec)
+        idx = np.searchsorted(ids, ords)
+        idx[idx == ids.size] = 0
+        n_match = np.diff(row_bounds(ids[idx] == ords)[bounds])
         terms_b = batch["term"].to_pylist()
-        bufs = batch["docs"].to_pylist()
         rows = []
-        for t, buf in zip(terms_b, bufs):
-            docs = decode_docs_stream(buf, docs_codec).astype(np.int64)
-            idx = np.searchsorted(ids, docs)
-            idx[idx == ids.size] = 0
-            nm = int((ids[idx] == docs).sum())
-            if nm >= min_match:
-                df = int(docs.size)
-                lift = (nm / n_matched) / (df / n_docs)
-                rows.append((t, nm, df, round(lift, 9)))
+        for i in np.flatnonzero(n_match >= min_match).tolist():
+            nm, df = int(n_match[i]), int(dfs[i])
+            lift = (nm / n_matched) / (df / n_docs)
+            rows.append((terms_b[i], nm, df, round(lift, 9)))
         rows.sort(key=lambda r: (-r[3], -r[1], r[0]))
         rows = rows[:k]
         return pa.table(
@@ -1133,7 +1133,7 @@ def significant_terms(index_dir: str, terms: list[str], k: int = 20,
     parts = pa.concat_tables(
         [out_schema.empty_table()] + list(ray.get(
             ray.data.read_parquet(segment_root(index_dir),
-                                  columns=["term", "docs"])
+                                  columns=["term", "df", "docs"])
             .map_batches(partial, batch_format="pyarrow",
                          concurrency=concurrency)
             .to_arrow_refs()

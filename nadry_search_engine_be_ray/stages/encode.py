@@ -15,7 +15,7 @@ shuffle.
 Segment row schema (:data:`SEGMENT_SCHEMA`; a posting is the reference's
 ``docId, fieldPositions, weight`` plus tf, InvertedIndex.java:216-281):
     shard:i32, salt:i32 (-1 once merged), term:str, df:i64,
-    docs:binary   (sorted doc_ints, delta-gap + varint),
+    docs:binary   (sorted doc ordinals, delta-gap + varint; see below),
     tfs:binary    (per-doc total tf, varint),
     weights:binary (per-doc accumulated field weight, f64le),
     positions:binary (per-(doc,field) position lists, see codec),
@@ -23,14 +23,27 @@ Segment row schema (:data:`SEGMENT_SCHEMA`; a posting is the reference's
 The merged row may re-encode docs/tfs/pos_offsets with a whole-stream
 codec (``BuildConfig.docs_codec``).  This module owns the row: the build,
 the cross-index merge (pipelines/merge.py) and the purge
-(pipelines/deletes.py) all emit it through :func:`merge_shard_runs`, or
-rewrite rows in place with this schema.
+(pipelines/deletes.py) all emit it through :func:`merge_shard_runs` or
+:func:`join_docs`.
+
+Doc ordinals.  A ``doc_int`` is a 60-bit hash prefix, so its gaps cost
+8-9 varint bytes.  The final tier stores each doc as its ORDINAL instead:
+its rank in the tier's own sorted doc-int map, ``segments_merged/_doc_ints``
+(raw ``<i8``, 8 B/doc, equal to the sorted ``doc_int`` column of
+``doc_stats``; the underscore keeps it out of every dataset scan).  Rank is
+monotone, so ordinal gaps are dense and sorted rows stay sorted.
+:func:`doc_ordinals` is the one place doc ints become ordinals and
+:func:`decode_docs_column` the one place ordinals become doc ints again;
+every caller above them sees sorted ``doc_int`` arrays.  The salt runs the
+encode tasks stage keep ``doc_int`` gaps, since a task cannot know global
+ranks; the per-shard merge re-codes them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import BuildConfig
 from ..functions import codec
@@ -55,6 +68,10 @@ SEGMENT_SCHEMA = pa.schema(
         ("pos_offsets", pa.binary()),
     ]
 )
+
+
+# a split_docs ``rows`` table: the segment row without its docs cell
+_ROWS_SCHEMA = SEGMENT_SCHEMA.remove(SEGMENT_SCHEMA.get_field_index("docs"))
 
 
 def _empty_segment_table() -> pa.Table:
@@ -249,9 +266,9 @@ def encode_part_dirs(
 
 
 def encode_docs_stream(docs: np.ndarray, docs_codec: str) -> bytes:
-    """Encode a sorted doc_int stream with the configured FINAL-tier codec
-    (BuildConfig.docs_codec; the salt runs staged before the build's merge
-    are always varint).
+    """Encode one sorted stream (a row's doc ordinals or its pos_offsets)
+    with the configured FINAL-tier codec (BuildConfig.docs_codec; the salt
+    runs staged before the build's merge are always varint).
     The "ef" tier (Elias-Fano, codec.encode_ef) applies to the MONOTONE
     streams only — docs and pos_offsets; its tfs stream falls back to the
     FOR block code since tf values are unsorted."""
@@ -314,8 +331,7 @@ def _decode_column(col, counts, docs_codec: str, stream, sorted_deltas):
     (each row's stream is self-delimiting); the block codes carry a header
     per row, so they decode row by row with the stream decoder."""
     counts = np.asarray(counts, dtype=np.int64)
-    bounds = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
+    bounds = row_bounds(counts)
     data, offs = binary_column(col)
     if offs.size != bounds.size:
         raise ValueError("column rows != count rows")
@@ -338,14 +354,108 @@ def _decode_column(col, counts, docs_codec: str, stream, sorted_deltas):
     return vals, bounds
 
 
-def decode_docs_column(col, counts, docs_codec: str
+def decode_docs_column(col, counts, docs_codec: str,
+                       doc_ints: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a whole Arrow binary column of sorted doc-stream rows
-    (``docs``, or ``pos_offsets`` with ``counts = df + 1``): returns the
-    flat uint64 values and int64 row bounds (row i is
-    ``vals[bounds[i]:bounds[i + 1]]``), equal to per-row
-    :func:`decode_docs_stream` concatenated."""
-    return _decode_column(col, counts, docs_codec, decode_docs_stream, True)
+    """Decode a whole Arrow binary column of sorted-stream rows (``docs``,
+    or ``pos_offsets`` with ``counts = df + 1``): returns the flat values
+    and int64 row bounds (row i is ``vals[bounds[i]:bounds[i + 1]]``),
+    equal to per-row :func:`decode_docs_stream` concatenated.  Values are
+    uint64, or, given the tier's sorted ``doc_ints`` map, the ``docs``
+    column's ordinals mapped back to int64 doc ints with one ``take``."""
+    vals, bounds = _decode_column(col, counts, docs_codec,
+                                  decode_docs_stream, True)
+    if doc_ints is not None:
+        vals = doc_ints[vals]  # an ordinal past the map raises IndexError
+    return vals, bounds
+
+
+def doc_ordinals(doc_ints: np.ndarray, docs: np.ndarray) -> np.ndarray:
+    """uint64 ranks of ``docs`` in the tier's sorted ``doc_ints`` map; a
+    doc missing from the map raises ``ValueError``."""
+    ords = np.searchsorted(doc_ints, docs)
+    if docs.size and (doc_ints.size == 0 or not np.array_equal(
+            doc_ints[np.minimum(ords, doc_ints.size - 1)], docs)):
+        raise ValueError("doc_int missing from the tier's doc-int map")
+    return ords.astype(np.uint64)
+
+
+def encode_docs_column(vals: np.ndarray, bounds: np.ndarray,
+                       docs_codec: str) -> pa.Array:
+    """The inverse of :func:`decode_docs_column` without a map: the Arrow
+    binary column whose row i is
+    ``encode_docs_stream(vals[bounds[i]:bounds[i + 1]])``.  Varint codes
+    the whole column in one pass: deltas restart at every row, and the
+    row byte offsets are the cumulative per-value varint lengths."""
+    vals = np.asarray(vals).astype(np.uint64, copy=False)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if docs_codec in ("bitpack", "ef"):
+        return pa.array(
+            [encode_docs_stream(vals[s:e], docs_codec)
+             for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist())],
+            pa.binary())
+    gaps = vals.copy()
+    np.subtract(vals[1:], vals[:-1], out=gaps[1:])
+    starts = bounds[:-1][bounds[:-1] < bounds[1:]]
+    gaps[starts] = vals[starts]
+    cum = np.zeros(vals.size + 1, dtype=np.int64)
+    np.cumsum(codec._varint_nbytes(gaps), out=cum[1:])
+    if cum[-1] >= 2**31:
+        raise ValueError("docs column over 2 GiB: write smaller tables")
+    return pa.Array.from_buffers(
+        pa.binary(), bounds.size - 1,
+        [None, pa.py_buffer(cum[bounds].astype(np.int32)),
+         pa.py_buffer(codec.encode_varints(gaps))])
+
+
+def row_bounds(dfs) -> np.ndarray:
+    """int64 row bounds (len rows + 1) of per-row counts ``dfs``."""
+    bounds = np.zeros(len(dfs) + 1, dtype=np.int64)
+    np.cumsum(dfs, out=bounds[1:])
+    return bounds
+
+
+def split_docs(t: pa.Table, docs_codec: str,
+               doc_ints: np.ndarray | None = None
+               ) -> tuple[pa.Table, np.ndarray]:
+    """Segment table -> ``(rows, docs)``: the table without its ``docs``
+    column, and that column decoded to flat int64 doc ints in row order
+    (row i's docs are ``docs[b[i]:b[i + 1]]``, ``b = row_bounds(df)``).
+    Final-tier rows need their tier's ``doc_ints`` map; staged salt runs
+    hold doc ints already and pass none."""
+    docs, _ = decode_docs_column(t["docs"], t["df"].to_numpy(), docs_codec,
+                                 doc_ints)
+    return t.drop_columns(["docs"]), docs.astype(np.int64, copy=False)
+
+
+def join_docs(rows: pa.Table, docs: np.ndarray, docs_codec: str,
+              doc_ints: np.ndarray) -> pa.Table:
+    """The inverse of :func:`split_docs` into the ordinal space of
+    ``doc_ints``: ``docs`` ranked in the map and coded as the rows'
+    ``docs`` column."""
+    col = encode_docs_column(doc_ordinals(doc_ints, docs),
+                             row_bounds(rows["df"].to_numpy()), docs_codec)
+    return rows.append_column("docs", col).select(SEGMENT_SCHEMA.names)
+
+
+DOC_INTS = "_doc_ints"
+
+
+def write_doc_ints(seg_root: str, doc_ints: np.ndarray) -> None:
+    """Write the tier's sorted doc-int map beside its ``shard=K`` dirs
+    (tmp + rename, so a reader never sees half a map)."""
+    import os
+
+    path = os.path.join(seg_root, DOC_INTS)
+    np.ascontiguousarray(doc_ints, dtype="<i8").tofile(path + ".tmp")
+    os.replace(path + ".tmp", path)
+
+
+def load_doc_ints(seg_root: str) -> np.ndarray:
+    """The tier's sorted int64 doc-int map (:func:`write_doc_ints`)."""
+    import os
+
+    return np.fromfile(os.path.join(seg_root, DOC_INTS), dtype="<i8")
 
 
 def decode_tfs_column(col, counts, docs_codec: str
@@ -355,27 +465,29 @@ def decode_tfs_column(col, counts, docs_codec: str
 
 
 def merge_runs(
-    docs_bufs: list[bytes],
+    docs_runs: list[np.ndarray],
     tfs_bufs: list[bytes],
     w_bufs: list[bytes],
     pos_bufs: list[bytes],
     off_bufs: list[bytes],
     docs_codec: str = "varint",
-) -> tuple[bytes, bytes, bytes, bytes, bytes, int]:
-    """Merge one term's varint posting runs into a single row
-    ``(docs, tfs, weights, positions, pos_offsets, df)``, re-encoded with the
-    final-tier ``docs_codec``.
+) -> tuple[np.ndarray, bytes, bytes, bytes, bytes, int]:
+    """Merge one term's posting runs — each a sorted doc-int array plus
+    its varint payload cells — into a single row ``(docs, tfs, weights,
+    positions, pos_offsets, df)``: ``docs`` the merged sorted doc ints
+    (the caller codes the ``docs`` column, :func:`join_docs`), the cells
+    re-encoded with the final-tier ``docs_codec``.
 
     Runs that are already strictly ascending in the given order (a build's
     salt runs cover disjoint ordered doc ranges) concatenate: tfs / weights /
     positions are per-value or per-doc codes, so they join byte-wise and only
-    the doc-gap and offset streams re-encode across run boundaries.  Runs
-    whose doc ranges interleave (cross-index merge, Lucene-style) are
-    merge-sorted by doc_int, with one byte gather for the positions payload.
-    Either way the bytes are those of the single sorted run.  A doc_int in
-    more than one run raises ``ValueError`` — merging indexes that share
-    documents requires a dedup pass first."""
-    docs = np.concatenate([codec.decode_sorted_deltas(b) for b in docs_bufs])
+    the offset stream re-encodes across run boundaries.  Runs whose doc
+    ranges interleave (cross-index merge, Lucene-style) are merge-sorted by
+    doc_int, with one byte gather for the positions payload.  Either way
+    the bytes are those of the single sorted run.  A doc_int in more than
+    one run raises ``ValueError`` — merging indexes that share documents
+    requires a dedup pass first."""
+    docs = np.concatenate(docs_runs)
     weights = np.concatenate([codec.decode_f64(b) for b in w_bufs])
     offs = [codec.decode_sorted_deltas(b).astype(np.int64) for b in off_bufs]
     if np.all(docs[1:] > docs[:-1]):
@@ -411,7 +523,7 @@ def merge_runs(
         positions = np.frombuffer(
             b"".join(pos_bufs), dtype=np.uint8)[idx].tobytes()
     return (
-        encode_docs_stream(docs, docs_codec),
+        docs,
         tfs,
         codec.encode_f64(weights),
         positions,
@@ -420,42 +532,56 @@ def merge_runs(
     )
 
 
-_PAYLOAD = ("docs", "tfs", "weights", "positions", "pos_offsets")
-_ROW = (*_PAYLOAD, "df")  # merge_runs' result order
+_CELLS = ("tfs", "weights", "positions", "pos_offsets")  # payload minus docs
 
 
-def merge_shard_runs(group: pa.Table, docs_codec: str = "varint") -> pa.Table:
+def merge_shard_runs(rows: pa.Table, docs: np.ndarray, doc_ints: np.ndarray,
+                     docs_codec: str = "varint") -> pa.Table:
     """The per-shard term walk: merge each term's runs — a build's salt
     runs, or the same shard of several indexes — into one row
     (:func:`merge_runs`), for every term of the shard in one vectorized task
     (grouping per shard, not per term, keeps the task count at num_shards
-    instead of num_terms).  A term with a single varint run keeps its
-    bytes."""
-    g = group.sort_by([("term", "ascending"), ("salt", "ascending")])
-    terms = g["term"].to_numpy(zero_copy_only=False)
-    n = len(terms)
+    instead of num_terms).  ``rows``/``docs`` are a :func:`split_docs` pair
+    in doc-int space; the merged rows' ``docs`` column is coded as
+    ordinals in ``doc_ints``, the written tier's map.  A term with a single
+    varint run keeps its other payload cells' bytes."""
+    n = rows.num_rows
     if n == 0:
         return _empty_segment_table()
+    order = pc.sort_indices(
+        rows, sort_keys=[("term", "ascending"), ("salt", "ascending")]
+    ).to_numpy()
+    g = rows.take(order)
+    dfs = rows["df"].to_numpy()
+    src = row_bounds(dfs)
+    bounds = row_bounds(dfs[order])
+    docs = docs[np.repeat(src[order] - bounds[:-1], dfs[order])
+                + np.arange(bounds[-1])]
+    terms = g["term"].to_numpy(zero_copy_only=False)
     new_term = np.ones(n, dtype=bool)
     new_term[1:] = terms[1:] != terms[:-1]
     starts = np.flatnonzero(new_term)
-    ends = np.empty_like(starts)
-    ends[:-1] = starts[1:]
-    ends[-1] = n
+    ends = np.append(starts[1:], n)
 
-    cols = {k: g[k].to_pylist() for k in _ROW}
-    out = {k: [] for k in _ROW}
-    for s, e in zip(starts, ends):
+    cols = {k: g[k].to_pylist() for k in (*_CELLS, "df")}
+    out = {k: [] for k in (*_CELLS, "df")}
+    out_docs = []
+    for s, e in zip(starts.tolist(), ends.tolist()):
         if e - s == 1 and docs_codec == "varint":
-            row = [cols[k][s] for k in _ROW]
+            row = (docs[bounds[s]:bounds[e]], *(cols[k][s] for k in _CELLS),
+                   cols["df"][s])
         else:
-            row = merge_runs(*(cols[k][s:e] for k in _PAYLOAD), docs_codec)
-        for k, v in zip(_ROW, row):
+            row = merge_runs(
+                [docs[bounds[i]:bounds[i + 1]] for i in range(s, e)],
+                *(cols[k][s:e] for k in _CELLS), docs_codec)
+        out_docs.append(row[0])
+        for k, v in zip((*_CELLS, "df"), row[1:]):
             out[k].append(v)
     out["term"] = terms[starts].tolist()
     out["shard"] = [int(g["shard"][0].as_py())] * starts.size
     out["salt"] = [-1] * starts.size  # merged marker
-    return pa.Table.from_pydict(out, schema=SEGMENT_SCHEMA)
+    return join_docs(pa.Table.from_pydict(out, schema=_ROWS_SCHEMA),
+                     np.concatenate(out_docs), docs_codec, doc_ints)
 
 
 def read_shard_runs(paths: list[str], shard: int) -> pa.Table:
@@ -473,21 +599,24 @@ def read_shard_runs(paths: list[str], shard: int) -> pa.Table:
     return t.select(SEGMENT_SCHEMA.names)
 
 
-def merge_shard_dirs(batch: pa.Table, docs_codec: str = "varint") -> pa.Table:
+def merge_shard_dirs(batch: pa.Table, doc_ints: np.ndarray,
+                     docs_codec: str = "varint") -> pa.Table:
     """Reduce side of the build's storage segment exchange: ``batch`` holds
     rows (shard:int, path:str), where ``path`` is one ``shard=K`` hive
     directory of encoded salt-run rows staged by the encode tasks'
     partitioned write.  Reads each directory (page-cache-backed — the
     staging files were written moments ago) and merges it with
-    :func:`merge_shard_runs`."""
+    :func:`merge_shard_runs` into the ordinal space of ``doc_ints``, the
+    index's sorted doc ints."""
     import glob
     import os
 
     outs = [
         merge_shard_runs(
-            read_shard_runs(
+            *split_docs(read_shard_runs(
                 sorted(glob.glob(os.path.join(path, "*.parquet"))), shard),
-            docs_codec,
+                "varint"),
+            doc_ints, docs_codec,
         )
         for shard, path in zip(batch["shard"].to_pylist(),
                                batch["path"].to_pylist())

@@ -17,7 +17,7 @@ for term-sharded parquet segments:
   semantics, and what keeps a delete O(tombstones) instead of O(index).
 * **Purge** (``pipelines.deletes.purge_deletes``) is the merge that makes
   deletes physical: per-shard segment rewrite dropping dead docs (one row
-  loop, ``pipelines.deletes.purge_segment_table``, which
+  loop, ``pipelines.deletes.purge_rows``, which
   ``pipelines.merge.merge_indexes`` also runs to consume tombstones),
   doc-stats rewrite, stats.json recompute, tombstones cleared.  After a
   purge the index scores byte-identically to a fresh build over the

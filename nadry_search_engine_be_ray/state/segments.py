@@ -18,8 +18,12 @@ Laziness is two-level (the 100 TB working-set story):
   Scoring reads only the docs/tfs/weights columns: a group's three score
   columns are decoded once, one pass per column
   (stages/encode.decode_docs_column), so every later term of that group is
-  an array slice.  Positions (positions/pos_offsets) are a separate
-  per-group fetch under their own cache key, made on a posting list's
+  an array slice.  The ``docs`` column stores doc ordinals; the decode
+  maps them back through the tier's sorted doc-int map
+  (``segments_merged/_doc_ints``, loaded once per reader) with one
+  ``take``, so the cache and every caller see sorted doc ints.
+  Positions (positions/pos_offsets) are a separate per-group fetch under
+  their own cache key, made on a posting list's
   first ``positions_buf``/``pos_offsets`` access — BM25 never pays for
   them.  Segment files are written with small row groups
   (BuildConfig.segment_row_group_size) precisely so this fetch unit stays
@@ -49,9 +53,11 @@ import pyarrow.parquet as pq
 
 from ..functions import codec
 from ..stages.encode import (
+    DOC_INTS,
     binary_column,
     decode_docs_column,
     decode_tfs_column,
+    load_doc_ints,
 )
 from ..stages.tokenize import term_shard
 from . import deletes as deletes_state
@@ -108,19 +114,27 @@ class LRU:
 def segment_root(index_dir: str) -> str:
     """The segment tier queries read: ``segments_merged``, one row per
     term.  An index whose stats.json says ``compacted: false`` left its
-    salt runs unmerged, a layout nothing reads any more."""
+    salt runs unmerged, and one whose tier has no doc-int map stores
+    doc_int gaps (format v7 and older); nothing reads either any more."""
     with open(os.path.join(index_dir, "stats.json")) as f:
         if not json.load(f)["compacted"]:
             raise ValueError(
                 f"{index_dir}: unmerged segment runs (compacted: false) are "
                 "not readable; rebuild the index")
-    return os.path.join(index_dir, "segments_merged")
+    root = os.path.join(index_dir, "segments_merged")
+    if not os.path.exists(os.path.join(root, DOC_INTS)):
+        raise ValueError(
+            f"{index_dir}: segments without a {DOC_INTS} doc-ordinal map "
+            "(doc_int gaps, index format v7 or older) are not readable; "
+            "rebuild the index")
+    return root
 
 
 @dataclass
 class PostingList:
     term: str
-    docs: np.ndarray        # sorted int64 doc_ints (60-bit)
+    # sorted int64 doc_ints (60-bit), mapped back from the stored ordinals
+    docs: np.ndarray
     tfs: np.ndarray         # int64 per-doc total tf
     weights: np.ndarray     # float64 per-doc accumulated field weight
     # (positions_buf, pos_offsets), or a no-argument loader that returns
@@ -180,9 +194,10 @@ class _SegFile:
     """One segment parquet file: dictionary columns (term, df) eager,
     payload columns fetched and decoded per row group on first touch."""
 
-    def __init__(self, path: str, docs_codec: str = "varint"):
+    def __init__(self, path: str, docs_codec: str, doc_ints: np.ndarray):
         self.pf = pq.ParquetFile(path, memory_map=True)
         self.docs_codec = docs_codec
+        self.doc_ints = doc_ints  # the tier's ordinal -> doc_int map
         md = self.pf.metadata
         self.rg_offsets = np.cumsum(
             [0] + [md.row_group(i).num_rows for i in range(md.num_row_groups)]
@@ -200,23 +215,24 @@ class _SegFile:
         return self.dfs[self.rg_offsets[g]:self.rg_offsets[g + 1]]
 
     def row(self, row: int, rg_cache: LRU):
-        """``(docs, tfs, weights)`` of ``row``.  On a miss its row group's
-        three score columns are read and decoded whole, one pass per
-        column, and cached in ``rg_cache`` under ``(id(self), g)``; a hit
-        is three array slices."""
+        """``(docs, tfs, weights)`` of ``row``, docs as int64 doc ints.  On
+        a miss its row group's three score columns are read and decoded
+        whole, one pass per column (the docs ordinals mapped to doc ints),
+        and cached in ``rg_cache`` under ``(id(self), g)``; a hit is three
+        array slices."""
         g, i = self._group(row)
         key = (id(self), g)
         dec = rg_cache.get(key)
         if dec is None:
             t = self.pf.read_row_group(g, columns=_SCORE_COLS)
             dfs = self._dfs(g)
-            docs, bounds = decode_docs_column(t["docs"], dfs, self.docs_codec)
+            docs, bounds = decode_docs_column(t["docs"], dfs, self.docs_codec,
+                                              self.doc_ints)
             tfs, _ = decode_tfs_column(t["tfs"], dfs, self.docs_codec)
             weights = np.frombuffer(binary_column(t["weights"])[0], "<f8")
             if weights.size != docs.size:
                 raise ValueError("weights column != docs column")
-            dec = (bounds, docs.astype(np.int64), tfs.astype(np.int64),
-                   weights)
+            dec = (bounds, docs, tfs.astype(np.int64), weights)
             rg_cache.put(key, dec)
         bounds, docs, tfs, weights = dec
         s, e = bounds[i], bounds[i + 1]
@@ -267,6 +283,8 @@ class SegmentReader:
         # docs/tfs/pos_offsets streams use the build's final-tier codec;
         # the nested positions payload stays varint
         self._docs_codec = self.stats.get("docs_codec", "varint")
+        # the tier's sorted doc-int map (ordinal -> doc_int), 8 B/doc
+        self.doc_ints = load_doc_ints(self._seg_root)
         # tombstone set (state/deletes.py): loaded once per reader/actor,
         # applied to every decoded posting list; empty array = zero overhead
         self.deleted = deletes_state.load_tombstones(index_dir)
@@ -294,7 +312,7 @@ class SegmentReader:
             ))
             index: dict[str, tuple[int, int]] = {}
             for fp in files:
-                sf = _SegFile(fp, self._docs_codec)
+                sf = _SegFile(fp, self._docs_codec, self.doc_ints)
                 ti = len(self._files)
                 self._files.append(sf)
                 index.update((term, (ti, row))

@@ -140,6 +140,52 @@ def assert_term_rows_match_segments():
 
 
 @pytest.fixture(scope="session")
+def assert_doc_ordinals():
+    """Checks the doc-ordinal segment tier on disk: the doc-int map beside
+    the shards equals the sorted ``doc_int`` column of ``doc_stats``,
+    every stored ordinal falls inside the map, and, given ``fresh`` (a
+    fresh build of the same live corpus), every term's row holds the
+    fresh build's df and payload bytes, ``docs`` cell included."""
+    import json
+
+    import numpy as np
+    import pyarrow.dataset as pads
+
+    from nadry_search_engine_be_ray.stages.encode import (
+        decode_docs_column,
+        load_doc_ints,
+    )
+
+    def rows(index_dir: str):
+        return pads.dataset(os.path.join(index_dir, "segments_merged"),
+                            format="parquet", partitioning="hive").to_table()
+
+    def cells(index_dir: str) -> dict:
+        return {r.pop("term"): r for r in rows(index_dir).drop_columns(
+            ["shard", "salt"]).to_pylist()}
+
+    def check(index_dir: str, fresh: str | None = None) -> None:
+        doc_ints = load_doc_ints(os.path.join(index_dir, "segments_merged"))
+        stats_ints = pads.dataset(os.path.join(index_dir, "doc_stats"),
+                                  format="parquet").to_table(
+            columns=["doc_int"])["doc_int"].to_numpy(zero_copy_only=False)
+        assert np.array_equal(doc_ints, np.sort(stats_ints)), index_dir
+        with open(os.path.join(index_dir, "stats.json")) as f:
+            docs_codec = json.load(f)["docs_codec"]
+        t = rows(index_dir)
+        ords, _ = decode_docs_column(t["docs"], t["df"].to_numpy(),
+                                     docs_codec)
+        assert ords.size and int(ords.max()) < doc_ints.size, index_dir
+        if fresh is not None:
+            got, exp = cells(index_dir), cells(fresh)
+            assert got.keys() == exp.keys(), index_dir
+            for term, row in exp.items():
+                assert got[term] == row, (index_dir, term)
+
+    return check
+
+
+@pytest.fixture(scope="session")
 def index_tiers(built_index, tombstoned_index):
     """The two dictionary layouts every term-dictionary lookup must answer
     identically on: as built, and with tombstones masking the postings."""

@@ -147,6 +147,30 @@ def test_unmerged_segment_layout_is_refused(built_index, tmp_path):
                                                      "segments_merged")
 
 
+def test_segments_without_doc_int_map_are_refused(built_index, tmp_path):
+    """A v7-layout tier stores doc_int gaps and has no ``_doc_ints`` map
+    beside its shards: opening it fails with the rebuild message instead
+    of reading ordinals that do not exist, and the built index carries
+    the map."""
+    import shutil
+
+    from nadry_search_engine_be_ray.state.segments import segment_root
+
+    shutil.copy(os.path.join(built_index, "stats.json"), tmp_path)
+    shutil.copytree(os.path.join(built_index, "segments_merged"),
+                    tmp_path / "segments_merged",
+                    ignore=shutil.ignore_patterns("_doc_ints"))
+    for open_tier in (segment_root, SegmentReader):
+        with pytest.raises(ValueError, match="_doc_ints.*rebuild the index"):
+            open_tier(str(tmp_path))
+    assert os.path.isfile(os.path.join(segment_root(built_index),
+                                       "_doc_ints"))
+
+
+def test_built_index_doc_ordinals(built_index, assert_doc_ordinals):
+    assert_doc_ordinals(built_index)
+
+
 def test_batched_position_decode_matches_single(built_index, ray_session):
     import numpy as np
 

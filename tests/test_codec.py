@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from nadry_search_engine_be_ray.functions import codec
 from nadry_search_engine_be_ray.stages.encode import (
     decode_docs_column, decode_docs_stream, decode_tfs_column,
-    decode_tfs_stream, encode_docs_stream, encode_tfs_stream, merge_runs)
+    decode_tfs_stream, doc_ordinals, encode_docs_column, encode_docs_stream,
+    encode_tfs_stream, merge_runs, row_bounds)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=300))
@@ -66,8 +67,9 @@ def test_merge_runs_equals_single_sorted_run(docs, n_runs, interleave,
                                              docs_codec, seed):
     """Splitting a posting list into 2-4 varint runs — ascending doc ranges
     (a build's salt runs) or interleaved at random (a cross-index merge) —
-    and merging them gives the bytes of the single sorted run encoded
-    directly; a doc_int shared by two runs raises."""
+    and merging them gives the single sorted run: its docs, and the bytes
+    of its other cells encoded directly; a doc_int shared by two runs
+    raises."""
     rng = np.random.default_rng(seed)
     docs = sorted(docs)
     n = len(docs)
@@ -85,12 +87,16 @@ def test_merge_runs_equals_single_sorted_run(docs, n_runs, interleave,
         members = np.split(np.arange(n), cuts)
 
     def runs(groups):
-        cols = [_encoded_run([docs[i] for i in g], tfs[g], weights[g],
-                             [payloads[i] for i in g]) for g in groups]
+        cols = [(np.array([docs[i] for i in g], dtype=np.int64),
+                 *_encoded_run([docs[i] for i in g], tfs[g], weights[g],
+                               [payloads[i] for i in g])[1:])
+                for g in groups]
         return [list(c) for c in zip(*cols)]
 
     got = merge_runs(*runs(members), docs_codec)
-    assert got == (*_encoded_run(docs, tfs, weights, payloads, docs_codec), n)
+    assert got[0].tolist() == docs
+    assert got[1:] == (
+        *_encoded_run(docs, tfs, weights, payloads, docs_codec)[1:], n)
 
     # the same doc_int in two runs is a merge of non-disjoint indexes
     a, b = members[0], members[1]
@@ -299,12 +305,20 @@ def test_column_decode_equals_per_row_stream_decode(rows, docs_codec, seed):
     offs = [np.concatenate([[0], np.cumsum(rng.integers(1, 9, d.size))]
                            ).astype(np.uint64) for d in docs]
     counts = np.array([d.size for d in docs])
-    for vals, enc, dec, col_dec, extra in [
-        (docs, encode_docs_stream, decode_docs_stream, decode_docs_column, 0),
-        (offs, encode_docs_stream, decode_docs_stream, decode_docs_column, 1),
-        (tfs, encode_tfs_stream, decode_tfs_stream, decode_tfs_column, 0),
+    for vals, enc, dec, col_dec, col_enc, extra in [
+        (docs, encode_docs_stream, decode_docs_stream, decode_docs_column,
+         encode_docs_column, 0),
+        (offs, encode_docs_stream, decode_docs_stream, decode_docs_column,
+         encode_docs_column, 1),
+        (tfs, encode_tfs_stream, decode_tfs_stream, decode_tfs_column,
+         None, 0),
     ]:
         col = pa.array([enc(v, docs_codec) for v in vals], pa.binary())
+        if col_enc is not None:
+            # the column encoder writes each row's stream bytes, so its
+            # column decodes back to the values
+            assert col_enc(np.concatenate(vals),
+                           row_bounds(counts + extra), docs_codec).equals(col)
         for view, lo, hi in _column_views(col):
             got, bounds = col_dec(view, counts[lo:hi] + extra, docs_codec)
             per_row = [dec(col[i].as_py(), docs_codec) for i in range(lo, hi)]
@@ -342,3 +356,34 @@ def test_column_decode_edges(docs_codec):
         assert np.array_equal(got, np.concatenate(tfs[lo:hi]))
     with pytest.raises(ValueError):
         decode_docs_column(dcol, [1, 3, 1, 2], docs_codec)
+
+
+@pytest.mark.parametrize("docs_codec", ["varint", "bitpack", "ef"])
+def test_docs_column_ordinal_roundtrip(docs_codec):
+    """Doc ints stored through the tier's sorted doc-int map: their
+    ordinals coded as one column equal each row's ordinals coded alone,
+    df=1 rows included, and the map-aware decode gives back the sorted
+    int64 doc ints.  A doc missing from the map and an ordinal past its
+    end both raise."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(7)
+    doc_ints = np.sort(rng.choice(2**60, 400, replace=False)).astype(np.int64)
+    rows = [doc_ints[:1], doc_ints[-1:], doc_ints[::3], doc_ints[5:6],
+            np.sort(rng.choice(doc_ints, 50, replace=False)), doc_ints]
+    counts = [r.size for r in rows]
+    bounds = row_bounds(counts)
+    col = encode_docs_column(doc_ordinals(doc_ints, np.concatenate(rows)),
+                             bounds, docs_codec)
+    assert col.to_pylist() == [
+        encode_docs_stream(np.searchsorted(doc_ints, r).astype(np.uint64),
+                           docs_codec) for r in rows]
+    for view, lo, hi in _column_views(col):
+        got, b = decode_docs_column(view, counts[lo:hi], docs_codec, doc_ints)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.concatenate(rows[lo:hi]))
+        assert b.tolist() == row_bounds(counts[lo:hi]).tolist()
+    with pytest.raises(ValueError):
+        doc_ordinals(doc_ints, np.array([doc_ints[3] + 1]))
+    with pytest.raises(IndexError):
+        decode_docs_column(col, counts, docs_codec, doc_ints[:100])

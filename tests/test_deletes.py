@@ -242,7 +242,10 @@ def test_purged_term_rows_match_segments(purged_vs_fresh,
     assert_term_rows_match_segments(purged_vs_fresh["idx_purge"])
 
 
-def test_purge_postings_byte_equal_fresh_build(purged_vs_fresh):
+def test_purge_postings_byte_equal_fresh_build(purged_vs_fresh,
+                                              assert_doc_ordinals):
+    assert_doc_ordinals(purged_vs_fresh["idx_purge"],
+                        purged_vs_fresh["idx_surv"])
     rp = SegmentReader(purged_vs_fresh["idx_purge"])
     rs = SegmentReader(purged_vs_fresh["idx_surv"])
     terms_p, terms_s = set(rp.terms()), set(rs.terms())
@@ -321,11 +324,12 @@ def test_purge_filters_side_tables(setup, purged_vs_fresh):
 # merge consumes tombstones (Lucene segment-merge semantics)
 # ---------------------------------------------------------------------------
 
-def test_merge_applies_tombstones(setup, tmp_path_factory):
+def test_merge_applies_tombstones(setup, tmp_path_factory,
+                                  assert_doc_ordinals):
     """merge_indexes over tombstoned sources must equal purge-then-merge
-    byte-for-byte (pipelines/merge.py applies the same mask/re-encode row
-    transform during the k-way merge), recompute stats over survivors, and
-    emit NO tombstone file."""
+    byte-for-byte on disk (pipelines/merge.py applies the same
+    mask/re-encode row transform during the k-way merge), recompute stats
+    over survivors, and emit NO tombstone file."""
     from nadry_search_engine_be_ray.pipelines.merge import merge_indexes
 
     tmp = tmp_path_factory.mktemp("mergedel")
@@ -359,6 +363,7 @@ def test_merge_applies_tombstones(setup, tmp_path_factory):
 
     for k in ("n_docs", "total_words", "avgdl", "n_term_rows"):
         assert stats_m[k] == stats_2[k], k
+    assert_doc_ordinals(im, im2)
     rm, r2 = SegmentReader(im), SegmentReader(im2)
     assert sorted(rm.terms()) == sorted(r2.terms())
     for t in sorted(rm.terms())[::7]:

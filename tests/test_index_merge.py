@@ -221,8 +221,63 @@ def upserted_and_fresh(ray_session, tmp_path_factory):
     base_i, up, fresh = (str(tmp / n) for n in ("bi", "up", "fresh"))
     build_index(corpus_dir("base_c", base), base_i, cfg)
     upsert_index(base_i, corpus_dir("delta_c", upd, new), up, cfg)
-    build_index(corpus_dir("live_c", base.slice(20), upd, new), fresh, cfg)
-    return up, fresh
+    live = pa.concat_tables([base.slice(20), upd, new])
+    build_index(corpus_dir("live_c", live), fresh, cfg)
+    return up, fresh, {"tmp": tmp, "base": base_i, "live": live,
+                       "spare": tbl.slice(240), "corpus_dir": corpus_dir}
+
+
+def test_write_verbs_keep_doc_ordinals(upserted_and_fresh,
+                                       assert_doc_ordinals):
+    """Build, upsert, delete + purge and merge_indexes each leave a tier
+    whose doc-int map is the sorted doc_stats ints, whose stored ordinals
+    fall inside it, and whose rows are byte for byte those of a fresh
+    build of the live corpus."""
+    import shutil
+
+    import pyarrow as pa
+
+    from nadry_search_engine_be_ray.pipelines.deletes import (
+        delete_docs,
+        purge_deletes,
+    )
+    from nadry_search_engine_be_ray.stages.prep import prep_batch
+
+    up, fresh, ctx = upserted_and_fresh
+    tmp, corpus_dir = ctx["tmp"], ctx["corpus_dir"]
+    cfg = BuildConfig(num_shards=4, salt_bits=1)
+
+    def doc_ints(t):
+        return prep_batch(t)["doc_int"].to_numpy()
+
+    def drop_every(t, k):
+        keep = np.ones(t.num_rows, dtype=bool)
+        keep[::k] = False
+        return t.filter(pa.array(keep)), doc_ints(t.filter(pa.array(~keep)))
+
+    assert_doc_ordinals(ctx["base"])
+    assert_doc_ordinals(up, fresh)
+
+    # delete + purge: every 9th live doc goes
+    purged = str(tmp / "purged")
+    shutil.copytree(up, purged)
+    live, dead = drop_every(ctx["live"], 9)
+    delete_docs(purged, dead)
+    assert purge_deletes(purged)["n_purged"] == dead.size
+    purged_fresh = str(tmp / "purged_fresh")
+    build_index(corpus_dir("purged_c", live), purged_fresh, cfg)
+    assert_doc_ordinals(purged, purged_fresh)
+
+    # merge the purged index with a third one whose tombstones it consumes
+    third = str(tmp / "third")
+    build_index(corpus_dir("third_c", ctx["spare"]), third, cfg)
+    spare, spare_dead = drop_every(ctx["spare"], 4)
+    delete_docs(third, spare_dead)
+    merged = str(tmp / "merged")
+    merge_indexes([purged, third], merged)
+    merged_fresh = str(tmp / "merged_fresh")
+    build_index(corpus_dir("merged_c", live, spare), merged_fresh, cfg)
+    assert_doc_ordinals(merged, merged_fresh)
 
 
 @pytest.mark.parametrize("which", ["merged", "upserted"])
@@ -246,7 +301,7 @@ def test_upserted_term_vectors_match_fresh_build(upserted_and_fresh):
     from nadry_search_engine_be_ray.pipelines.query import more_like_this
     from nadry_search_engine_be_ray.pipelines.serve import QueryEvalActor
 
-    up, fresh = upserted_and_fresh
+    up, fresh, _ = upserted_and_fresh
     docs = sorted(pads.dataset(os.path.join(fresh, "doc_stats"),
                                format="parquet")
                   .to_table(columns=["doc_int"])["doc_int"].to_pylist())

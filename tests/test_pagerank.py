@@ -362,9 +362,9 @@ def test_graph_ops_empty_and_selfloop_inputs(ray_session):
 
     from nadry_search_engine_be_ray.pipelines.pagerank import (
         common_neighbors_topk,
+        int_table,
         triangle_count,
         undirected_edges,
-        uv_table,
     )
 
     empty = ray.data.from_arrow(pa.table({
@@ -386,7 +386,7 @@ def test_graph_ops_empty_and_selfloop_inputs(ray_session):
     for ds in (empty, loops):
         und = undirected_edges(ds)
         assert und.count() == 0
-        t = uv_table(und)
+        t = int_table(und, ["u", "v"])
         assert t.num_rows == 0 and t.schema == uv_schema
 
 
@@ -398,9 +398,9 @@ def test_synthetic_edges_match_python_rule(ray_session, quadratic):
     import pyarrow.parquet as pq
 
     from nadry_search_engine_be_ray.pipelines.pagerank import (
+        int_table,
         synthetic_edges,
         undirected_edges,
-        uv_table,
     )
 
     sf = "/root/testdata/sf0.001"
@@ -417,7 +417,7 @@ def test_synthetic_edges_match_python_rule(ray_session, quadratic):
     assert sorted(zip(got["src"].tolist(), got["dst"].tolist())) \
         == sorted(want)
 
-    und = uv_table(undirected_edges(edges))
+    und = int_table(undirected_edges(edges), ["u", "v"])
     assert sorted(zip(und["u"].to_pylist(), und["v"].to_pylist())) \
         == sorted({(min(s, d), max(s, d)) for s, d in want if s != d})
 

@@ -938,17 +938,20 @@ def test_reader_df_reads_no_payload(built_index):
 
 def _eager_postings(index_dir):
     """Every term's posting list decoded from its one segment row with
-    the per-row stream decoders and tombstoned docs dropped doc by doc:
-    the reader's answer, computed without its row-group decode or its
-    lazy positions."""
+    the per-row decoders (its docs cell as a one-row column mapped through
+    the tier's doc-int map, the reader's own helper) and tombstoned docs
+    dropped doc by doc: the reader's answer, computed without its
+    row-group decode or its lazy positions."""
     import glob
     import json
 
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from nadry_search_engine_be_ray.functions import codec
     from nadry_search_engine_be_ray.stages.encode import (
-        decode_docs_stream, decode_tfs_stream,
+        decode_docs_column, decode_docs_stream, decode_tfs_stream,
+        load_doc_ints,
     )
     from nadry_search_engine_be_ray.state.deletes import load_tombstones
     from nadry_search_engine_be_ray.state.segments import segment_root
@@ -956,6 +959,7 @@ def _eager_postings(index_dir):
     with open(os.path.join(index_dir, "stats.json")) as f:
         c = json.load(f).get("docs_codec", "varint")
     dead = set(load_tombstones(index_dir).tolist())
+    doc_ints = load_doc_ints(segment_root(index_dir))
     out = {}
     for fp in sorted(glob.glob(os.path.join(segment_root(index_dir), "*",
                                             "*.parquet"))):
@@ -963,7 +967,8 @@ def _eager_postings(index_dir):
             term = r["term"]
             assert term not in out, term
             off = decode_docs_stream(r["pos_offsets"], c).astype(np.int64)
-            docs = decode_docs_stream(r["docs"], c).astype(np.int64).tolist()
+            docs = decode_docs_column(pa.array([r["docs"]], pa.binary()),
+                                      [r["df"]], c, doc_ints)[0].tolist()
             tfs = decode_tfs_stream(r["tfs"], c).astype(np.int64).tolist()
             ws = codec.decode_f64(r["weights"]).tolist()
             slices = [r["positions"][a:b] for a, b in zip(off[:-1], off[1:])]
