@@ -28,7 +28,8 @@ int64 ``(src, dst)`` edges — the one edge schema.  The SQL-checked
 queries feed them :func:`synthetic_edges`, the 3-out-link graph of
 ``documents.parquet`` whose rule :func:`link_targets` owns; the
 undirected kernels canonicalise through :func:`undirected_edges` (no
-self-loops, u < v, distinct) and collect with :func:`int_table`.
+self-loops, u < v, distinct), the directed ones through
+:func:`directed_edges`, and collect with :func:`int_table`.
 """
 
 from __future__ import annotations
@@ -369,26 +370,43 @@ def synthetic_edges(sf_dir: str, quadratic: bool = True):
     return docs.map_batches(link_batch, batch_format="pyarrow"), n
 
 
-def _canonical_uv(batch: pa.Table) -> pa.Table:
+def _edge_uv(batch: pa.Table, orient: str) -> pa.Table:
+    """``(src, dst)`` edges without self-loops as int64 (u, v): ``orient``
+    "undirected" is (min, max), "forward" (src, dst), "reverse" (dst, src)."""
     s = batch["src"].to_numpy(zero_copy_only=False).astype(np.int64)
     d = batch["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
     keep = s != d
     s, d = s[keep], d[keep]
-    return pa.table({"u": pa.array(np.minimum(s, d), pa.int64()),
-                     "v": pa.array(np.maximum(s, d), pa.int64())})
+    if orient == "undirected":
+        s, d = np.minimum(s, d), np.maximum(s, d)
+    elif orient == "reverse":
+        s, d = d, s
+    return pa.table({"u": pa.array(s, pa.int64()), "v": pa.array(d, pa.int64())})
+
+
+def _distinct_edges(edges_ds, orient: str) -> "ray.data.Dataset":
+    return (
+        edges_ds.map_batches(_edge_uv, fn_kwargs={"orient": orient},
+                             batch_format="pyarrow")
+        .groupby(["u", "v"])
+        .count()
+        .select_columns(["u", "v"])
+        .materialize()
+    )
 
 
 def undirected_edges(edges_ds) -> "ray.data.Dataset":
     """The simple undirected graph of ``(src, dst)`` edges: self-loops
     dropped, each edge as (u, v) with u < v, distinct (one groupby-dedup
     exchange), materialized."""
-    return (
-        edges_ds.map_batches(_canonical_uv, batch_format="pyarrow")
-        .groupby(["u", "v"])
-        .count()
-        .select_columns(["u", "v"])
-        .materialize()
-    )
+    return _distinct_edges(edges_ds, "undirected")
+
+
+def directed_edges(edges_ds, reverse: bool = False) -> "ray.data.Dataset":
+    """The distinct directed edges of ``(src, dst)`` edges as (u, v) with
+    u -> v along the edge (``reverse=True``: against it), self-loops
+    dropped, materialized — :func:`undirected_edges` without the min/max."""
+    return _distinct_edges(edges_ds, "reverse" if reverse else "forward")
 
 
 def int_table(ds, cols: list[str]) -> pa.Table:
@@ -919,11 +937,21 @@ def bfs_depths(edges_ds, source: int = 0, n_rounds: int = 4):
     driver holds only node-set-bounded arrays.  Returns (node, depth),
     sorted by node.
     """
-    edges = undirected_edges(edges_ds)
+    nodes, depth = _frontier_depths(undirected_edges(edges_ds), source,
+                                    n_rounds, both_ends=True)
+    return pa.table({"node": pa.array(nodes, pa.int64()),
+                     "depth": pa.array(depth, pa.int64())})
 
+
+def _frontier_depths(edges, source: int, n_rounds: int, both_ends: bool):
+    """Fixed-round frontier expansion from ``source`` over a materialized
+    (u, v) edge Dataset: each round broadcasts the sorted frontier, one
+    map_batches emits per-batch-deduped neighbours — v of every u in the
+    frontier and, with ``both_ends``, u of every v — and a node groupby
+    dedups them globally.  Returns (nodes, hop depths) sorted by node."""
     visited_nodes = np.array([source], dtype=np.int64)
     visited_depth = np.array([0], dtype=np.int64)
-    frontier = np.array([source], dtype=np.int64)
+    frontier = visited_nodes
 
     for r in range(1, n_rounds + 1):
         if frontier.size == 0:
@@ -936,11 +964,12 @@ def bfs_depths(edges_ds, source: int = 0, n_rounds: int = 4):
             v = batch["v"].to_numpy(zero_copy_only=False).astype(np.int64)
             iu = np.searchsorted(fr, u)
             iu[iu == fr.size] = 0
-            iv = np.searchsorted(fr, v)
-            iv[iv == fr.size] = 0
-            nodes = np.unique(np.concatenate([v[fr[iu] == u],
-                                              u[fr[iv] == v]]))
-            return pa.table({"node": pa.array(nodes, pa.int64())})
+            nodes = v[fr[iu] == u]
+            if both_ends:
+                iv = np.searchsorted(fr, v)
+                iv[iv == fr.size] = 0
+                nodes = np.concatenate([nodes, u[fr[iv] == v]])
+            return pa.table({"node": pa.array(np.unique(nodes), pa.int64())})
 
         reached = int_table(
             edges.map_batches(neigh_partial, batch_format="pyarrow")
@@ -956,10 +985,7 @@ def bfs_depths(edges_ds, source: int = 0, n_rounds: int = 4):
         frontier = fresh
 
     order = np.argsort(visited_nodes, kind="stable")
-    return pa.table({
-        "node": pa.array(visited_nodes[order], pa.int64()),
-        "depth": pa.array(visited_depth[order], pa.int64()),
-    })
+    return visited_nodes[order], visited_depth[order]
 
 
 def multi_bfs_closeness(edges_ds, seeds: list[int], n_rounds: int = 4):
@@ -1247,57 +1273,9 @@ def reachable_fixed(edges_ds, source: int = 0, n_rounds: int = 4, *,
     edge list.  Returns a (node -> depth) dict-shaped pandas frame."""
     import pandas as pd
 
-    a_col, b_col = ("dst", "src") if reverse else ("src", "dst")
-
-    def dedup(batch: pa.Table) -> pa.Table:
-        a = batch[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch[b_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = a != b
-        return pa.table({"a": pa.array(a[keep], pa.int64()),
-                         "b": pa.array(b[keep], pa.int64())})
-
-    edges = (
-        edges_ds.map_batches(dedup, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .count()
-        .select_columns(["a", "b"])
-        .materialize()
-    )
-
-    visited_nodes = np.array([source], dtype=np.int64)
-    visited_depth = np.array([0], dtype=np.int64)
-    frontier = np.array([source], dtype=np.int64)
-
-    for r in range(1, n_rounds + 1):
-        if frontier.size == 0:
-            break
-        fr_ref = ray.put(np.sort(frontier))
-
-        def neigh_partial(batch: pa.Table, ref=fr_ref) -> pa.Table:
-            fr = ray.get(ref)
-            a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-            b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-            ia = np.searchsorted(fr, a)
-            ia[ia == fr.size] = 0
-            nodes = np.unique(b[fr[ia] == a])
-            return pa.table({"node": pa.array(nodes, pa.int64())})
-
-        reached = int_table(
-            edges.map_batches(neigh_partial, batch_format="pyarrow")
-            .groupby("node")
-            .count(),
-            ["node"],
-        )["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        fresh = reached[~np.isin(reached, visited_nodes)]
-        visited_nodes = np.concatenate([visited_nodes, fresh])
-        visited_depth = np.concatenate(
-            [visited_depth, np.full(fresh.size, r, dtype=np.int64)]
-        )
-        frontier = fresh
-
-    order = np.argsort(visited_nodes)
-    return pd.DataFrame({"node": visited_nodes[order],
-                         "depth": visited_depth[order]})
+    nodes, depth = _frontier_depths(directed_edges(edges_ds, reverse), source,
+                                    n_rounds, both_ends=False)
+    return pd.DataFrame({"node": nodes, "depth": depth})
 
 
 def scc_seeded(edges_ds, source: int = 0, n_rounds: int = 4):

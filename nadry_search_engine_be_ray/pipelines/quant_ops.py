@@ -25,8 +25,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+from ray.data.aggregate import Max, Min, Sum
 
-from .relational import _fused_parts, _read, _rename_agg
+from .relational import _finish, _fused_parts, _keyed_side, _read, _with_part
 
 _DAY_US = 86_400_000_000
 
@@ -35,7 +37,6 @@ def _cents_histogram(sf_dir: str) -> pd.DataFrame:
     """(event_type, cents) -> count histogram of events.value in integer
     cents.  Distributed partial-aggregate fold; the driver table is
     bounded by the value DOMAIN (distinct cents), not the row count."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         cents = np.round(
@@ -46,14 +47,12 @@ def _cents_histogram(sf_dir: str) -> pd.DataFrame:
             "cents": pa.array(cents, pa.int64()),
             "cnt": pa.array(np.ones(len(cents), np.int64), pa.int64()),
         })
-        return _rename_agg(
-            t.group_by(["event_type", "cents"]).aggregate([("cnt", "sum")]),
-            {"cnt_sum": "cnt"})
+        return t.group_by(["event_type", "cents"]).aggregate([("cnt", "sum")])
 
     return (_read(sf_dir, "events", ["event_type", "value"])
             .map_batches(partial, batch_format="pyarrow")
             .groupby(["event_type", "cents"])
-            .aggregate(Sum("cnt", alias_name="cnt"))
+            .aggregate(Sum("cnt_sum", alias_name="cnt"))
             .to_pandas())
 
 
@@ -63,14 +62,9 @@ def _hist_rank_pick(vals: np.ndarray, cum: np.ndarray, rank0: int) -> int:
     return int(vals[int(np.searchsorted(cum, rank0, side="right"))])
 
 
-def q_max_drawdown(sf_dir: str) -> pd.DataFrame:
-    """Per-day revenue drawdown: daily order totals (BIGINT cents) as the
-    value series ordered by day, running peak = prefix max, drawdown =
-    peak - value.  The distributed fold is one day-keyed partial-sum
-    groupby (O(calendar days) to the driver, the ohlc_daily/ewma_daily
-    contract); the prefix max is a driver scan over that bounded series.
-    All-integer output — no quotient ever rounds."""
-    from ray.data.aggregate import Sum
+def _daily_revenue_cents(sf_dir: str) -> pd.DataFrame:
+    """(day, v) daily order totals in BIGINT cents, ordered by day: one
+    day-keyed partial-sum shuffle, O(calendar days) to the driver."""
 
     def partial(batch: pa.Table) -> pa.Table:
         day = pc.cast(pc.floor_temporal(batch["o_orderdate"], unit="day"),
@@ -79,13 +73,22 @@ def q_max_drawdown(sf_dir: str) -> pd.DataFrame:
             batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
         t = pa.table({"day": day, "v": pa.array(cents, pa.int64())})
-        return _rename_agg(t.group_by(["day"]).aggregate([("v", "sum")]),
-                           {"v_sum": "v"})
+        return t.group_by(["day"]).aggregate([("v", "sum")])
 
-    daily = (_read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby("day").aggregate(Sum("v", alias_name="v"))
-             .to_pandas().sort_values("day").reset_index(drop=True))
+    return (_read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+            .map_batches(partial, batch_format="pyarrow")
+            .groupby("day").aggregate(Sum("v_sum", alias_name="v"))
+            .to_pandas().sort_values("day").reset_index(drop=True))
+
+
+def q_max_drawdown(sf_dir: str) -> pd.DataFrame:
+    """Per-day revenue drawdown: daily order totals (BIGINT cents) as the
+    value series ordered by day, running peak = prefix max, drawdown =
+    peak - value.  The distributed fold is one day-keyed partial-sum
+    groupby (O(calendar days) to the driver, the ohlc_daily/ewma_daily
+    contract); the prefix max is a driver scan over that bounded series.
+    All-integer output — no quotient ever rounds."""
+    daily = _daily_revenue_cents(sf_dir)
     v = daily["v"].to_numpy(np.int64)
     peak = np.maximum.accumulate(v)
     return pd.DataFrame({
@@ -106,7 +109,6 @@ def q_vwap_daily(sf_dir: str) -> pd.DataFrame:
     SQL-half-away trap ROUND_NOTES documents.  (pv * 10000 stays inside
     int64 up to ~9e14 daily cents; beyond that, promote to object ints
     on the driver.)"""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         day = pc.cast(pc.floor_temporal(batch["l_shipdate"], unit="day"),
@@ -122,15 +124,14 @@ def q_vwap_daily(sf_dir: str) -> pd.DataFrame:
             "pv": pa.array(cents * qty, pa.int64()),
             "q": pa.array(qty, pa.int64()),
         })
-        return _rename_agg(
-            t.group_by(["day"]).aggregate([("pv", "sum"), ("q", "sum")]),
-            {"pv_sum": "pv", "q_sum": "q"})
+        return t.group_by(["day"]).aggregate([("pv", "sum"), ("q", "sum")])
 
     daily = (_read(sf_dir, "lineitem",
                    ["l_shipdate", "l_extendedprice", "l_quantity"])
              .map_batches(partial, batch_format="pyarrow")
              .groupby("day")
-             .aggregate(Sum("pv", alias_name="pv"), Sum("q", alias_name="q"))
+             .aggregate(Sum("pv_sum", alias_name="pv"),
+                        Sum("q_sum", alias_name="q"))
              .to_pandas().sort_values("day").reset_index(drop=True))
     pv = daily["pv"].to_numpy(np.int64)
     q = daily["q"].to_numpy(np.int64)
@@ -160,7 +161,6 @@ def q_anova_f(sf_dir: str) -> pd.DataFrame:
     OverflowError instead of a wrong F statistic.  Past the bound, ship
     the ss partial as float64 (and accept ulp-level oracle divergence) or
     split ss into (hi, lo) int64 limbs."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         cents = np.round(
@@ -172,16 +172,14 @@ def q_anova_f(sf_dir: str) -> pd.DataFrame:
             "s": pa.array(cents, pa.int64()),
             "ss": pa.array(cents * cents, pa.int64()),
         })
-        return _rename_agg(
-            t.group_by(["event_type"]).aggregate(
-                [("n", "sum"), ("s", "sum"), ("ss", "sum")]),
-            {"n_sum": "n", "s_sum": "s", "ss_sum": "ss"})
+        return t.group_by(["event_type"]).aggregate(
+            [("n", "sum"), ("s", "sum"), ("ss", "sum")])
 
     g = (_read(sf_dir, "events", ["event_type", "value"])
          .map_batches(partial, batch_format="pyarrow")
          .groupby("event_type")
-         .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"),
-                    Sum("ss", alias_name="ss"))
+         .aggregate(Sum("n_sum", alias_name="n"), Sum("s_sum", alias_name="s"),
+                    Sum("ss_sum", alias_name="ss"))
          .to_pandas().sort_values("event_type"))
     if (g["ss"].to_numpy(np.int64) < 0).any():
         raise OverflowError(
@@ -237,9 +235,7 @@ def q_mad_outliers(sf_dir: str) -> pd.DataFrame:
         rows.append((et, n, med2, mad4, n_out))
     out = pd.DataFrame(rows, columns=["event_type", "n", "med_x2_cents",
                                       "mad_x4_cents", "n_outliers"])
-    for c in out.columns[1:]:
-        out[c] = out[c].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(out, "event_type", ints=out.columns[1:])
 
 
 def q_percentile_interp(sf_dir: str) -> pd.DataFrame:
@@ -266,9 +262,7 @@ def q_percentile_interp(sf_dir: str) -> pd.DataFrame:
         rows.append((et, n, *px4))
     out = pd.DataFrame(rows, columns=["event_type", "n", "p25_x4_cents",
                                       "p50_x4_cents", "p75_x4_cents"])
-    for c in out.columns[1:]:
-        out[c] = out[c].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(out, "event_type", ints=out.columns[1:])
 
 
 _DICT_COLS = [
@@ -302,11 +296,6 @@ def q_rle_profile(sf_dir: str) -> pd.DataFrame:
     driver stitches partitions in key order, merging the run that spans
     a boundary — the partition_checksums/rolling-halo ordered-scan
     contract, O(partitions) driver state."""
-    import ray
-    from ray.data.aggregate import Max, Min
-
-    from .relational import _fused_parts
-
     rows = []
     for tbl, col, key in _RLE_COLS:
         ds = _read(sf_dir, tbl, [key, col])
@@ -356,9 +345,7 @@ def q_rle_profile(sf_dir: str) -> pd.DataFrame:
     out = pd.DataFrame(rows, columns=["tbl", "col", "n", "runs_key",
                                       "rle_bytes_key", "card",
                                       "rle_bytes_sorted"])
-    for c in out.columns[2:]:
-        out[c] = out[c].astype("int64")
-    return out.sort_values(["tbl", "col"]).reset_index(drop=True)
+    return _finish(out, ["tbl", "col"], ints=out.columns[2:])
 
 
 def q_dict_encoding_profile(sf_dir: str) -> pd.DataFrame:
@@ -370,8 +357,6 @@ def q_dict_encoding_profile(sf_dir: str) -> pd.DataFrame:
     groupby whose driver table is O(card) — the profile the zone-map /
     Z-order / front-coding layout family reads before choosing an
     encoding."""
-    from ray.data.aggregate import Sum
-
     rows = []
     for tbl, col in _DICT_COLS:
         ds = _read(sf_dir, tbl, [col])
@@ -382,13 +367,12 @@ def q_dict_encoding_profile(sf_dir: str) -> pd.DataFrame:
                 "b": pc.cast(pc.binary_length(batch[col]), pa.int64()),
                 "c": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
             })
-            return _rename_agg(
-                t.group_by(["v"]).aggregate([("b", "sum"), ("c", "sum")]),
-                {"b_sum": "b", "c_sum": "c"})
+            return t.group_by(["v"]).aggregate([("b", "sum"), ("c", "sum")])
 
         d = (ds.map_batches(partial, batch_format="pyarrow")
              .groupby("v")
-             .aggregate(Sum("b", alias_name="b"), Sum("c", alias_name="c"))
+             .aggregate(Sum("b_sum", alias_name="b"),
+                        Sum("c_sum", alias_name="c"))
              .to_pandas())
         n = int(d["c"].sum())
         plain = int(d["b"].sum())
@@ -400,9 +384,8 @@ def q_dict_encoding_profile(sf_dir: str) -> pd.DataFrame:
                      round(dict_bytes / plain, 6)))
     out = pd.DataFrame(rows, columns=["tbl", "col", "n", "card",
                                       "plain_bytes", "dict_bytes", "ratio"])
-    for c in ("n", "card", "plain_bytes", "dict_bytes"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values(["tbl", "col"]).reset_index(drop=True)
+    return _finish(out, ["tbl", "col"],
+                   ints=["n", "card", "plain_bytes", "dict_bytes"])
 
 
 def q_decision_stump(sf_dir: str) -> pd.DataFrame:
@@ -415,7 +398,6 @@ def q_decision_stump(sf_dir: str) -> pd.DataFrame:
     is one (bucket -> pos, cnt) histogram shuffle; the error curve and
     argmin are O(buckets) driver arithmetic — the split-finding shape of
     a distributed GBDT layer."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         thr = np.floor(
@@ -428,14 +410,12 @@ def q_decision_stump(sf_dir: str) -> pd.DataFrame:
             "c": pa.array(np.ones(len(thr), np.int64), pa.int64()),
             "p": pa.array(pos, pa.int64()),
         })
-        return _rename_agg(
-            t.group_by(["thr"]).aggregate([("c", "sum"), ("p", "sum")]),
-            {"c_sum": "c", "p_sum": "p"})
+        return t.group_by(["thr"]).aggregate([("c", "sum"), ("p", "sum")])
 
     h = (_read(sf_dir, "orders", ["o_totalprice", "o_orderstatus"])
          .map_batches(partial, batch_format="pyarrow")
          .groupby("thr")
-         .aggregate(Sum("c", alias_name="c"), Sum("p", alias_name="p"))
+         .aggregate(Sum("c_sum", alias_name="c"), Sum("p_sum", alias_name="p"))
          .to_pandas().sort_values("thr").reset_index(drop=True))
     nl = np.cumsum(h["c"].to_numpy(np.int64))
     pl = np.cumsum(h["p"].to_numpy(np.int64))
@@ -465,9 +445,6 @@ def q_item_cf_topk(sf_dir: str, k: int = 30) -> pd.DataFrame:
     driver merge is k-bounded.  The cosine double is computed with the
     identical op order in both engines (int product -> cast -> sqrt ->
     divide), so the top-k cutoff is deterministic; ties break (a, b)."""
-    import ray
-    from ray.data.aggregate import Sum
-
     n_parts = _fused_parts(sf_dir, "events")
 
     def extract_dedupe(batch: pa.Table) -> pa.Table:
@@ -485,17 +462,8 @@ def q_item_cf_topk(sf_dir: str, k: int = 30) -> pd.DataFrame:
           .select_columns(["user_id", "item"])
           .materialize())
 
-    counts = ui.groupby("item").count().to_pandas()
-    items = counts["item"].to_numpy(np.int64)
-    order = np.argsort(items)
-    item_keys = items[order]
-    item_cnt = counts["count()"].to_numpy(np.int64)[order]
-    cnt_ref = ray.put((item_keys, item_cnt))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("part",
-                                   pa.array(u % n_parts, pa.int64()))
+    cnt_ref = _keyed_side(ui.groupby("item").count().to_pandas(), "item",
+                          "count()")
 
     def pairs_partition(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -515,7 +483,7 @@ def q_item_cf_topk(sf_dir: str, k: int = 30) -> pd.DataFrame:
         if not a_idx:
             return pa.table({"a": pa.array([], pa.int64()),
                              "b": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
+                             "n_sum": pa.array([], pa.int64())})
         a = it[np.concatenate(a_idx)]
         b = it[np.concatenate(b_idx)]
         t = pa.table({
@@ -523,8 +491,7 @@ def q_item_cf_topk(sf_dir: str, k: int = 30) -> pd.DataFrame:
             "b": pa.array(b, pa.int64()),
             "n": pa.array(np.ones(a.size, np.int64), pa.int64()),
         })
-        return _rename_agg(t.group_by(["a", "b"]).aggregate([("n", "sum")]),
-                           {"n_sum": "n"})
+        return t.group_by(["a", "b"]).aggregate([("n", "sum")])
 
     def score_topk(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or "a" not in batch.column_names:
@@ -547,11 +514,11 @@ def q_item_cf_topk(sf_dir: str, k: int = 30) -> pd.DataFrame:
             "cos_raw": pa.array(cos[top], pa.float64()),
         })
 
-    out = (ui.map_batches(add_part, batch_format="pyarrow")
+    out = (_with_part(ui, "user_id", n_parts)
            .groupby("part")
            .map_groups(pairs_partition, batch_format="pyarrow")
            .groupby(["a", "b"])
-           .aggregate(Sum("n", alias_name="n"))
+           .aggregate(Sum("n_sum", alias_name="n"))
            .map_batches(score_topk, batch_format="pyarrow")
            .to_pandas())
     out = out.sort_values(["cos_raw", "a", "b"],
@@ -587,10 +554,7 @@ def q_quantile_normalize(sf_dir: str) -> pd.DataFrame:
             rows.append((et, kq, n, src, tgt))
     out = pd.DataFrame(rows, columns=["event_type", "decile", "n",
                                       "src_cents", "target_cents"])
-    for c in out.columns[1:]:
-        out[c] = out[c].astype("int64")
-    return (out.sort_values(["event_type", "decile"])
-            .reset_index(drop=True))
+    return _finish(out, ["event_type", "decile"], ints=out.columns[1:])
 
 
 def q_cusum_drift(sf_dir: str) -> pd.DataFrame:
@@ -604,22 +568,7 @@ def q_cusum_drift(sf_dir: str) -> pd.DataFrame:
     total - n*(total // (2n))).  O(calendar days) driver series; the
     alarm column can be legitimately all-false on a drift-free stream
     while g itself stays hash-rich."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch["o_orderdate"], unit="day"),
-                      pa.timestamp("us"))
-        cents = np.round(
-            batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        t = pa.table({"day": day, "v": pa.array(cents, pa.int64())})
-        return _rename_agg(t.group_by(["day"]).aggregate([("v", "sum")]),
-                           {"v_sum": "v"})
-
-    daily = (_read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby("day").aggregate(Sum("v", alias_name="v"))
-             .to_pandas().sort_values("day").reset_index(drop=True))
+    daily = _daily_revenue_cents(sf_dir)
     v = daily["v"].to_numpy(np.int64)
     n = len(v)
     tot = int(v.sum())
@@ -648,11 +597,6 @@ def q_attribution_linear(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
     per-purchase Python loop.  Credits are exact integers (floor), so
     the per-type aggregate is order-free."""
     n_parts = _fused_parts(sf_dir, "events")
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("part",
-                                   pa.array(u % n_parts, pa.int64()))
 
     w_us = window_days * _DAY_US
 
@@ -702,19 +646,17 @@ def q_attribution_linear(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
             "credit_micro": pa.array(credit[keep], pa.int64()),
         })
 
-    out = (_read(sf_dir, "events", ["user_id", "ts", "event_id",
-                                    "event_type"])
-           .map_batches(add_part, batch_format="pyarrow")
+    out = (_with_part(_read(sf_dir, "events", ["user_id", "ts", "event_id",
+                                               "event_type"]),
+                      "user_id", n_parts)
            .groupby("part")
            .map_groups(credit_partition, batch_format="pyarrow")
            .to_pandas()
            .groupby("event_type", as_index=False)
            .agg(n_touches=("n_touches", "sum"),
                 credit_micro=("credit_micro", "sum")))
-    out = out[out["n_touches"] > 0]
-    for c in ("n_touches", "credit_micro"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(out[out["n_touches"] > 0], "event_type",
+                   ints=["n_touches", "credit_micro"])
 
 
 _PRORATION_SPAN = {"1-URGENT": 7, "2-HIGH": 14, "3-MEDIUM": 21,
@@ -729,14 +671,7 @@ def q_interarrival_stats(sf_dir: str) -> pd.DataFrame:
     the lower 0-based rank floor((n-1)*9/10)).  Fused user partitions
     compute gaps with one lexsort + diff; everything after is the
     bounded-histogram rank machinery the MAD family established."""
-    from ray.data.aggregate import Sum
-
     n_parts = _fused_parts(sf_dir, "events")
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("part",
-                                   pa.array(u % n_parts, pa.int64()))
 
     def gaps_partition(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -756,17 +691,15 @@ def q_interarrival_stats(sf_dir: str) -> pd.DataFrame:
             "cnt": pa.array(np.ones(int(same.sum()), np.int64),
                             pa.int64()),
         })
-        return _rename_agg(
-            t.group_by(["event_type", "gmin"]).aggregate([("cnt", "sum")]),
-            {"cnt_sum": "cnt"})
+        return t.group_by(["event_type", "gmin"]).aggregate([("cnt", "sum")])
 
-    hist = (_read(sf_dir, "events",
-                  ["user_id", "event_type", "ts", "event_id"])
-            .map_batches(add_part, batch_format="pyarrow")
+    hist = (_with_part(_read(sf_dir, "events",
+                             ["user_id", "event_type", "ts", "event_id"]),
+                       "user_id", n_parts)
             .groupby("part")
             .map_groups(gaps_partition, batch_format="pyarrow")
             .groupby(["event_type", "gmin"])
-            .aggregate(Sum("cnt", alias_name="cnt"))
+            .aggregate(Sum("cnt_sum", alias_name="cnt"))
             .to_pandas())
     rows = []
     for et, sub in hist.groupby("event_type"):
@@ -781,9 +714,7 @@ def q_interarrival_stats(sf_dir: str) -> pd.DataFrame:
         rows.append((et, n, s, med2, p90, int(vals.max())))
     out = pd.DataFrame(rows, columns=["event_type", "n_gaps", "sum_min",
                                       "med_x2_min", "p90_min", "max_min"])
-    for c in out.columns[1:]:
-        out[c] = out[c].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(out, "event_type", ints=out.columns[1:])
 
 
 def q_grouping_sets(sf_dir: str) -> pd.DataFrame:
@@ -794,7 +725,6 @@ def q_grouping_sets(sf_dir: str) -> pd.DataFrame:
     arbitrary set list).  ALL markers: event_type '', dow -1 — matching
     the oracle's coalesce spelling.  dow = epoch-days % 7 (numbering
     shared with the SQL, no locale weekday names)."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         day = (batch["ts"].to_numpy(zero_copy_only=False)
@@ -808,15 +738,13 @@ def q_grouping_sets(sf_dir: str) -> pd.DataFrame:
             "n": pa.array(np.ones(len(day), np.int64), pa.int64()),
             "v": pa.array(cents, pa.int64()),
         })
-        return _rename_agg(
-            t.group_by(["event_type", "dow"]).aggregate(
-                [("n", "sum"), ("v", "sum")]),
-            {"n_sum": "n", "v_sum": "v"})
+        return t.group_by(["event_type", "dow"]).aggregate(
+            [("n", "sum"), ("v", "sum")])
 
     fine = (_read(sf_dir, "events", ["event_type", "ts", "value"])
             .map_batches(partial, batch_format="pyarrow")
             .groupby(["event_type", "dow"])
-            .aggregate(Sum("n", alias_name="n"), Sum("v", alias_name="v"))
+            .aggregate(Sum("n_sum", alias_name="n"), Sum("v_sum", alias_name="v"))
             .to_pandas())
     sets = [fine.assign(set_id=3)]
     by_t = (fine.groupby("event_type", as_index=False)[["n", "v"]].sum()
@@ -827,11 +755,9 @@ def q_grouping_sets(sf_dir: str) -> pd.DataFrame:
                          "n": [fine["n"].sum()], "v": [fine["v"].sum()],
                          "set_id": [0]})
     out = pd.concat(sets + [by_t, by_d, allr], ignore_index=True)
-    for c in ("dow", "n", "v", "set_id"):
-        out[c] = out[c].astype("int64")
-    return (out[["set_id", "event_type", "dow", "n", "v"]]
-            .sort_values(["set_id", "event_type", "dow"])
-            .reset_index(drop=True))
+    return _finish(out, ["set_id", "event_type", "dow"],
+                   ints=["dow", "n", "v", "set_id"],
+                   cols=["set_id", "event_type", "dow", "n", "v"])
 
 
 def q_tree_depth2(sf_dir: str) -> pd.DataFrame:
@@ -845,7 +771,6 @@ def q_tree_depth2(sf_dir: str) -> pd.DataFrame:
     count, positives) joint-histogram shuffle; the (t1 x d2) error
     surface is a ~500 x 7 numpy fold on the driver, and the oracle
     replays it with dense-grid window cumsums."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         thr = np.floor(
@@ -861,16 +786,14 @@ def q_tree_depth2(sf_dir: str) -> pd.DataFrame:
             "c": pa.array(np.ones(len(thr), np.int64), pa.int64()),
             "p": pa.array(pos, pa.int64()),
         })
-        return _rename_agg(
-            t.group_by(["thr", "dow"]).aggregate(
-                [("c", "sum"), ("p", "sum")]),
-            {"c_sum": "c", "p_sum": "p"})
+        return t.group_by(["thr", "dow"]).aggregate(
+            [("c", "sum"), ("p", "sum")])
 
     h = (_read(sf_dir, "orders",
                ["o_totalprice", "o_orderdate", "o_orderstatus"])
          .map_batches(partial, batch_format="pyarrow")
          .groupby(["thr", "dow"])
-         .aggregate(Sum("c", alias_name="c"), Sum("p", alias_name="p"))
+         .aggregate(Sum("c_sum", alias_name="c"), Sum("p_sum", alias_name="p"))
          .to_pandas())
     thrs = np.sort(h["thr"].unique())
     t_idx = {t: i for i, t in enumerate(thrs)}
@@ -927,8 +850,6 @@ def q_revenue_proration(sf_dir: str) -> pd.DataFrame:
     per-row fan-out (≤ 35 days) done vectorized with repeat/offset
     arithmetic inside map_batches; the recognized-revenue-by-day
     aggregate is the usual day-keyed partial-sum shuffle."""
-    from ray.data.aggregate import Sum
-
     spans = _PRORATION_SPAN
 
     def prorate(batch: pa.Table) -> pa.Table:
@@ -951,16 +872,14 @@ def q_revenue_proration(sf_dir: str) -> pd.DataFrame:
                             pa.timestamp("us")),
             "rec": pa.array(rec, pa.int64()),
         })
-        return _rename_agg(t.group_by(["day"]).aggregate([("rec", "sum")]),
-                           {"rec_sum": "rec"})
+        return t.group_by(["day"]).aggregate([("rec", "sum")])
 
     out = (_read(sf_dir, "orders",
                  ["o_orderdate", "o_totalprice", "o_orderpriority"])
            .map_batches(prorate, batch_format="pyarrow")
-           .groupby("day").aggregate(Sum("rec", alias_name="rec"))
-           .to_pandas().sort_values("day").reset_index(drop=True))
-    out["rec"] = out["rec"].astype("int64")
-    return out.rename(columns={"rec": "rec_cents"})
+           .groupby("day").aggregate(Sum("rec_sum", alias_name="rec_cents"))
+           .to_pandas())
+    return _finish(out, "day", ints=["rec_cents"])
 
 
 _SKEW_KEYS = ["o_custkey", "o_orderkey", "day", "priority_code"]
@@ -974,7 +893,6 @@ def q_skew_audit(sf_dir: str, buckets: int = 64) -> pd.DataFrame:
     pre-shuffle measurement this repo's salted-shuffle docs say to take
     before picking a partition key.  One histogram partial per key, all
     four keys folded in a single pass over the table."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(
@@ -997,16 +915,14 @@ def q_skew_audit(sf_dir: str, buckets: int = 64) -> pd.DataFrame:
             "bucket": pa.array(np.concatenate(bs), pa.int64()),
             "c": pa.array(np.ones(len(ks), np.int64), pa.int64()),
         })
-        return _rename_agg(
-            t.group_by(["key", "bucket"]).aggregate([("c", "sum")]),
-            {"c_sum": "c"})
+        return t.group_by(["key", "bucket"]).aggregate([("c", "sum")])
 
     h = (_read(sf_dir, "orders",
                ["o_custkey", "o_orderkey", "o_orderdate",
                 "o_orderpriority"])
          .map_batches(partial, batch_format="pyarrow")
          .groupby(["key", "bucket"])
-         .aggregate(Sum("c", alias_name="c"))
+         .aggregate(Sum("c_sum", alias_name="c"))
          .to_pandas())
     rows = []
     for key, sub in h.groupby("key"):
@@ -1016,9 +932,7 @@ def q_skew_audit(sf_dir: str, buckets: int = 64) -> pd.DataFrame:
                      int(c.max()) * buckets * 10**6 // n))
     out = pd.DataFrame(rows, columns=["key", "n", "nonempty", "min_rows",
                                       "max_rows", "imbalance_micro"])
-    for c in out.columns[1:]:
-        out[c] = out[c].astype("int64")
-    return out.sort_values("key").reset_index(drop=True)
+    return _finish(out, "key", ints=out.columns[1:])
 
 
 def q_window_ratios(sf_dir: str) -> pd.DataFrame:
@@ -1029,7 +943,6 @@ def q_window_ratios(sf_dir: str) -> pd.DataFrame:
     The daily series comes from one partial-sum shuffle; the window
     arithmetic is per-type vectorized searchsorted over the
     days-bounded driver table."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
@@ -1039,14 +952,12 @@ def q_window_ratios(sf_dir: str) -> pd.DataFrame:
         ).astype(np.int64)
         t = pa.table({"event_type": batch["event_type"], "day": day,
                       "v": pa.array(cents, pa.int64())})
-        return _rename_agg(
-            t.group_by(["event_type", "day"]).aggregate([("v", "sum")]),
-            {"v_sum": "v"})
+        return t.group_by(["event_type", "day"]).aggregate([("v", "sum")])
 
     daily = (_read(sf_dir, "events", ["event_type", "ts", "value"])
              .map_batches(partial, batch_format="pyarrow")
              .groupby(["event_type", "day"])
-             .aggregate(Sum("v", alias_name="v"))
+             .aggregate(Sum("v_sum", alias_name="v"))
              .to_pandas())
     outs = []
     for et, sub in daily.groupby("event_type"):
@@ -1063,11 +974,8 @@ def q_window_ratios(sf_dir: str) -> pd.DataFrame:
             "cd_micro": cnt_le.astype(np.int64) * 10**6 // n,
             "pct_micro": v * 10**6 // total,
         }))
-    out = pd.concat(outs, ignore_index=True)
-    for c in ("v_cents", "cd_micro", "pct_micro"):
-        out[c] = out[c].astype("int64")
-    return (out.sort_values(["event_type", "day"])
-            .reset_index(drop=True))
+    return _finish(pd.concat(outs, ignore_index=True), ["event_type", "day"],
+                   ints=["v_cents", "cd_micro", "pct_micro"])
 
 
 def q_sprt_decision(sf_dir: str, p0: float = 0.15, p1: float = 0.25,
@@ -1082,7 +990,6 @@ def q_sprt_decision(sf_dir: str, p0: float = 0.15, p1: float = 0.25,
     constants times cumulative counts — identical doubles in both
     engines.  O(calendar days) driver series from one daily histogram
     shuffle."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
@@ -1094,14 +1001,12 @@ def q_sprt_decision(sf_dir: str, p0: float = 0.15, p1: float = 0.25,
             "n": pa.array(np.ones(len(k), np.int64), pa.int64()),
             "k": pa.array(k, pa.int64()),
         })
-        return _rename_agg(
-            t.group_by(["day"]).aggregate([("n", "sum"), ("k", "sum")]),
-            {"n_sum": "n", "k_sum": "k"})
+        return t.group_by(["day"]).aggregate([("n", "sum"), ("k", "sum")])
 
     daily = (_read(sf_dir, "events", ["ts", "event_type"])
              .map_batches(partial, batch_format="pyarrow")
              .groupby("day")
-             .aggregate(Sum("n", alias_name="n"), Sum("k", alias_name="k"))
+             .aggregate(Sum("n_sum", alias_name="n"), Sum("k_sum", alias_name="k"))
              .to_pandas().sort_values("day").reset_index(drop=True))
     n = np.cumsum(daily["n"].to_numpy(np.int64))
     k = np.cumsum(daily["k"].to_numpy(np.int64))
@@ -1130,27 +1035,20 @@ def q_cohort_ltv(sf_dir: str) -> pd.DataFrame:
     then a (cohort, age) integer-cents partial-sum shuffle.  The
     cumulative column is a per-cohort prefix sum over the
     months-bounded driver table."""
-    import ray
-    from ray.data.aggregate import Min, Sum
 
     def first_partial(batch: pa.Table) -> pa.Table:
         m = pc.cast(pc.floor_temporal(batch["o_orderdate"], unit="month"),
                     pa.timestamp("us"))
         t = pa.table({"o_custkey": batch["o_custkey"], "m": m})
-        return _rename_agg(t.group_by(["o_custkey"]).aggregate(
-            [("m", "min")]), {"m_min": "m"})
+        return t.group_by(["o_custkey"]).aggregate([("m", "min")])
 
     first = (_read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
              .map_batches(first_partial, batch_format="pyarrow")
-             .groupby("o_custkey").aggregate(Min("m", alias_name="m"))
+             .groupby("o_custkey").aggregate(Min("m_min", alias_name="m"))
              .to_pandas())
-    keys = first["o_custkey"].to_numpy(np.int64)
-    order = np.argsort(keys)
-    keys = keys[order]
-    cohort_us = (first["m"].to_numpy()[order]
-                 .astype("datetime64[us]").astype(np.int64))
     cohort_size = first.groupby("m").size()
-    ref = ray.put((keys, cohort_us))
+    ref = _keyed_side(first, "o_custkey", first["m"].to_numpy()
+                      .astype("datetime64[us]").astype(np.int64))
 
     def tag(batch: pa.Table) -> pa.Table:
         ks, cu = ray.get(ref)
@@ -1174,22 +1072,19 @@ def q_cohort_ltv(sf_dir: str) -> pd.DataFrame:
             "age": pa.array(age, pa.int64()),
             "rev": pa.array(cents, pa.int64()),
         })
-        return _rename_agg(t.group_by(["cohort", "age"]).aggregate(
-            [("rev", "sum")]), {"rev_sum": "rev"})
+        return t.group_by(["cohort", "age"]).aggregate([("rev", "sum")])
 
     g = (_read(sf_dir, "orders", ["o_custkey", "o_orderdate",
                                   "o_totalprice"])
          .map_batches(tag, batch_format="pyarrow")
          .groupby(["cohort", "age"])
-         .aggregate(Sum("rev", alias_name="rev"))
+         .aggregate(Sum("rev_sum", alias_name="rev"))
          .to_pandas().sort_values(["cohort", "age"])
          .reset_index(drop=True))
     g["cum_rev"] = g.groupby("cohort")["rev"].cumsum()
     g["n_customers"] = g["cohort"].map(cohort_size).astype("int64")
-    for c in ("rev", "cum_rev"):
-        g[c] = g[c].astype("int64")
-    g["age"] = g["age"].astype("int64")
-    return g[["cohort", "age", "n_customers", "rev", "cum_rev"]]
+    return _finish(g, ["cohort", "age"], ints=["rev", "cum_rev", "age"],
+                   cols=["cohort", "age", "n_customers", "rev", "cum_rev"])
 
 
 def q_lorenz_curve(sf_dir: str) -> pd.DataFrame:
@@ -1200,7 +1095,6 @@ def q_lorenz_curve(sf_dir: str) -> pd.DataFrame:
     floor-integer share cum·10^6 // total — no quotient ever rounds.
     The per-customer aggregate is customer-dimension-bounded (the
     eb_smoothed_rates contract)."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         cents = np.round(
@@ -1208,12 +1102,11 @@ def q_lorenz_curve(sf_dir: str) -> pd.DataFrame:
         ).astype(np.int64)
         t = pa.table({"o_custkey": batch["o_custkey"],
                       "v": pa.array(cents, pa.int64())})
-        return _rename_agg(t.group_by(["o_custkey"]).aggregate(
-            [("v", "sum")]), {"v_sum": "v"})
+        return t.group_by(["o_custkey"]).aggregate([("v", "sum")])
 
     per = (_read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
            .map_batches(partial, batch_format="pyarrow")
-           .groupby("o_custkey").aggregate(Sum("v", alias_name="v"))
+           .groupby("o_custkey").aggregate(Sum("v_sum", alias_name="v"))
            .to_pandas())
     order = np.lexsort((per["o_custkey"].to_numpy(np.int64),
                         per["v"].to_numpy(np.int64)))
@@ -1246,7 +1139,6 @@ def q_isotonic_calibration(sf_dir: str) -> pd.DataFrame:
     the O(b²) driver matrix is bucket-bounded (~100), never row-bounded.
     Every mean is the same int/int double in both engines, so min / max
     pick identical values and round(.,6) agrees."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         thr = np.floor(
@@ -1259,14 +1151,12 @@ def q_isotonic_calibration(sf_dir: str) -> pd.DataFrame:
             "c": pa.array(np.ones(len(thr), np.int64), pa.int64()),
             "p": pa.array(pos, pa.int64()),
         })
-        return _rename_agg(
-            t.group_by(["thr"]).aggregate([("c", "sum"), ("p", "sum")]),
-            {"c_sum": "c", "p_sum": "p"})
+        return t.group_by(["thr"]).aggregate([("c", "sum"), ("p", "sum")])
 
     h = (_read(sf_dir, "orders", ["o_totalprice", "o_orderstatus"])
          .map_batches(partial, batch_format="pyarrow")
          .groupby("thr")
-         .aggregate(Sum("c", alias_name="c"), Sum("p", alias_name="p"))
+         .aggregate(Sum("c_sum", alias_name="c"), Sum("p_sum", alias_name="p"))
          .to_pandas().sort_values("thr").reset_index(drop=True))
     c = h["c"].to_numpy(np.int64)
     p = h["p"].to_numpy(np.int64)
@@ -1300,12 +1190,6 @@ def q_double_billing(sf_dir: str, gap_days: int = 7) -> pd.DataFrame:
     er_blocking band contract, quadratic only inside a customer's
     gap window."""
     n_parts = _fused_parts(sf_dir, "orders")
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        return batch.append_column(
-            "part", pa.array(ck % n_parts, pa.int64()))
 
     def pairs_partition(group: pa.Table) -> pa.Table:
         ck = group["o_custkey"].to_numpy(zero_copy_only=False).astype(
@@ -1348,9 +1232,9 @@ def q_double_billing(sf_dir: str, gap_days: int = 7) -> pd.DataFrame:
                                          pa.int64()),
         })
 
-    out = (_read(sf_dir, "orders",
-                 ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"])
-           .map_batches(add_part, batch_format="pyarrow")
+    out = (_with_part(_read(sf_dir, "orders", ["o_custkey", "o_orderkey",
+                                               "o_orderdate", "o_totalprice"]),
+                      "o_custkey", n_parts)
            .groupby("part")
            .map_groups(pairs_partition, batch_format="pyarrow")
            .to_pandas())

@@ -10,16 +10,41 @@ Each function takes ``sf_dir`` and returns a small pyarrow/pandas result.
 Aggregate float columns are rounded to 4 decimals to make the Ray-vs-DuckDB
 value hash insensitive to summation order (both sides round identically;
 4 dp keeps the ~1e-8 absolute float noise far from the rounding boundary).
+
+Three helpers carry the shapes the bodies share:
+
+- ``_partial_agg``: per-block ``group_by().aggregate()`` partials, then one
+  driver root combine (FP-Hadoop's intermediate reduce);
+- ``_keyed_side``: a small side broadcast as (sorted int64 keys, columns
+  in key order) for ``_sorted_lookup`` probes;
+- ``_finish``: the int64-cast, 4 dp round and sort that end a body.
+
+``_with_part`` adds the coarse partition key that the per-key
+window/session ops group by.
+
+Bounded combines only: ``_partial_agg`` collects at most groups x blocks
+rows on the driver, so it replaces only bodies that already combined
+collected partials in pandas.  A body whose combine is a Ray
+``groupby().aggregate()`` shuffle keeps that shuffle.
 """
 
 from __future__ import annotations
+
+import hashlib
+import itertools
+import math
+import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import ray.data
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Count, Max, Min, Sum
+
+from ..stages.partitioning import fused_parts
+from ..stages.similarity import _batch_matrix
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -39,28 +64,83 @@ def _sorted_lookup(ks: np.ndarray, vals: np.ndarray):
     return ks[idx] == vals, idx
 
 
+def _keyed_side(df: pd.DataFrame, key: str, *cols):
+    """Broadcast side for ``_sorted_lookup`` probes: one stable argsort on
+    the int64 ``key`` column, then ``ray.put`` of (sorted keys, *cols in
+    key order).  A col is a column name of ``df`` or an array aligned with
+    its rows."""
+    k = df[key].to_numpy(np.int64)
+    order = np.argsort(k, kind="stable")
+    return ray.put((k[order], *(
+        (df[c].to_numpy() if isinstance(c, str) else c)[order] for c in cols
+    )))
+
+
+def _partial_agg(ds, keys, aggs: dict, prep=None) -> pd.DataFrame:
+    """Map-side partial aggregate plus one bounded driver root combine.
+
+    Each block runs ``prep`` (if given), then ``group_by(keys)`` with
+    ``aggs`` (alias -> (column, "sum"|"count"|"min"|"max")), renamed to
+    the aliases; the driver combines the <= groups x blocks partial rows
+    (sum for sum/count, min/max for min/max) instead of paying a shuffle
+    job for a few hundred rows.  When every partial is empty, Ray's
+    ``to_pandas()`` returns a frame with no columns; this returns a 0-row
+    frame with the key and alias columns instead."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    # pyarrow names outputs "col_func"; rename by that name, not position,
+    # since the output column order has differed across pyarrow versions
+    names = {f"{c}_{f}": a for a, (c, f) in aggs.items()}
+
+    def partial(batch: pa.Table) -> pa.Table:
+        t = batch if prep is None else prep(batch)
+        g = t.group_by(keys).aggregate(list(aggs.values()))
+        return g.rename_columns([names.get(c, c) for c in g.column_names])
+
+    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+    if parts.columns.empty:
+        parts = pd.DataFrame(columns=[*keys, *aggs])
+    return parts.groupby(keys, as_index=False).agg(**{
+        a: (a, "sum" if f in ("sum", "count") else f)
+        for a, (_, f) in aggs.items()
+    })
+
+
+def _finish(df: pd.DataFrame, by, ints=(), r4=(), cols=None,
+            ascending=True) -> pd.DataFrame:
+    """End a body: cast ``ints`` to int64, round ``r4`` to 4 dp, select
+    ``cols`` (all when None), then sort by ``by`` and reset the index."""
+    for c in ints:
+        df[c] = df[c].astype("int64")
+    for c in r4:
+        df[c] = df[c].round(4)
+    if cols is not None:
+        df = df[list(cols)]
+    return df.sort_values(by, ascending=ascending).reset_index(drop=True)
+
+
+def _with_part(ds, key: str, n_parts: int):
+    """Append the coarse partition column ``part`` = int64 ``key`` mod
+    ``n_parts``: a ``groupby("part")`` then keeps every key's rows in one
+    partition, the per-key window/session ops' one shuffle."""
+
+    def add_part(batch: pa.Table) -> pa.Table:
+        k = batch[key].to_numpy(zero_copy_only=False).astype(np.int64)
+        return batch.append_column("part", pa.array(k % n_parts, pa.int64()))
+
+    return ds.map_batches(add_part, batch_format="pyarrow")
+
+
 def _fused_parts(sf_dir: str, *tables: str) -> int:
     """Coarse fused-partition count for the per-key window/session ops,
     sized from the participating tables' parquet footprint (ADVICE r3:
     a fixed 64 capped shuffle parallelism and let per-task memory grow
     with the input).  Resolves to the historical 64 at test scale."""
-    import os
-
-    from ..stages.partitioning import fused_parts
-
     total = sum(
         os.path.getsize(f"{sf_dir}/{t}.parquet")
         for t in tables
         if os.path.isfile(f"{sf_dir}/{t}.parquet")
     )
     return fused_parts(bytes_hint=total)
-
-
-def _rename_agg(t: pa.Table, mapping: dict) -> pa.Table:
-    """Rename pyarrow group_by().aggregate() outputs BY GENERATED NAME
-    ("col_func" -> alias) rather than by position — aggregate output column
-    ordering has differed across pyarrow versions."""
-    return t.rename_columns([mapping.get(c, c) for c in t.column_names])
 
 
 def q_agg_pushdown(sf_dir: str) -> pd.DataFrame:
@@ -72,35 +152,18 @@ def q_agg_pushdown(sf_dir: str) -> pd.DataFrame:
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         rev = pc.multiply(
             batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"])
         )
-        t = batch.select(["l_returnflag", "l_linestatus", "l_quantity"]) \
-            .append_column("revenue", rev)
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("revenue", "sum"), ("l_quantity", "count")]
-        )
-        return _rename_agg(
-            g,
-            {"l_quantity_sum": "sum_qty", "revenue_sum": "revenue",
-             "l_quantity_count": "n_rows"},
-        )
+        return batch.append_column("revenue", rev)
 
-    # root combine of the bounded partials (<= keys x blocks rows — this is
-    # the tree-reduce root, not a data-sized driver pull; Ray's sort-based
-    # groupby costs a full shuffle job for the same few hundred rows)
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["l_returnflag", "l_linestatus"], as_index=False)
-        .agg(sum_qty=("sum_qty", "sum"), revenue=("revenue", "sum"),
-             n_rows=("n_rows", "sum"))
-    )
-    out["sum_qty"] = out["sum_qty"].round(4)
-    out["revenue"] = out["revenue"].round(4)
-    out["n_rows"] = out["n_rows"].astype("int64")
-    return out.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
+    keys = ["l_returnflag", "l_linestatus"]
+    out = _partial_agg(ds, keys, {
+        "sum_qty": ("l_quantity", "sum"), "revenue": ("revenue", "sum"),
+        "n_rows": ("l_quantity", "count"),
+    }, prep)
+    return _finish(out, keys, ints=["n_rows"], r4=["sum_qty", "revenue"])
 
 
 def q_broadcast_join(sf_dir: str) -> pd.DataFrame:
@@ -108,18 +171,12 @@ def q_broadcast_join(sf_dir: str) -> pd.DataFrame:
     (sorted keys, segment codes) numpy arrays via ray.put once; each batch
     does join + partial aggregation in ONE pass of searchsorted + bincount
     (no per-batch pandas round trip, J3 pattern, no shuffle)."""
-    import ray
-
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
-    order_keys = np.argsort(cust["c_custkey"].to_numpy(np.int64))
-    keys = cust["c_custkey"].to_numpy(np.int64)[order_keys]
-    segs, seg_codes = np.unique(
-        cust["c_mktsegment"].to_numpy()[order_keys], return_inverse=True
-    )
-    ref = ray.put((keys, seg_codes.astype(np.int64), segs))
+    seg_names, seg_codes = np.unique(cust["c_mktsegment"], return_inverse=True)
+    ref = _keyed_side(cust, "c_custkey", seg_codes)
 
     def join_agg(batch: pa.Table) -> pa.Table:
-        ks, codes, seg_names = ray.get(ref)
+        ks, codes = ray.get(ref)
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         price = batch["o_totalprice"].to_numpy(zero_copy_only=False)
         hit, idx = _sorted_lookup(ks, ck)
@@ -134,17 +191,13 @@ def q_broadcast_join(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    out = (
-        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .map_batches(join_agg, batch_format="pyarrow")
-        .to_pandas()       # bounded root combine: <= segments x blocks rows
-        .groupby("c_mktsegment", as_index=False)
-        .agg(n_orders=("n_orders", "sum"), sum_price=("sum_price", "sum"))
-    )
-    out = out[out["n_orders"] > 0]
-    out["sum_price"] = out["sum_price"].round(4)
-    out["n_orders"] = out["n_orders"].astype("int64")
-    return out.sort_values("c_mktsegment").reset_index(drop=True)
+    # the partial rows are already one per segment; the group_by only merges
+    out = _partial_agg(_read(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+                       "c_mktsegment", {"n_orders": ("n_orders", "sum"),
+                                        "sum_price": ("sum_price", "sum")},
+                       join_agg)
+    return _finish(out[out["n_orders"] > 0], "c_mktsegment",
+                   ints=["n_orders"], r4=["sum_price"])
 
 
 def q_topk(sf_dir: str) -> pd.DataFrame:
@@ -232,30 +285,13 @@ def q_window(sf_dir: str) -> pd.DataFrame:
     def add_window(batch: pa.Table) -> pa.Table:
         ts = batch["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]")
         win = (ts.astype(np.int64) // 3_600_000_000).astype(np.int64)
-        return pa.table(
-            {
-                "event_type": batch["event_type"],
-                "window_h": pa.array(win, pa.int64()),
-                "value": batch["value"],
-            }
-        )
+        return batch.append_column("window_h", pa.array(win, pa.int64()))
 
-    def win_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["event_type", "window_h"]).aggregate(
-            [("value", "count"), ("value", "sum")]
-        )
-        return _rename_agg(g, {"value_count": "n", "value_sum": "sum_value"})
-
-    out = (
-        ds.map_batches(add_window, batch_format="pyarrow")
-        .map_batches(win_partial, batch_format="pyarrow")
-        .to_pandas()       # bounded root combine: <= windows x blocks rows
-        .groupby(["event_type", "window_h"], as_index=False)
-        .agg(n=("n", "sum"), sum_value=("sum_value", "sum"))
-    )
-    out["sum_value"] = out["sum_value"].round(4)
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values(["event_type", "window_h"]).reset_index(drop=True)
+    keys = ["event_type", "window_h"]
+    out = _partial_agg(ds, keys, {
+        "n": ("value", "count"), "sum_value": ("value", "sum"),
+    }, add_window)
+    return _finish(out, keys, ints=["n"], r4=["sum_value"])
 
 
 def q_window_sliding(sf_dir: str) -> pd.DataFrame:
@@ -286,22 +322,11 @@ def q_window_sliding(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    def win_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["event_type", "window_start_s"]).aggregate(
-            [("value", "count"), ("value", "sum")]
-        )
-        return _rename_agg(g, {"value_count": "n", "value_sum": "sum_value"})
-
-    out = (
-        ds.map_batches(explode_windows, batch_format="pyarrow")
-        .map_batches(win_partial, batch_format="pyarrow")
-        .to_pandas()       # bounded root combine
-        .groupby(["event_type", "window_start_s"], as_index=False)
-        .agg(n=("n", "sum"), sum_value=("sum_value", "sum"))
-    )
-    out["sum_value"] = out["sum_value"].round(4)
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values(["event_type", "window_start_s"]).reset_index(drop=True)
+    keys = ["event_type", "window_start_s"]
+    out = _partial_agg(ds, keys, {
+        "n": ("value", "count"), "sum_value": ("value", "sum"),
+    }, explode_windows)
+    return _finish(out, keys, ints=["n"], r4=["sum_value"])
 
 
 def q_cumulative_sum(sf_dir: str) -> pd.DataFrame:
@@ -335,17 +360,7 @@ def q_cumulative_sum(sf_dir: str) -> pd.DataFrame:
         )
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    ds = ds.map_batches(
-        lambda b: b.append_column(
-            "part",
-            pa.array(
-                b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                % n_parts,
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
+    ds = _with_part(ds, "user_id", n_parts)
     # input-sized result: to_pandas() is the declared query contract (the
     # driver hashes the whole table); a 100x-scale caller would
     # write_parquet the Dataset instead of collecting it
@@ -359,13 +374,8 @@ def q_grouped_topk(sf_dir: str, k: int = 3) -> pd.DataFrame:
     """Top-k orders per market segment (grouped top-k = per-batch partial
     top-k via the broadcast-joined segment, then a per-segment merge —
     the grouped analog of K3)."""
-    import ray
-
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
-    order_keys = np.argsort(cust["c_custkey"].to_numpy(np.int64))
-    keys = cust["c_custkey"].to_numpy(np.int64)[order_keys]
-    segs = cust["c_mktsegment"].to_numpy()[order_keys]
-    ref = ray.put((keys, segs))
+    ref = _keyed_side(cust, "c_custkey", "c_mktsegment")
 
     def partial_topk(batch: pa.Table) -> pa.Table:
         ks, seg_names = ray.get(ref)
@@ -453,19 +463,9 @@ def q_pivot_events(sf_dir: str) -> pd.DataFrame:
     so it is the result, not a driver bottleneck)."""
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["user_id", "event_type"]).aggregate(
-            [("event_type", "count")]
-        )
-        return _rename_agg(g, {"event_type_count": "n"})
-
-    df = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["user_id", "event_type"])["n"]
-        .sum()
-        .unstack(fill_value=0)
-    )
+    df = _partial_agg(ds, ["user_id", "event_type"], {
+        "n": ("event_type", "count"),
+    }).set_index(["user_id", "event_type"])["n"].unstack(fill_value=0)
     for et in _EVENT_TYPES:
         if et not in df.columns:
             df[et] = 0
@@ -488,9 +488,7 @@ def q_three_way_join(sf_dir: str) -> pd.DataFrame:
     out = df.groupby("r_name", as_index=False).agg(
         n_suppliers=("s_suppkey", "size"), sum_acctbal=("s_acctbal", "sum")
     )
-    out["sum_acctbal"] = out["sum_acctbal"].round(4)
-    out["n_suppliers"] = out["n_suppliers"].astype("int64")
-    return out.sort_values("r_name").reset_index(drop=True)
+    return _finish(out, "r_name", ints=["n_suppliers"], r4=["sum_acctbal"])
 
 
 def q_sessionize(sf_dir: str, gap_minutes: int = 30) -> pd.DataFrame:
@@ -549,17 +547,7 @@ def q_sessionize(sf_dir: str, gap_minutes: int = 30) -> pd.DataFrame:
         )
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    ds = ds.map_batches(
-        lambda b: b.append_column(
-            "part",
-            pa.array(
-                b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                % n_parts,
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
+    ds = _with_part(ds, "user_id", n_parts)
     out = ds.groupby("part").map_groups(
         sessions_partition, batch_format="pyarrow"
     ).to_pandas()
@@ -645,16 +633,11 @@ def q_asof_join(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        k = batch["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("part", pa.array(k % n_parts, pa.int64()))
-
     # input-sized result: to_pandas() is the declared query contract (the
     # driver hashes the whole table); a 100x-scale caller would
     # write_parquet the Dataset instead of collecting it
     out = (
-        ev.union(od)
-        .map_batches(add_part, batch_format="pyarrow")
+        _with_part(ev.union(od), "key", n_parts)
         .groupby("part")
         .map_groups(asof_partition, batch_format="pyarrow")
         .to_pandas()
@@ -732,17 +715,7 @@ def q_range_join(sf_dir: str, window_minutes: int = 60) -> pd.DataFrame:
             }
         )
 
-    ds = ds.map_batches(
-        lambda b: b.append_column(
-            "part",
-            pa.array(
-                b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                % n_parts,
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
+    ds = _with_part(ds, "user_id", n_parts)
     out = ds.groupby("part").map_groups(
         window_join_partition, batch_format="pyarrow"
     ).to_pandas()
@@ -755,8 +728,6 @@ def q_range_join(sf_dir: str, window_minutes: int = 60) -> pd.DataFrame:
 def q_anti_join(sf_dir: str) -> pd.DataFrame:
     """Broadcast anti-join: customers with no events (event user ids ray.put
     once, filtered per batch with a vectorized sorted-membership test)."""
-    import ray
-
     keys = (
         _read(sf_dir, "events", ["user_id"])
         .to_pandas()["user_id"]
@@ -796,8 +767,6 @@ def _join_partitions(sf_dir: str, *tables: str,
                      target_bytes: int = 256 << 20) -> int:
     """Size a hash join's partition count from the on-disk footprint of the
     participating tables (~target_bytes of input per aggregator)."""
-    import os
-
     total = sum(os.path.getsize(f"{sf_dir}/{t}.parquet") for t in tables)
     return max(4, min(256, total // target_bytes + 1))
 
@@ -818,28 +787,17 @@ def q_hash_join(sf_dir: str) -> pd.DataFrame:
         right_on=("o_orderkey",),
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         rev = pc.multiply(
             batch["l_extendedprice"],
             pc.subtract(pa.scalar(1.0), batch["l_discount"]),
         )
-        t = batch.append_column("revenue", rev)
-        g = t.group_by(["o_orderpriority"]).aggregate(
-            [("revenue", "sum"), ("l_orderkey", "count")]
-        )
-        return _rename_agg(
-            g, {"revenue_sum": "revenue", "l_orderkey_count": "n_lines"}
-        )
+        return batch.append_column("revenue", rev)
 
-    out = (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()  # bounded root combine: <= priorities x blocks rows
-        .groupby("o_orderpriority", as_index=False)
-        .agg(n_lines=("n_lines", "sum"), revenue=("revenue", "sum"))
-    )
-    out["revenue"] = out["revenue"].round(4)
-    out["n_lines"] = out["n_lines"].astype("int64")
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
+    out = _partial_agg(joined, "o_orderpriority", {
+        "n_lines": ("l_orderkey", "count"), "revenue": ("revenue", "sum"),
+    }, prep)
+    return _finish(out, "o_orderpriority", ints=["n_lines"], r4=["revenue"])
 
 
 def q_outer_join(sf_dir: str) -> pd.DataFrame:
@@ -856,42 +814,21 @@ def q_outer_join(sf_dir: str) -> pd.DataFrame:
         right_on=("o_custkey",),
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        null = pc.is_null(batch["o_totalprice"])
-        t = pa.table(
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "c_mktsegment": batch["c_mktsegment"],
-                "n_rows": pa.array(np.ones(batch.num_rows, np.int64)),
-                "n_no_order": pc.cast(null, pa.int64()),
-                "sum_price": pc.fill_null(batch["o_totalprice"], 0.0),
+                "n_no_order": pc.cast(pc.is_null(batch["o_totalprice"]), pa.int64()),
+                "price": pc.fill_null(batch["o_totalprice"], 0.0),
             }
         )
-        g = t.group_by(["c_mktsegment"]).aggregate(
-            [("n_rows", "sum"), ("n_no_order", "sum"), ("sum_price", "sum")]
-        )
-        return _rename_agg(
-            g,
-            {
-                "n_rows_sum": "n_rows",
-                "n_no_order_sum": "n_no_order",
-                "sum_price_sum": "sum_price",
-            },
-        )
 
-    out = (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("c_mktsegment", as_index=False)
-        .agg(
-            n_rows=("n_rows", "sum"),
-            n_no_order=("n_no_order", "sum"),
-            sum_price=("sum_price", "sum"),
-        )
-    )
-    out["sum_price"] = out["sum_price"].round(4)
-    for c in ("n_rows", "n_no_order"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("c_mktsegment").reset_index(drop=True)
+    out = _partial_agg(joined, "c_mktsegment", {
+        "n_rows": ("c_mktsegment", "count"),
+        "n_no_order": ("n_no_order", "sum"), "sum_price": ("price", "sum"),
+    }, prep)
+    return _finish(out, "c_mktsegment", ints=["n_rows", "n_no_order"],
+                   r4=["sum_price"])
 
 
 def q_semi_join(sf_dir: str) -> pd.DataFrame:
@@ -910,18 +847,8 @@ def q_semi_join(sf_dir: str) -> pd.DataFrame:
         right_on=("l_partkey",),
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["p_brand"]).aggregate([("p_partkey", "count")])
-        return _rename_agg(g, {"p_partkey_count": "n_parts"})
-
-    out = (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("p_brand", as_index=False)
-        .agg(n_parts=("n_parts", "sum"))
-    )
-    out["n_parts"] = out["n_parts"].astype("int64")
-    return out.sort_values("p_brand").reset_index(drop=True)
+    out = _partial_agg(joined, "p_brand", {"n_parts": ("p_partkey", "count")})
+    return _finish(out, "p_brand", ints=["n_parts"])
 
 
 _SKEW_SALTS = 8
@@ -936,8 +863,6 @@ def q_skew_join(sf_dir: str) -> pd.DataFrame:
     each row deterministically (event_id mod S), so a hot key's rows
     spread across S aggregators.  Join on (key, salt); results are
     identical to the unsalted join — the oracle is the plain SQL join."""
-    import ray.data  # noqa: F401  (Dataset.join registered on import)
-
     ev = _read(sf_dir, "events", ["event_id", "user_id", "value"])
 
     def salt_events(batch: pa.Table) -> pa.Table:
@@ -967,30 +892,10 @@ def q_skew_join(sf_dir: str) -> pd.DataFrame:
         right_on=("c_custkey", "salt"),
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "c_mktsegment": batch["c_mktsegment"],
-                "n_events": pa.array(np.ones(batch.num_rows, np.int64)),
-                "sum_value": batch["value"],
-            }
-        )
-        g = t.group_by(["c_mktsegment"]).aggregate(
-            [("n_events", "sum"), ("sum_value", "sum")]
-        )
-        return _rename_agg(
-            g, {"n_events_sum": "n_events", "sum_value_sum": "sum_value"}
-        )
-
-    out = (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("c_mktsegment", as_index=False)
-        .agg(n_events=("n_events", "sum"), sum_value=("sum_value", "sum"))
-    )
-    out["sum_value"] = out["sum_value"].round(4)
-    out["n_events"] = out["n_events"].astype("int64")
-    return out.sort_values("c_mktsegment").reset_index(drop=True)
+    out = _partial_agg(joined, "c_mktsegment", {
+        "n_events": ("c_mktsegment", "count"), "sum_value": ("value", "sum"),
+    })
+    return _finish(out, "c_mktsegment", ints=["n_events"], r4=["sum_value"])
 
 
 def q_rollup(sf_dir: str) -> pd.DataFrame:
@@ -998,43 +903,31 @@ def q_rollup(sf_dir: str) -> pd.DataFrame:
     grand-total rows.  One partial-aggregated pass produces the leaf grid
     (keys x blocks partial rows); the super-aggregate levels roll up from
     that grid driver-side — no second scan, no extra shuffle."""
-    ds = _read(
-        sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity"]
-    )
+    return _qty_grouping_sets(sf_dir, ["l_returnflag"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("l_quantity", "count")]
-        )
-        return _rename_agg(
-            g, {"l_quantity_sum": "sum_qty", "l_quantity_count": "n_rows"}
-        )
 
-    leaf = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["l_returnflag", "l_linestatus"], as_index=False)
-        .agg(sum_qty=("sum_qty", "sum"), n_rows=("n_rows", "sum"))
-    )
-    lvl1 = leaf.groupby("l_returnflag", as_index=False).agg(
-        sum_qty=("sum_qty", "sum"), n_rows=("n_rows", "sum")
-    )
-    lvl1["l_linestatus"] = "ALL"
-    total = pd.DataFrame(
-        {
-            "l_returnflag": ["ALL"],
-            "l_linestatus": ["ALL"],
-            "sum_qty": [leaf["sum_qty"].sum()],
-            "n_rows": [leaf["n_rows"].sum()],
-        }
-    )
-    out = pd.concat([leaf, lvl1, total], ignore_index=True)
-    out["sum_qty"] = out["sum_qty"].round(4)
-    out["n_rows"] = out["n_rows"].astype("int64")
-    cols = ["l_returnflag", "l_linestatus", "sum_qty", "n_rows"]
-    return out[cols].sort_values(
-        ["l_returnflag", "l_linestatus"]
-    ).reset_index(drop=True)
+def _qty_grouping_sets(sf_dir: str, marginals) -> pd.DataFrame:
+    """Leaf (returnflag, linestatus) quantity grid from one partial pass,
+    plus one "ALL" level per marginal key and the grand total, all rolled
+    up from the leaf grid driver-side."""
+    keys = ["l_returnflag", "l_linestatus"]
+    ds = _read(sf_dir, "lineitem", [*keys, "l_quantity"])
+    leaf = _partial_agg(ds, keys, {
+        "sum_qty": ("l_quantity", "sum"), "n_rows": ("l_quantity", "count"),
+    })
+    levels = [leaf]
+    for key in marginals:
+        lvl = leaf.groupby(key, as_index=False).agg(
+            sum_qty=("sum_qty", "sum"), n_rows=("n_rows", "sum")
+        )
+        lvl[keys[1] if key == keys[0] else keys[0]] = "ALL"
+        levels.append(lvl)
+    levels.append(pd.DataFrame({
+        "l_returnflag": ["ALL"], "l_linestatus": ["ALL"],
+        "sum_qty": [leaf["sum_qty"].sum()], "n_rows": [leaf["n_rows"].sum()],
+    }))
+    out = pd.concat(levels, ignore_index=True)
+    return _finish(out, keys, ints=["n_rows"], r4=["sum_qty"])
 
 
 _MEDIAN_BINS = 1024
@@ -1048,35 +941,11 @@ def q_grouped_median(sf_dir: str) -> pd.DataFrame:
     bin's values (tiny: n/_MEDIAN_BINS expected) for the exact driver-side
     rank pick.  Three streaming scans, kilobyte exchanges — the exact-rank
     analog of the quantile sketch (same trick as the LM tercile split)."""
-    import ray
-
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
-
-    def stats_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["l_returnflag"]).aggregate(
-            [
-                ("l_extendedprice", "count"),
-                ("l_extendedprice", "min"),
-                ("l_extendedprice", "max"),
-            ]
-        )
-        return _rename_agg(
-            g,
-            {
-                "l_extendedprice_count": "n",
-                "l_extendedprice_min": "lo",
-                "l_extendedprice_max": "hi",
-            },
-        )
-
-    stats = (
-        ds.map_batches(stats_partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("l_returnflag", as_index=False)
-        .agg(n=("n", "sum"), lo=("lo", "min"), hi=("hi", "max"))
-        .sort_values("l_returnflag")
-        .reset_index(drop=True)
-    )
+    stats = _partial_agg(ds, "l_returnflag", {
+        "n": ("l_extendedprice", "count"), "lo": ("l_extendedprice", "min"),
+        "hi": ("l_extendedprice", "max"),
+    })
     groups = stats["l_returnflag"].to_numpy()
     lo = stats["lo"].to_numpy(np.float64)
     span = np.maximum(stats["hi"].to_numpy(np.float64) - lo, 1e-12)
@@ -1150,9 +1019,6 @@ def q_tpch_q3(sf_dir: str, k: int = 10) -> pd.DataFrame:
     orderkey-sized groupby, then top-k.  The join's hash partitioning
     co-locates each orderkey, so the final groupby combines per-partition
     partials rather than raw line items."""
-    import ray
-    from ray.data.aggregate import Sum
-
     cutoff = pd.Timestamp("1995-03-15")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
@@ -1209,15 +1075,14 @@ def q_tpch_q3(sf_dir: str, k: int = 10) -> pd.DataFrame:
                 "revenue": rev,
             }
         )
-        g = t.group_by(["l_orderkey", "o_orderdate"]).aggregate(
+        return t.group_by(["l_orderkey", "o_orderdate"]).aggregate(
             [("revenue", "sum")]
         )
-        return _rename_agg(g, {"revenue_sum": "revenue"})
 
     agg = (
         joined.map_batches(partial, batch_format="pyarrow")
         .groupby(["l_orderkey", "o_orderdate"])
-        .aggregate(Sum("revenue", alias_name="revenue"))
+        .aggregate(Sum("revenue_sum", alias_name="revenue"))
     )
     out = (
         agg.sort(["revenue", "l_orderkey"], descending=[True, False])
@@ -1239,9 +1104,6 @@ def q_tpch_q5(sf_dir: str) -> pd.DataFrame:
     same-nation predicate (c_nationkey == s_nationkey) is evaluated
     vectorized inside the joined batches; revenue partials aggregate per
     nation inside each batch, leaving a 25-row final combine."""
-    import ray
-    from ray.data.aggregate import Sum
-
     lo = pd.Timestamp("1996-01-01")
     hi = pd.Timestamp("1997-01-01")
 
@@ -1258,17 +1120,9 @@ def q_tpch_q5(sf_dir: str) -> pd.DataFrame:
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
     cust = cust[np.isin(cust["c_nationkey"].to_numpy(np.int64),
                         asia_nations)]
-    ck = cust["c_custkey"].to_numpy(np.int64)
-    order_ck = np.argsort(ck, kind="stable")
-    cust_keys = ck[order_ck]
-    cust_nat = cust["c_nationkey"].to_numpy(np.int64)[order_ck]
-    cust_ref = ray.put((cust_keys, cust_nat))
-
+    cust_ref = _keyed_side(cust, "c_custkey", "c_nationkey")
     sup = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
-    sk = sup["s_suppkey"].to_numpy(np.int64)
-    order_sk = np.argsort(sk, kind="stable")
-    sup_ref = ray.put((sk[order_sk],
-                       sup["s_nationkey"].to_numpy(np.int64)[order_sk]))
+    sup_ref = _keyed_side(sup, "s_suppkey", "s_nationkey")
 
     def orders_filter(batch: pa.Table) -> pa.Table:
         keys, nats = ray.get(cust_ref)
@@ -1311,20 +1165,19 @@ def q_tpch_q5(sf_dir: str) -> pd.DataFrame:
         t = batch.filter(pa.array(keep))
         if t.num_rows == 0:
             return pa.table({"n_nationkey": pa.array([], pa.int64()),
-                             "revenue": pa.array([], pa.float64())})
+                             "revenue_sum": pa.array([], pa.float64())})
         rev = pc.multiply(
             t["l_extendedprice"],
             pc.subtract(pa.scalar(1.0), t["l_discount"]),
         )
-        g = pa.table(
+        return pa.table(
             {"n_nationkey": t["cust_nation"], "revenue": rev}
         ).group_by(["n_nationkey"]).aggregate([("revenue", "sum")])
-        return _rename_agg(g, {"revenue_sum": "revenue"})
 
     agg = (
         joined.map_batches(partial, batch_format="pyarrow")
         .groupby("n_nationkey")
-        .aggregate(Sum("revenue", alias_name="revenue"))
+        .aggregate(Sum("revenue_sum", alias_name="revenue"))
         .to_pandas()
     )
     agg["n_name"] = agg["n_nationkey"].astype(int).map(name_of)
@@ -1377,9 +1230,6 @@ def q_tpch_q10(sf_dir: str, k: int = 20) -> pd.DataFrame:
     a k-sized driver merge rank; customer/nation attributes enrich
     POST-limit (k broadcast keys filter the customer scan — the J3/J4
     post-limit-join rule, so the wide tables never join before the cut)."""
-    import ray
-    from ray.data.aggregate import Sum
-
     lo = pd.Timestamp("1996-10-01")
     hi = pd.Timestamp("1997-01-01")
 
@@ -1413,21 +1263,20 @@ def q_tpch_q10(sf_dir: str, k: int = 20) -> pd.DataFrame:
     def partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return pa.table({"c_custkey": pa.array([], pa.int64()),
-                             "revenue": pa.array([], pa.float64())})
+                             "revenue_sum": pa.array([], pa.float64())})
         rev = pc.multiply(
             batch["l_extendedprice"],
             pc.subtract(pa.scalar(1.0), batch["l_discount"]),
         )
-        g = pa.table(
+        return pa.table(
             {"c_custkey": pc.cast(batch["o_custkey"], pa.int64()),
              "revenue": rev}
         ).group_by(["c_custkey"]).aggregate([("revenue", "sum")])
-        return _rename_agg(g, {"revenue_sum": "revenue"})
 
     agg = (
         joined.map_batches(partial, batch_format="pyarrow")
         .groupby("c_custkey")
-        .aggregate(Sum("revenue", alias_name="revenue"))
+        .aggregate(Sum("revenue_sum", alias_name="revenue"))
     )
 
     def topk(batch: pa.Table) -> pa.Table:
@@ -1478,15 +1327,13 @@ def q_set_intersect(sf_dir: str) -> pd.DataFrame:
     """Distributed INTERSECT: users who both clicked and purchased.  Each
     batch emits per-user flag partials (deduped within the batch), one
     user-sized groupby ORs the flags — no per-side distinct pre-shuffles."""
-    from ray.data.aggregate import Max
-
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def flags(batch: pa.Table) -> pa.Table:
         et = batch["event_type"]
         keep = pc.or_(pc.equal(et, "click"), pc.equal(et, "purchase"))
         t = batch.filter(keep)
-        g = pa.table(
+        return pa.table(
             {
                 "user_id": t["user_id"],
                 "is_click": pc.cast(pc.equal(t["event_type"], "click"), pa.int64()),
@@ -1497,16 +1344,13 @@ def q_set_intersect(sf_dir: str) -> pd.DataFrame:
         ).group_by(["user_id"]).aggregate(
             [("is_click", "max"), ("is_purchase", "max")]
         )
-        return _rename_agg(
-            g, {"is_click_max": "is_click", "is_purchase_max": "is_purchase"}
-        )
 
     out = (
         ds.map_batches(flags, batch_format="pyarrow")
         .groupby("user_id")
         .aggregate(
-            Max("is_click", alias_name="is_click"),
-            Max("is_purchase", alias_name="is_purchase"),
+            Max("is_click_max", alias_name="is_click"),
+            Max("is_purchase_max", alias_name="is_purchase"),
         )
         .to_pandas()
     )
@@ -1559,20 +1403,8 @@ def q_event_deltas(sf_dir: str) -> pd.DataFrame:
         )
 
     out = (
-        _read(sf_dir, "events", ["user_id", "ts"])
-        .map_batches(
-            lambda b: b.append_column(
-                "part",
-                pa.array(
-                    b["user_id"].to_numpy(zero_copy_only=False).astype(
-                        np.int64
-                    )
-                    % n_parts,
-                    pa.int64(),
-                ),
-            ),
-            batch_format="pyarrow",
-        )
+        _with_part(_read(sf_dir, "events", ["user_id", "ts"]), "user_id",
+                   n_parts)
         .groupby("part")
         .map_groups(gaps_partition, batch_format="pyarrow")
         .to_pandas()
@@ -1593,7 +1425,7 @@ def q_corr_stats(sf_dir: str) -> pd.DataFrame:
     def moments(batch: pa.Table) -> pa.Table:
         x = batch["l_quantity"]
         y = batch["l_extendedprice"]
-        t = pa.table(
+        return pa.table(
             {
                 "l_returnflag": batch["l_returnflag"],
                 "x": x,
@@ -1603,34 +1435,22 @@ def q_corr_stats(sf_dir: str) -> pd.DataFrame:
                 "xy": pc.multiply(x, y),
             }
         )
-        g = t.group_by("l_returnflag").aggregate(
-            [("x", "count"), ("x", "sum"), ("y", "sum"),
-             ("xx", "sum"), ("yy", "sum"), ("xy", "sum")]
-        )
-        return _rename_agg(
-            g,
-            {"x_count": "n", "x_sum": "sx", "y_sum": "sy",
-             "xx_sum": "sxx", "yy_sum": "syy", "xy_sum": "sxy"},
-        )
 
-    m = (
-        ds.map_batches(moments, batch_format="pyarrow")
-        .to_pandas()       # bounded root combine: <= flags x blocks rows
-        .groupby("l_returnflag", as_index=False)
-        .sum()
-    )
+    m = _partial_agg(ds, "l_returnflag", {
+        "n": ("x", "count"), "sx": ("x", "sum"), "sy": ("y", "sum"),
+        "sxx": ("xx", "sum"), "syy": ("yy", "sum"), "sxy": ("xy", "sum"),
+    }, moments)
     n = m["n"].astype("float64")
     cov = m["sxy"] - m["sx"] * m["sy"] / n
     vx = m["sxx"] - m["sx"] ** 2 / n
     vy = m["syy"] - m["sy"] ** 2 / n
-    out = pd.DataFrame(
+    return pd.DataFrame(
         {
             "l_returnflag": m["l_returnflag"],
             "n": m["n"].astype("int64"),
             "corr_qty_price": (cov / np.sqrt(vx * vy)).round(6),
         }
     )
-    return out.sort_values("l_returnflag").reset_index(drop=True)
 
 
 def q_mode_per_group(sf_dir: str) -> pd.DataFrame:
@@ -1640,29 +1460,12 @@ def q_mode_per_group(sf_dir: str) -> pd.DataFrame:
     bounded combine."""
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["user_id", "event_type"]).aggregate(
-            [("event_type", "count")]
-        )
-        return _rename_agg(g, {"event_type_count": "n"})
-
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()       # bounded root combine
-        .groupby(["user_id", "event_type"], as_index=False)
-        .agg(n=("n", "sum"))
-    )
-    counts = counts.sort_values(
-        ["user_id", "n", "event_type"], ascending=[True, False, True]
-    )
+    counts = _partial_agg(ds, ["user_id", "event_type"], {
+        "n": ("event_type", "count"),
+    }).sort_values(["user_id", "n", "event_type"], ascending=[True, False, True])
     out = counts.groupby("user_id", as_index=False).first()
     out = out.rename(columns={"event_type": "mode_type"})
-    out["n"] = out["n"].astype("int64")
-    return (
-        out[["user_id", "mode_type", "n"]]
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
+    return _finish(out, "user_id", ints=["n"], cols=["user_id", "mode_type", "n"])
 
 
 def q_histogram(sf_dir: str) -> pd.DataFrame:
@@ -1671,26 +1474,13 @@ def q_histogram(sf_dir: str) -> pd.DataFrame:
     blocks rows — a mergeable-sketch exchange, never input-sized."""
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "event_type": batch["event_type"],
-                "bin": pc.cast(
-                    pc.floor(pc.divide(batch["value"], 50.0)), pa.int64()
-                ),
-            }
+    def add_bin(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "bin", pc.cast(pc.floor(pc.divide(batch["value"], 50.0)), pa.int64())
         )
-        g = t.group_by(["event_type", "bin"]).aggregate([("bin", "count")])
-        return _rename_agg(g, {"bin_count": "n"})
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()       # bounded root combine: <= types x bins x blocks
-        .groupby(["event_type", "bin"], as_index=False)
-        .agg(n=("n", "sum"))
-    )
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values(["event_type", "bin"]).reset_index(drop=True)
+    out = _partial_agg(ds, ["event_type", "bin"], {"n": ("bin", "count")}, add_bin)
+    return _finish(out, ["event_type", "bin"], ints=["n"])
 
 
 def q_group_concat(sf_dir: str) -> pd.DataFrame:
@@ -1841,9 +1631,6 @@ def q_merge_upsert(sf_dir: str) -> pd.DataFrame:
     compaction for log-structured tables; the exchange is keyed on the
     primary key, never wider than base + delta."""
     n_parts = _fused_parts(sf_dir, "documents")
-    import pyarrow.dataset as pads
-    import ray.data
-
     base_tbl = (
         pads.dataset(f"{sf_dir}/documents.parquet")
         .to_table(columns=["doc_id", "text"])
@@ -1884,10 +1671,6 @@ def q_merge_upsert(sf_dir: str) -> pd.DataFrame:
     )
     delta = ray.data.from_arrow(delta_tbl)
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("part", pa.array(ids % n_parts, pa.int64()))
-
     def resolve_partition(group: pa.Table) -> pa.Table:
         # vectorized per coarse key partition (one Python call per
         # partition, not per key): delta rows (op != "") win over base, a
@@ -1909,8 +1692,7 @@ def q_merge_upsert(sf_dir: str) -> pd.DataFrame:
         return t
 
     out = (
-        base.union(delta)
-        .map_batches(add_part, batch_format="pyarrow")
+        _with_part(base.union(delta), "doc_id", n_parts)
         .groupby("part")
         .map_groups(resolve_partition, batch_format="pyarrow")
         .to_pandas()
@@ -1968,17 +1750,7 @@ def q_funnel_conversion(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    ds = ds.map_batches(
-        lambda b: b.append_column(
-            "part",
-            pa.array(
-                b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                % n_parts,
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
+    ds = _with_part(ds, "user_id", n_parts)
     per_user = ds.groupby("part").map_groups(
         funnel_partition, batch_format="pyarrow"
     )
@@ -2005,25 +1777,17 @@ def q_json_extract_agg(sf_dir: str) -> pd.DataFrame:
     leaves the read task; only (type, n, sum) partials shuffle."""
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
-    def extract_partial(batch: pa.Table) -> pa.Table:
+    def extract(batch: pa.Table) -> pa.Table:
         m = pc.extract_regex(batch["props"], pattern=r'"k":\s*(?P<k>\d+)')
         k = pc.cast(pc.struct_field(m, "k"), pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "k": k})
-        g = t.group_by("event_type").aggregate(
-            [("k", "count"), ("k", "sum")]
-        )
-        return _rename_agg(g, {"k_count": "n", "k_sum": "sum_k"})
+        return pa.table({"event_type": batch["event_type"], "k": k})
 
-    out = (
-        ds.map_batches(extract_partial, batch_format="pyarrow")
-        .to_pandas()       # bounded root combine: <= types x blocks rows
-        .groupby("event_type", as_index=False)
-        .agg(n=("n", "sum"), sum_k=("sum_k", "sum"))
-    )
-    out["n"] = out["n"].astype("int64")
-    out["sum_k"] = out["sum_k"].astype("int64")
+    out = _partial_agg(ds, "event_type", {
+        "n": ("k", "count"), "sum_k": ("k", "sum"),
+    }, extract)
+    out = _finish(out, "event_type", ints=["n", "sum_k"])
     out["avg_k"] = (out["sum_k"] / out["n"]).round(4)
-    return out.sort_values("event_type").reset_index(drop=True)
+    return out
 
 
 def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
@@ -2035,9 +1799,6 @@ def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
     are filtered inside the group task so the result is diff-sized, never
     corpus-sized."""
     n_parts = _fused_parts(sf_dir, "documents")
-    import pyarrow.dataset as pads
-    import ray.data
-
     base_tbl = (
         pads.dataset(f"{sf_dir}/documents.parquet")
         .to_table(columns=["doc_id", "text"])
@@ -2078,16 +1839,10 @@ def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
             )
         return fn
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("part", pa.array(ids % n_parts, pa.int64()))
-
     def resolve_partition(group: pa.Table) -> pa.Table:
         # vectorized diff per coarse key partition: each key has <= 1 row
         # per side; added/removed via membership, changed via aligned text
         # compare on the sorted common keys
-        import pyarrow.compute as pc
-
         sides = group["side"].to_numpy(zero_copy_only=False)
         ids = group["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         texts = group["text"].combine_chunks()
@@ -2117,12 +1872,11 @@ def q_snapshot_diff(sf_dir: str) -> pd.DataFrame:
             }
         )
 
+    tagged = ray.data.from_arrow(base_tbl).map_batches(
+        tag("a"), batch_format="pyarrow").union(
+        ray.data.from_arrow(snap2).map_batches(tag("b"), batch_format="pyarrow"))
     out = (
-        ray.data.from_arrow(base_tbl).map_batches(tag("a"), batch_format="pyarrow")
-        .union(
-            ray.data.from_arrow(snap2).map_batches(tag("b"), batch_format="pyarrow")
-        )
-        .map_batches(add_part, batch_format="pyarrow")
+        _with_part(tagged, "doc_id", n_parts)
         .groupby("part")
         .map_groups(resolve_partition, batch_format="pyarrow")
         .to_pandas()
@@ -2201,8 +1955,6 @@ def q_retention_cohorts(sf_dir: str) -> pd.DataFrame:
     batch so only cohort×offset-sized partials reach the final combine —
     the raw event stream never shuffles twice.  Week truncation matches
     DuckDB date_trunc('week'): Mondays, computed in integer day space."""
-    from ray.data.aggregate import Min, Sum
-
     WEEK_US = 7 * 86_400_000_000
 
     def _monday_us(ts_us: np.ndarray) -> np.ndarray:
@@ -2266,30 +2018,26 @@ def q_retention_cohorts(sf_dir: str) -> pd.DataFrame:
         if batch.num_rows == 0:
             return pa.table({"cohort_us": pa.array([], pa.int64()),
                              "week_offset": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
+                             "cohort_us_count": pa.array([], pa.int64())})
         w = batch["w_us"].to_numpy(zero_copy_only=False).astype(np.int64)
         c = batch["cohort_us"].to_numpy(zero_copy_only=False).astype(np.int64)
         off = (w - c) // WEEK_US
-        g = pa.table({
+        return pa.table({
             "cohort_us": pa.array(c, pa.int64()),
             "week_offset": pa.array(off, pa.int64()),
         }).group_by(["cohort_us", "week_offset"]).aggregate(
             [("cohort_us", "count")]
         )
-        return g.rename_columns(
-            [{"cohort_us_count": "n"}.get(c2, c2) for c2 in g.column_names]
-        )
 
     out = (
         joined.map_batches(cohort_partial, batch_format="pyarrow")
         .groupby(["cohort_us", "week_offset"])
-        .aggregate(Sum("n", alias_name="n_users"))
+        .aggregate(Sum("cohort_us_count", alias_name="n_users"))
         .to_pandas()
     )
     out["cohort_week"] = out["cohort_us"].astype("datetime64[us]")
-    out["n_users"] = out["n_users"].astype("int64")
-    out = out.sort_values(["cohort_week", "week_offset"]).reset_index(drop=True)
-    return out[["cohort_week", "week_offset", "n_users"]]
+    return _finish(out, ["cohort_week", "week_offset"], ints=["n_users"],
+                   cols=["cohort_week", "week_offset", "n_users"])
 
 
 def q_cube_agg(sf_dir: str) -> pd.DataFrame:
@@ -2298,47 +2046,7 @@ def q_cube_agg(sf_dir: str) -> pd.DataFrame:
     partial-aggregated pass builds the leaf grid; all three
     super-aggregate levels roll up from that keys×blocks grid
     driver-side, no second scan."""
-    ds = _read(
-        sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity"]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("l_quantity", "count")]
-        )
-        return _rename_agg(
-            g, {"l_quantity_sum": "sum_qty", "l_quantity_count": "n_rows"}
-        )
-
-    leaf = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["l_returnflag", "l_linestatus"], as_index=False)
-        .agg(sum_qty=("sum_qty", "sum"), n_rows=("n_rows", "sum"))
-    )
-    lvl_flag = leaf.groupby("l_returnflag", as_index=False).agg(
-        sum_qty=("sum_qty", "sum"), n_rows=("n_rows", "sum")
-    )
-    lvl_flag["l_linestatus"] = "ALL"
-    lvl_status = leaf.groupby("l_linestatus", as_index=False).agg(
-        sum_qty=("sum_qty", "sum"), n_rows=("n_rows", "sum")
-    )
-    lvl_status["l_returnflag"] = "ALL"
-    total = pd.DataFrame(
-        {
-            "l_returnflag": ["ALL"],
-            "l_linestatus": ["ALL"],
-            "sum_qty": [leaf["sum_qty"].sum()],
-            "n_rows": [leaf["n_rows"].sum()],
-        }
-    )
-    out = pd.concat([leaf, lvl_flag, lvl_status, total], ignore_index=True)
-    out["sum_qty"] = out["sum_qty"].round(4)
-    out["n_rows"] = out["n_rows"].astype("int64")
-    cols = ["l_returnflag", "l_linestatus", "sum_qty", "n_rows"]
-    return out[cols].sort_values(
-        ["l_returnflag", "l_linestatus"]
-    ).reset_index(drop=True)
+    return _qty_grouping_sets(sf_dir, ["l_returnflag", "l_linestatus"])
 
 
 def q_interval_coverage(sf_dir: str, window_minutes: int = 5) -> pd.DataFrame:
@@ -2377,17 +2085,7 @@ def q_interval_coverage(sf_dir: str, window_minutes: int = 5) -> pd.DataFrame:
         )
 
     ds = _read(sf_dir, "events", ["ts", "user_id"])
-    ds = ds.map_batches(
-        lambda b: b.append_column(
-            "part",
-            pa.array(
-                b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                % n_parts,
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
+    ds = _with_part(ds, "user_id", n_parts)
     out = ds.groupby("part").map_groups(
         coverage_partition, batch_format="pyarrow"
     ).select_columns(["user_id", "covered_us"]).to_pandas()
@@ -2402,8 +2100,6 @@ def q_tpch_q12(sf_dir: str) -> pd.DataFrame:
     (The synthetic lineitem has no shipmode/commitdate; the grouping
     dimension here is the shipdate YEAR, keeping the classic
     conditional-count shape.)"""
-    from ray.data.aggregate import Sum
-
     lo = pd.Timestamp("1996-01-01")
     hi = pd.Timestamp("1998-01-01")
 
@@ -2427,32 +2123,26 @@ def q_tpch_q12(sf_dir: str) -> pd.DataFrame:
     def partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return pa.table({"ship_year": pa.array([], pa.int64()),
-                             "high_line_count": pa.array([], pa.int64()),
-                             "low_line_count": pa.array([], pa.int64())})
+                             "high_sum": pa.array([], pa.int64()),
+                             "low_sum": pa.array([], pa.int64())})
         yr = pc.year(batch["l_shipdate"])
         pri = batch["o_orderpriority"]
         hi_m = pc.or_(pc.equal(pri, "1-URGENT"), pc.equal(pri, "2-HIGH"))
         t = pa.table({
             "ship_year": pc.cast(yr, pa.int64()),
-            "high_line_count": pc.cast(hi_m, pa.int64()),
-            "low_line_count": pc.cast(pc.invert(hi_m), pa.int64()),
+            "high": pc.cast(hi_m, pa.int64()),
+            "low": pc.cast(pc.invert(hi_m), pa.int64()),
         })
-        g = t.group_by(["ship_year"]).aggregate(
-            [("high_line_count", "sum"), ("low_line_count", "sum")]
-        )
-        return _rename_agg(g, {"high_line_count_sum": "high_line_count",
-                               "low_line_count_sum": "low_line_count"})
+        return t.group_by(["ship_year"]).aggregate([("high", "sum"), ("low", "sum")])
 
     out = (
         joined.map_batches(partial, batch_format="pyarrow")
         .groupby("ship_year")
-        .aggregate(Sum("high_line_count", alias_name="high_line_count"),
-                   Sum("low_line_count", alias_name="low_line_count"))
+        .aggregate(Sum("high_sum", alias_name="high_line_count"),
+                   Sum("low_sum", alias_name="low_line_count"))
         .to_pandas()
     )
-    for c in ["high_line_count", "low_line_count"]:
-        out[c] = out[c].astype("int64")
-    return out.sort_values("ship_year").reset_index(drop=True)
+    return _finish(out, "ship_year", ints=["high_line_count", "low_line_count"])
 
 
 def q_event_transitions(sf_dir: str, k: int = 20) -> pd.DataFrame:
@@ -2462,8 +2152,16 @@ def q_event_transitions(sf_dir: str, k: int = 20) -> pd.DataFrame:
     (count desc, pair asc).  Same fused user partitioning as
     sessionize: one sort + shift per partition emits pair partials, the
     pair groupby is |types|²-bounded."""
-    from ray.data.aggregate import Sum
+    out = _transition_counts(sf_dir).sort_values(
+        ["n", "from_type", "to_type"], ascending=[False, True, True]
+    ).head(k)
+    return out.reset_index(drop=True)
 
+
+def _transition_counts(sf_dir: str) -> pd.DataFrame:
+    """Corpus-wide (from_type, to_type, n) counts of consecutive events
+    per user, ordered by (ts, event_id): one sort + shift per fused user
+    partition emits pair partials, the pair groupby is |types|²-bounded."""
     n_parts = _fused_parts(sf_dir, "events")
 
     def trans_partition(group: pa.Table) -> pa.Table:
@@ -2480,40 +2178,25 @@ def q_event_transitions(sf_dir: str, k: int = 20) -> pd.DataFrame:
         if len(uid) < 2:
             return pa.table({"from_type": pa.array([], pa.string()),
                              "to_type": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
+                             "from_type_count": pa.array([], pa.int64())})
         same = pa.array(uid[1:] == uid[:-1])
         a = et.slice(0, len(et) - 1).filter(same)
         b = et.slice(1).filter(same)
-        g = pa.table({"from_type": a, "to_type": b}).group_by(
+        return pa.table({"from_type": a, "to_type": b}).group_by(
             ["from_type", "to_type"]
         ).aggregate([("from_type", "count")])
-        return g.rename_columns(
-            [{"from_type_count": "n"}.get(c, c) for c in g.column_names]
-        )
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    ds = ds.map_batches(
-        lambda b: b.append_column(
-            "part",
-            pa.array(
-                b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                % n_parts,
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
+    ds = _with_part(ds, "user_id", n_parts)
     out = (
         ds.groupby("part")
         .map_groups(trans_partition, batch_format="pyarrow")
         .groupby(["from_type", "to_type"])
-        .aggregate(Sum("n", alias_name="n"))
+        .aggregate(Sum("from_type_count", alias_name="n"))
         .to_pandas()
     )
     out["n"] = out["n"].astype("int64")
-    out = out.sort_values(["n", "from_type", "to_type"],
-                          ascending=[False, True, True]).head(k)
-    return out.reset_index(drop=True)
+    return out
 
 
 def q_tpch_q18(sf_dir: str, qty_threshold: float = 250.0,
@@ -2524,18 +2207,14 @@ def q_tpch_q18(sf_dir: str, qty_threshold: float = 250.0,
     exceeds the threshold form a SMALL key set that broadcasts back as
     a semi-join filter on orders; customer names enrich post-limit.
     Revenue-free, all-integer-free floats only in sum_qty (rounded 4)."""
-    import ray
-    from ray.data.aggregate import Sum
-
-    def qty_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["l_orderkey"]).aggregate([("l_quantity", "sum")])
-        return _rename_agg(g, {"l_quantity_sum": "sum_qty"})
-
     qty = (
         _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-        .map_batches(qty_partial, batch_format="pyarrow")
+        .map_batches(
+            lambda b: b.group_by(["l_orderkey"]).aggregate([("l_quantity", "sum")]),
+            batch_format="pyarrow",
+        )
         .groupby("l_orderkey")
-        .aggregate(Sum("sum_qty", alias_name="sum_qty"))
+        .aggregate(Sum("l_quantity_sum", alias_name="sum_qty"))
     )
 
     def big_filter(batch: pa.Table) -> pa.Table:
@@ -2603,7 +2282,6 @@ def q_grouped_distinct(sf_dir: str) -> pd.DataFrame:
     into one pair groupby (pair-count-bounded), then counting rows per
     type is a second, tiny aggregation — the exact two-level shape whose
     approximate sibling is the HLL sketch in stages/sketches.py."""
-    from ray.data.aggregate import Count
 
     def pair_partial(batch: pa.Table) -> pa.Table:
         g = pa.table({
@@ -2665,17 +2343,7 @@ def q_time_weighted_avg(sf_dir: str) -> pd.DataFrame:
         )
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    ds = ds.map_batches(
-        lambda b: b.append_column(
-            "part",
-            pa.array(
-                b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                % n_parts,
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
+    ds = _with_part(ds, "user_id", n_parts)
     out = ds.groupby("part").map_groups(
         twa_partition, batch_format="pyarrow"
     ).select_columns(["user_id", "twa_value"]).to_pandas()
@@ -2694,10 +2362,6 @@ def q_covisitation(sf_dir: str, k: int = 20) -> pd.DataFrame:
     (quadratic only in each user's DISTINCT item count — the
     term_cooccur band contract, with the item universe as the band) ->
     pair-count groupby -> tiny top-k."""
-    import itertools
-
-    from ray.data.aggregate import Sum
-
     n_parts = _fused_parts(sf_dir, "events")
 
     def extract_dedupe(batch: pa.Table) -> pa.Table:
@@ -2728,31 +2392,18 @@ def q_covisitation(sf_dir: str, k: int = 20) -> pd.DataFrame:
         if not a_o:
             return pa.table({"i1": pa.array([], pa.int64()),
                              "i2": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        g = pa.table({
+                             "i1_count": pa.array([], pa.int64())})
+        return pa.table({
             "i1": pa.array(a_o, pa.int64()),
             "i2": pa.array(b_o, pa.int64()),
         }).group_by(["i1", "i2"]).aggregate([("i1", "count")])
-        return g.rename_columns(
-            [{"i1_count": "n"}.get(c, c) for c in g.column_names]
-        )
 
-    ui = ui.map_batches(
-        lambda b: b.append_column(
-            "part",
-            pa.array(
-                b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                % n_parts,
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
+    ui = _with_part(ui, "user_id", n_parts)
     out = (
         ui.groupby("part")
         .map_groups(pairs_partition, batch_format="pyarrow")
         .groupby(["i1", "i2"])
-        .aggregate(Sum("n", alias_name="n"))
+        .aggregate(Sum("i1_count", alias_name="n"))
         .to_pandas()
     )
     out["n"] = out["n"].astype("int64")
@@ -2770,10 +2421,6 @@ def q_tpch_q13(sf_dir: str) -> pd.DataFrame:
     broadcast customer key set first, so phantom keys can't inflate a
     bucket).  Both exchanges ship bounded partials: (custkey, n) rows,
     then (c_count, custdist) rows."""
-    import ray
-
-    from ray.data.aggregate import Sum
-
     cust_keys = np.sort(
         _read(sf_dir, "customer", ["c_custkey"])
         .to_pandas()["c_custkey"].to_numpy(np.int64)
@@ -2831,13 +2478,8 @@ def q_tpch_q14(sf_dir: str) -> pd.DataFrame:
     the ratio is taken once on the bounded combine.  Revenue sums are
     rounded to 4 dp before the ratio so the Ray-vs-DuckDB hash ignores
     summation order."""
-    import ray
-
     part = _read(sf_dir, "part", ["p_partkey", "p_type"]).to_pandas()
-    order = np.argsort(part["p_partkey"].to_numpy(np.int64))
-    pkeys = part["p_partkey"].to_numpy(np.int64)[order]
-    promo = (part["p_type"].to_numpy()[order] == "PROMO")
-    ref = ray.put((pkeys, promo))
+    ref = _keyed_side(part, "p_partkey", part["p_type"].to_numpy() == "PROMO")
 
     def partial(batch: pa.Table) -> pa.Table:
         pk, isp = ray.get(ref)
@@ -2851,30 +2493,20 @@ def q_tpch_q14(sf_dir: str) -> pd.DataFrame:
         yr = yr[hit].astype(np.int64)
         rev = rev[hit]
         pm = isp[idx[hit]]
-        t = pa.table({
+        return pa.table({
             "ship_year": pa.array(yr, pa.int64()),
-            "promo_rev": pa.array(np.where(pm, rev, 0.0), pa.float64()),
-            "total_rev": pa.array(rev, pa.float64()),
+            "promo": pa.array(np.where(pm, rev, 0.0), pa.float64()),
+            "total": pa.array(rev, pa.float64()),
         })
-        return _rename_agg(
-            t.group_by(["ship_year"]).aggregate(
-                [("promo_rev", "sum"), ("total_rev", "sum")]
-            ),
-            {"promo_rev_sum": "promo_rev", "total_rev_sum": "total_rev"},
-        )
 
-    out = (
-        _read(sf_dir, "lineitem",
-              ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("ship_year", as_index=False)
-        .agg(promo_rev=("promo_rev", "sum"), total_rev=("total_rev", "sum"))
-    )
-    out["promo_rev"] = out["promo_rev"].round(4)
-    out["total_rev"] = out["total_rev"].round(4)
+    li = _read(sf_dir, "lineitem",
+               ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"])
+    out = _partial_agg(li, "ship_year", {
+        "promo_rev": ("promo", "sum"), "total_rev": ("total", "sum"),
+    }, partial)
+    out = _finish(out, "ship_year", r4=["promo_rev", "total_rev"])
     out["promo_share"] = (100.0 * out["promo_rev"] / out["total_rev"]).round(6)
-    return out.sort_values("ship_year").reset_index(drop=True)
+    return out
 
 
 def q_tpch_q17(sf_dir: str, brand: str = "Brand#21") -> pd.DataFrame:
@@ -2886,10 +2518,6 @@ def q_tpch_q17(sf_dir: str, brand: str = "Brand#21") -> pd.DataFrame:
     (5·q·n < sum_qty — l_quantity is integer-valued in this corpus), so
     the boundary can't flip on float-summation order; the oracle states
     the same integer inequality."""
-    import ray
-
-    from ray.data.aggregate import Count, Sum
-
     part = _read(sf_dir, "part", ["p_partkey", "p_brand"]).to_pandas()
     bkeys = np.sort(
         part.loc[part["p_brand"] == brand, "p_partkey"].to_numpy(np.int64)
@@ -2919,11 +2547,9 @@ def q_tpch_q17(sf_dir: str, brand: str = "Brand#21") -> pd.DataFrame:
         .aggregate(Sum("sq", alias_name="sq"), Sum("n", alias_name="n"))
         .to_pandas()
     )
-    pk = stats["p"].to_numpy(np.int64)
-    order = np.argsort(pk)
-    thr_ref = ray.put((pk[order],
-                       stats["sq"].to_numpy(np.int64)[order],
-                       stats["n"].to_numpy(np.int64)[order]))
+    if stats.empty:  # no line of the brand: the sum over no rows is 0.0
+        return pd.DataFrame({"avg_yearly": [0.0]})
+    thr_ref = _keyed_side(stats, "p", "sq", "n")
 
     def rev_partial(batch: pa.Table) -> pa.Table:
         pks, sq, nn = ray.get(thr_ref)
@@ -2953,12 +2579,6 @@ def q_assoc_rules(sf_dir: str, k: int = 20, min_count: int = 2) -> pd.DataFrame:
     rationals of those integer counts (rounded 6 dp only at the end).
     Top-k by lift — the rule-mining ordering that surfaces rare-but-
     correlated items rather than the globally popular ones."""
-    import itertools
-
-    import ray
-
-    from ray.data.aggregate import Count, Sum
-
     n_parts = _fused_parts(sf_dir, "events")
 
     def extract_dedupe(batch: pa.Table) -> pa.Table:
@@ -2996,29 +2616,18 @@ def q_assoc_rules(sf_dir: str, k: int = 20, min_count: int = 2) -> pd.DataFrame:
         if not a_o:
             return pa.table({"i1": pa.array([], pa.int64()),
                              "i2": pa.array([], pa.int64()),
-                             "n_pair": pa.array([], pa.int64())})
-        g = pa.table({
+                             "i1_count": pa.array([], pa.int64())})
+        return pa.table({
             "i1": pa.array(a_o, pa.int64()),
             "i2": pa.array(b_o, pa.int64()),
         }).group_by(["i1", "i2"]).aggregate([("i1", "count")])
-        return _rename_agg(g, {"i1_count": "n_pair"})
 
     pairs = (
-        ui.map_batches(
-            lambda b: b.append_column(
-                "part",
-                pa.array(
-                    b["user_id"].to_numpy(zero_copy_only=False)
-                    .astype(np.int64) % n_parts,
-                    pa.int64(),
-                ),
-            ),
-            batch_format="pyarrow",
-        )
+        _with_part(ui, "user_id", n_parts)
         .groupby("part")
         .map_groups(pairs_partition, batch_format="pyarrow")
         .groupby(["i1", "i2"])
-        .aggregate(Sum("n_pair", alias_name="n_pair"))
+        .aggregate(Sum("i1_count", alias_name="n_pair"))
         .to_pandas()
     )
     pairs["n_pair"] = pairs["n_pair"].astype("int64")
@@ -3045,19 +2654,17 @@ def q_gini_by_source(sf_dir: str) -> pd.DataFrame:
     only shuffle ships (source, n_chars) partials — scale-safe where a
     per-source map_groups sort would hold a whole source in one task.
     Gini = 2·S/(n·T) − (n+1)/n with S = Σ v·(rank-sum of its run)."""
-    from ray.data.aggregate import Sum
 
     def hist_partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"source": batch["source"],
                       "v": pc.cast(batch["n_chars"], pa.int64())})
-        g = t.group_by(["source", "v"]).aggregate([("v", "count")])
-        return _rename_agg(g, {"v_count": "c"})
+        return t.group_by(["source", "v"]).aggregate([("v", "count")])
 
     hist = (
         _read(sf_dir, "documents", ["source", "n_chars"])
         .map_batches(hist_partial, batch_format="pyarrow")
         .groupby(["source", "v"])
-        .aggregate(Sum("c", alias_name="c"))
+        .aggregate(Sum("v_count", alias_name="c"))
         .to_pandas()
     )
     hist = hist.sort_values(["source", "v"])
@@ -3083,10 +2690,6 @@ def q_zscore_outliers(sf_dir: str, k: int = 20) -> pd.DataFrame:
     batch keeps only its local top-k by |z| — the driver merge sees
     ≤ k·blocks candidate rows, never the stream.  Top-k by (|z| desc,
     event_id asc) on the 6-dp-rounded score."""
-    import ray
-
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
     def moment_partial(batch: pa.Table) -> pa.Table:
@@ -3097,16 +2700,15 @@ def q_zscore_outliers(sf_dir: str, k: int = 20) -> pd.DataFrame:
             "s2": pa.array(v * v, pa.float64()),
             "n": pa.array(np.ones(v.size, dtype=np.int64), pa.int64()),
         })
-        g = t.group_by(["event_type"]).aggregate(
+        return t.group_by(["event_type"]).aggregate(
             [("s1", "sum"), ("s2", "sum"), ("n", "sum")]
         )
-        return _rename_agg(g, {"s1_sum": "s1", "s2_sum": "s2", "n_sum": "n"})
 
     mom = (
         ds.map_batches(moment_partial, batch_format="pyarrow")
         .groupby("event_type")
-        .aggregate(Sum("s1", alias_name="s1"), Sum("s2", alias_name="s2"),
-                   Sum("n", alias_name="n"))
+        .aggregate(Sum("s1_sum", alias_name="s1"), Sum("s2_sum", alias_name="s2"),
+                   Sum("n_sum", alias_name="n"))
         .to_pandas()
     )
     types = mom["event_type"].to_numpy()
@@ -3146,8 +2748,6 @@ def q_tpch_q15(sf_dir: str) -> pd.DataFrame:
     max-equality filter — suppliers whose 4-dp-rounded revenue equals
     the maximum (the tie-keeping semantics of the original's view +
     subquery, which a plain top-1 LIMIT would break)."""
-    from ray.data.aggregate import Sum
-
     lo = pd.Timestamp("1996-01-01")
     hi = pd.Timestamp("1996-04-01")
 
@@ -3158,15 +2758,14 @@ def q_tpch_q15(sf_dir: str) -> pd.DataFrame:
         rev = pc.multiply(b["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), b["l_discount"]))
         t = pa.table({"l_suppkey": b["l_suppkey"], "revenue": rev})
-        g = t.group_by(["l_suppkey"]).aggregate([("revenue", "sum")])
-        return _rename_agg(g, {"revenue_sum": "revenue"})
+        return t.group_by(["l_suppkey"]).aggregate([("revenue", "sum")])
 
     rev = (
         _read(sf_dir, "lineitem",
               ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("l_suppkey")
-        .aggregate(Sum("revenue", alias_name="revenue"))
+        .aggregate(Sum("revenue_sum", alias_name="revenue"))
         .to_pandas()
     )
     rev["revenue"] = rev["revenue"].round(4)
@@ -3188,10 +2787,6 @@ def q_tpch_q22(sf_dir: str) -> pd.DataFrame:
     test is a broadcast anti join against the distinct urgent o_custkey
     set (distinct-folded per batch before the driver sees it).  acctbal
     sums round to 4 dp."""
-    import ray
-
-    from ray.data.aggregate import Sum
-
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal", "c_mktsegment"])
 
     def avg_partial(batch: pa.Table) -> pa.Table:
@@ -3235,26 +2830,22 @@ def q_tpch_q22(sf_dir: str) -> pd.DataFrame:
                                 pa.int64()),
             "totacctbal": pa.array(bal[keep], pa.float64()),
         })
-        g = t.group_by(["c_mktsegment"]).aggregate(
+        return t.group_by(["c_mktsegment"]).aggregate(
             [("numcust", "sum"), ("totacctbal", "sum")]
         )
-        return _rename_agg(g, {"numcust_sum": "numcust",
-                               "totacctbal_sum": "totacctbal"})
 
     out = (
         cust.map_batches(pick, batch_format="pyarrow")
         .groupby("c_mktsegment")
-        .aggregate(Sum("numcust", alias_name="numcust"),
-                   Sum("totacctbal", alias_name="totacctbal"))
+        .aggregate(Sum("numcust_sum", alias_name="numcust"),
+                   Sum("totacctbal_sum", alias_name="totacctbal"))
         .to_pandas()
     )
     if out.empty:
         return pd.DataFrame({"c_mktsegment": pd.Series([], dtype=str),
                              "numcust": pd.Series([], dtype="int64"),
                              "totacctbal": pd.Series([], dtype="float64")})
-    out["numcust"] = out["numcust"].astype("int64")
-    out["totacctbal"] = out["totacctbal"].round(4)
-    return out.sort_values("c_mktsegment").reset_index(drop=True)
+    return _finish(out, "c_mktsegment", ints=["numcust"], r4=["totacctbal"])
 
 
 def q_event_trigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
@@ -3264,8 +2855,6 @@ def q_event_trigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
     (unlike item-set triples, which are cubic), so the fused user
     partition emits ≤ |events| triple partials and the final groupby is
     |types|³-bounded."""
-    from ray.data.aggregate import Sum
-
     n_parts = _fused_parts(sf_dir, "events")
 
     def tri_partition(group: pa.Table) -> pa.Table:
@@ -3283,33 +2872,22 @@ def q_event_trigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
             return pa.table({"t1": pa.array([], pa.string()),
                              "t2": pa.array([], pa.string()),
                              "t3": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
+                             "t1_count": pa.array([], pa.int64())})
         same = pa.array((uid[2:] == uid[:-2]) & (uid[2:] == uid[1:-1]))
         a = et.slice(0, len(et) - 2).filter(same)
         b = et.slice(1, len(et) - 2).filter(same)
         c = et.slice(2).filter(same)
-        g = pa.table({"t1": a, "t2": b, "t3": c}).group_by(
+        return pa.table({"t1": a, "t2": b, "t3": c}).group_by(
             ["t1", "t2", "t3"]
         ).aggregate([("t1", "count")])
-        return _rename_agg(g, {"t1_count": "n"})
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    ds = ds.map_batches(
-        lambda b: b.append_column(
-            "part",
-            pa.array(
-                b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                % n_parts,
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
+    ds = _with_part(ds, "user_id", n_parts)
     out = (
         ds.groupby("part")
         .map_groups(tri_partition, batch_format="pyarrow")
         .groupby(["t1", "t2", "t3"])
-        .aggregate(Sum("n", alias_name="n"))
+        .aggregate(Sum("t1_count", alias_name="n"))
         .to_pandas()
     )
     out["n"] = out["n"].astype("int64")
@@ -3325,9 +2903,6 @@ def q_daily_autocorr(sf_dir: str) -> pd.DataFrame:
     strictly-consecutive calendar-day pairs is computed from EXACT
     integer moment sums — one float expression at the end, stated
     identically in the oracle."""
-    import math
-
-    from ray.data.aggregate import Sum
 
     def day_partial(batch: pa.Table) -> pa.Table:
         d = (batch["ts"].to_numpy(zero_copy_only=False)
@@ -3370,20 +2945,12 @@ def q_chi2_independence(sf_dir: str) -> pd.DataFrame:
     counts are exact integer ratios (r·c as int, one division) and the
     per-cell contribution (o−e)²/e is the same double expression the
     oracle states.  Cells ordered (segment, priority)."""
-    import ray
-
-    from ray.data.aggregate import Sum
-
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
-    order = np.argsort(cust["c_custkey"].to_numpy(np.int64))
-    keys = cust["c_custkey"].to_numpy(np.int64)[order]
-    segs, seg_codes = np.unique(
-        cust["c_mktsegment"].to_numpy()[order], return_inverse=True
-    )
-    ref = ray.put((keys, seg_codes.astype(np.int64), segs))
+    sg, seg_codes = np.unique(cust["c_mktsegment"], return_inverse=True)
+    ref = _keyed_side(cust, "c_custkey", seg_codes)
 
     def cell_partial(batch: pa.Table) -> pa.Table:
-        ks, codes, sg = ray.get(ref)
+        ks, codes = ray.get(ref)
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         hit, idx = _sorted_lookup(ks, ck)
         t = pa.table({
@@ -3393,16 +2960,15 @@ def q_chi2_independence(sf_dir: str) -> pd.DataFrame:
             "observed": pa.array(np.ones(int(hit.sum()), np.int64),
                                  pa.int64()),
         })
-        g = t.group_by(["c_mktsegment", "o_orderpriority"]).aggregate(
+        return t.group_by(["c_mktsegment", "o_orderpriority"]).aggregate(
             [("observed", "sum")]
         )
-        return _rename_agg(g, {"observed_sum": "observed"})
 
     cells = (
         _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
         .map_batches(cell_partial, batch_format="pyarrow")
         .groupby(["c_mktsegment", "o_orderpriority"])
-        .aggregate(Sum("observed", alias_name="observed"))
+        .aggregate(Sum("observed_sum", alias_name="observed"))
         .to_pandas()
     )
     cells["observed"] = cells["observed"].astype("int64")
@@ -3429,10 +2995,6 @@ def q_tpch_q2(sf_dir: str, k: int = 20) -> pd.DataFrame:
     table — never a self-join.  (The synthetic schema has no partsupp/
     ps_supplycost, so lineitem supplies the part↔supplier relation and
     max-acctbal stands in for min-supplycost; same query shape.)"""
-    import ray
-
-    from ray.data.aggregate import Count
-
     part = _read(sf_dir, "part",
                  ["p_partkey", "p_type", "p_retailprice", "p_name"]).to_pandas()
     part = part[part["p_type"] == "LARGE"]
@@ -3484,53 +3046,7 @@ def q_markov_transitions(sf_dir: str) -> pd.DataFrame:
     counts divide small integers, whose exact 1e-6 halves round
     differently across engines; integer division is engine-exact).
     All |types|² cells, ordered (from, to)."""
-    from ray.data.aggregate import Sum
-
-    n_parts = _fused_parts(sf_dir, "events")
-
-    def trans_partition(group: pa.Table) -> pa.Table:
-        uid = group["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        eid = group["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = group["ts"].to_numpy(zero_copy_only=False).astype(
-            "datetime64[us]").astype(np.int64)
-        et = group["event_type"]
-        if isinstance(et, pa.ChunkedArray):
-            et = et.combine_chunks()
-        order = np.lexsort((eid, ts, uid))
-        et = et.take(pa.array(order))
-        uid = uid[order]
-        if len(uid) < 2:
-            return pa.table({"from_type": pa.array([], pa.string()),
-                             "to_type": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        same = pa.array(uid[1:] == uid[:-1])
-        a = et.slice(0, len(et) - 1).filter(same)
-        b = et.slice(1).filter(same)
-        g = pa.table({"from_type": a, "to_type": b}).group_by(
-            ["from_type", "to_type"]
-        ).aggregate([("from_type", "count")])
-        return _rename_agg(g, {"from_type_count": "n"})
-
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    ds = ds.map_batches(
-        lambda b: b.append_column(
-            "part",
-            pa.array(
-                b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                % n_parts,
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
-    out = (
-        ds.groupby("part")
-        .map_groups(trans_partition, batch_format="pyarrow")
-        .groupby(["from_type", "to_type"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
-    out["n"] = out["n"].astype("int64")
+    out = _transition_counts(sf_dir)
     tot = out.groupby("from_type")["n"].sum()
     out["out_total"] = out["from_type"].map(tot).astype("int64")
     out["prob_ppm"] = (1_000_000 * out["n"]) // out["out_total"]
@@ -3543,7 +3059,6 @@ def q_trend_slope(sf_dir: str) -> pd.DataFrame:
     from EXACT integer moment sums (day indexes and counts are ints;
     the two closing divisions are the only floats, stated identically
     in the oracle).  One (type, day) groupby of per-batch partials."""
-    from ray.data.aggregate import Sum
 
     def day_partial(batch: pa.Table) -> pa.Table:
         d = (batch["ts"].to_numpy(zero_copy_only=False)
@@ -3553,14 +3068,13 @@ def q_trend_slope(sf_dir: str) -> pd.DataFrame:
             "day": pa.array(d, pa.int64()),
             "n": pa.array(np.ones(d.size, np.int64), pa.int64()),
         })
-        g = t.group_by(["event_type", "day"]).aggregate([("n", "sum")])
-        return _rename_agg(g, {"n_sum": "n"})
+        return t.group_by(["event_type", "day"]).aggregate([("n", "sum")])
 
     daily = (
         _read(sf_dir, "events", ["ts", "event_type"])
         .map_batches(day_partial, batch_format="pyarrow")
         .groupby(["event_type", "day"])
-        .aggregate(Sum("n", alias_name="n"))
+        .aggregate(Sum("n_sum", alias_name="n"))
         .to_pandas()
     )
     rows = []
@@ -3593,7 +3107,6 @@ def q_benford_prices(sf_dir: str) -> pd.DataFrame:
     float log10), expectation ppm are shared literals, and the observed
     share is FLOOR(10⁶·n/total) integer ppm — the whole result is
     integer-exact across engines."""
-    from ray.data.aggregate import Sum
 
     def digit_partial(batch: pa.Table) -> pa.Table:
         v = np.floor(
@@ -3630,7 +3143,6 @@ def q_rfm_scores(sf_dir: str, k: int = 20) -> pd.DataFrame:
     buckets are integer-exact and the oracle states the same CASE
     ladder); rfm = 100r + 10f + m.  Top-k by (monetary desc, custkey).
     Recency days are exact integer µs division."""
-    from ray.data.aggregate import Max, Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3685,16 +3197,10 @@ def q_tpch_q4(sf_dir: str) -> pd.DataFrame:
     orderkey groupby dedupes globally, and the late-key set broadcasts
     back as the semi filter on orders — both directions ship keys, not
     rows."""
-    import ray
-
-    orders = _read(sf_dir, "orders",
-                   ["o_orderkey", "o_orderdate", "o_orderpriority"])
-    odf = orders.to_pandas()
-    order = np.argsort(odf["o_orderkey"].to_numpy(np.int64))
-    okeys = odf["o_orderkey"].to_numpy(np.int64)[order]
-    odate = (odf["o_orderdate"].to_numpy("datetime64[us]")
-             .astype(np.int64)[order])
-    ref = ray.put((okeys, odate))
+    odf = _read(sf_dir, "orders",
+                ["o_orderkey", "o_orderdate", "o_orderpriority"]).to_pandas()
+    ref = _keyed_side(odf, "o_orderkey", odf["o_orderdate"].to_numpy(
+        "datetime64[us]").astype(np.int64))
     late_us = 60 * 86_400_000_000
 
     def late_partial(batch: pa.Table) -> pa.Table:
@@ -3717,8 +3223,7 @@ def q_tpch_q4(sf_dir: str) -> pd.DataFrame:
     hit, _ = _sorted_lookup(late_keys, odf["o_orderkey"].to_numpy(np.int64))
     out = (odf[hit].groupby("o_orderpriority", as_index=False)
            .agg(order_count=("o_orderkey", "count")))
-    out["order_count"] = out["order_count"].astype("int64")
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
+    return _finish(out, "o_orderpriority", ints=["order_count"])
 
 
 def q_tpch_q7(sf_dir: str) -> pd.DataFrame:
@@ -3729,34 +3234,20 @@ def q_tpch_q7(sf_dir: str) -> pd.DataFrame:
     arrays; each lineitem batch resolves both nations, filters the pair
     set, and folds (s_nation, c_nation, year, revenue) partials — the
     fact table never shuffles."""
-    import ray
-
     nations = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    nk = nations["n_nationkey"].to_numpy(np.int64)
-    order = np.argsort(nk)
-    nk = nk[order]
-    nname = nations["n_name"].to_numpy()[order]
-    keep_nations = set(np.sort(nname)[:3].tolist())
-
-    sup = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
-    so = np.argsort(sup["s_suppkey"].to_numpy(np.int64))
-    skeys = sup["s_suppkey"].to_numpy(np.int64)[so]
-    snat = sup["s_nationkey"].to_numpy(np.int64)[so]
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
-    co = np.argsort(cust["c_custkey"].to_numpy(np.int64))
-    ckeys = cust["c_custkey"].to_numpy(np.int64)[co]
-    cnat = cust["c_nationkey"].to_numpy(np.int64)[co]
-
-    odf = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]).to_pandas()
-    oo = np.argsort(odf["o_orderkey"].to_numpy(np.int64))
-    okeys = odf["o_orderkey"].to_numpy(np.int64)[oo]
-    ocust = odf["o_custkey"].to_numpy(np.int64)[oo]
-
-    ref = ray.put((nk, nname, skeys, snat, ckeys, cnat, okeys, ocust))
+    keep_nations = set(np.sort(nations["n_name"].to_numpy())[:3].tolist())
+    refs = [
+        _keyed_side(nations, "n_nationkey", "n_name"),
+        _keyed_side(_read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+                    .to_pandas(), "s_suppkey", "s_nationkey"),
+        _keyed_side(_read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+                    .to_pandas(), "c_custkey", "c_nationkey"),
+        _keyed_side(_read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+                    .to_pandas(), "o_orderkey", "o_custkey"),
+    ]
 
     def partial(batch: pa.Table) -> pa.Table:
-        nk_, nm_, sk_, sn_, ck_, cn_, ok_, oc_ = ray.get(ref)
+        (nk_, nm_), (sk_, sn_), (ck_, cn_), (ok_, oc_) = ray.get(refs)
         lsk = batch["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         lok = batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         hs, is_ = _sorted_lookup(sk_, lsk)
@@ -3774,36 +3265,19 @@ def q_tpch_q7(sf_dir: str) -> pd.DataFrame:
               .astype(np.int64)[keep][hc])
         m = (np.isin(s_n, list(keep_nations))
              & np.isin(c_n, list(keep_nations)) & (s_n != c_n))
-        t = pa.table({
+        return pa.table({
             "supp_nation": pa.array(s_n[m]),
             "cust_nation": pa.array(c_n[m]),
             "l_year": pa.array(yr[m], pa.int64()),
-            "revenue": pa.array(rev[m], pa.float64()),
+            "rev": pa.array(rev[m], pa.float64()),
         })
-        g = t.group_by(["supp_nation", "cust_nation", "l_year"]).aggregate(
-            [("revenue", "sum")]
-        )
-        return _rename_agg(g, {"revenue_sum": "revenue"})
 
-    parts = (
-        _read(sf_dir, "lineitem",
-              ["l_suppkey", "l_orderkey", "l_extendedprice", "l_discount",
-               "l_shipdate"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-    )
-    if len(parts) == 0:  # no qualifying pair at this scale
-        parts = pd.DataFrame({"supp_nation": pd.array([], dtype=str),
-                              "cust_nation": pd.array([], dtype=str),
-                              "l_year": pd.array([], dtype="int64"),
-                              "revenue": pd.array([], dtype="float64")})
-    out = (parts
-           .groupby(["supp_nation", "cust_nation", "l_year"],
-                    as_index=False)
-           .agg(revenue=("revenue", "sum")))
-    out["revenue"] = out["revenue"].round(4)
-    return out.sort_values(["supp_nation", "cust_nation", "l_year"]) \
-        .reset_index(drop=True)
+    li = _read(sf_dir, "lineitem",
+               ["l_suppkey", "l_orderkey", "l_extendedprice", "l_discount",
+                "l_shipdate"])
+    keys = ["supp_nation", "cust_nation", "l_year"]
+    out = _partial_agg(li, keys, {"revenue": ("rev", "sum")}, partial)
+    return _finish(out, keys, r4=["revenue"])
 
 
 def q_tpch_q11(sf_dir: str, fraction_ppm: int = 600) -> pd.DataFrame:
@@ -3814,20 +3288,18 @@ def q_tpch_q11(sf_dir: str, fraction_ppm: int = 600) -> pd.DataFrame:
     (stated identically in the oracle, so the threshold is the same
     double on both sides); the comparison multiplies out the division
     (1e6·value > ppm·total) to avoid a divide."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = pa.table({
+        return pa.table({
             "p_partkey": batch["l_partkey"],
             "value": batch["l_extendedprice"],
         }).group_by(["p_partkey"]).aggregate([("value", "sum")])
-        return _rename_agg(g, {"value_sum": "value"})
 
     per_part = (
         _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("p_partkey")
-        .aggregate(Sum("value", alias_name="value"))
+        .aggregate(Sum("value_sum", alias_name="value"))
         .to_pandas()
     )
     per_part["value"] = per_part["value"].round(4)
@@ -3846,22 +3318,16 @@ def q_tpch_q19(sf_dir: str) -> pd.DataFrame:
     attributes broadcast once as sorted arrays; each batch evaluates
     the OR of vectorized clause masks — the disjunction never turns
     into three scans."""
-    import ray
-
     part = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]).to_pandas()
-    po = np.argsort(part["p_partkey"].to_numpy(np.int64))
-    pkeys = part["p_partkey"].to_numpy(np.int64)[po]
-    brands, bcodes = np.unique(part["p_brand"].to_numpy()[po],
-                               return_inverse=True)
-    psize = part["p_size"].to_numpy(np.int64)[po]
-    ref = ray.put((pkeys, bcodes.astype(np.int64), brands, psize))
+    bn, bcodes = np.unique(part["p_brand"], return_inverse=True)
+    ref = _keyed_side(part, "p_partkey", bcodes, "p_size")
 
     clauses = [("Brand#11", 1, 10, 1.0, 15.0),
                ("Brand#22", 5, 20, 5.0, 25.0),
                ("Brand#33", 10, 30, 10.0, 35.0)]
 
     def partial(batch: pa.Table) -> pa.Table:
-        ks, bc, bn, sz = ray.get(ref)
+        ks, bc, sz = ray.get(ref)
         lk = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         hit, idx = _sorted_lookup(ks, lk)
         q = batch["l_quantity"].to_numpy(zero_copy_only=False)
@@ -3901,43 +3367,27 @@ def q_tpch_q8(sf_dir: str, region: str = "ASIA",
     shuffle.  Cf. nadry's SQL-side aggregation in ranker/* (the
     reference has no relational engine; this family documents the Ray
     translation of the shapes its store queries imply)."""
-    import ray
-
     nat = _read(sf_dir, "nation",
                 ["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
     reg = _read(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
-    rkey = int(reg.loc[reg["r_name"] == region, "r_regionkey"].iloc[0])
-    region_nations = set(
-        nat.loc[nat["n_regionkey"] == rkey, "n_nationkey"].astype(int))
-
-    no = np.argsort(nat["n_nationkey"].to_numpy(np.int64))
-    nk = nat["n_nationkey"].to_numpy(np.int64)[no]
-    nname = nat["n_name"].to_numpy()[no]
+    rkeys = reg.loc[reg["r_name"] == region, "r_regionkey"]
+    region_nations = nat.loc[nat["n_regionkey"].isin(rkeys), "n_nationkey"]
+    target = nat.loc[nat["n_name"] == nation, "n_nationkey"]
 
     sup = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
-    so = np.argsort(sup["s_suppkey"].to_numpy(np.int64))
-    skeys = sup["s_suppkey"].to_numpy(np.int64)[so]
-    s_is_target = (nname[np.searchsorted(nk, sup["s_nationkey"]
-                                         .to_numpy(np.int64)[so])] == nation)
-
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
-    co = np.argsort(cust["c_custkey"].to_numpy(np.int64))
-    ckeys = cust["c_custkey"].to_numpy(np.int64)[co]
-    c_in_region = np.isin(cust["c_nationkey"].to_numpy(np.int64)[co],
-                          list(region_nations))
-
     odf = _read(sf_dir, "orders",
                 ["o_orderkey", "o_custkey", "o_orderdate"]).to_pandas()
-    oo = np.argsort(odf["o_orderkey"].to_numpy(np.int64))
-    okeys = odf["o_orderkey"].to_numpy(np.int64)[oo]
-    ocust = odf["o_custkey"].to_numpy(np.int64)[oo]
-    oyear = pd.DatetimeIndex(odf["o_orderdate"]).year.to_numpy(np.int64)[oo]
-
-    ref = ray.put((skeys, s_is_target, ckeys, c_in_region,
-                   okeys, ocust, oyear))
+    refs = [
+        _keyed_side(sup, "s_suppkey", sup["s_nationkey"].isin(target).to_numpy()),
+        _keyed_side(cust, "c_custkey",
+                    cust["c_nationkey"].isin(region_nations).to_numpy()),
+        _keyed_side(odf, "o_orderkey", "o_custkey",
+                    pd.DatetimeIndex(odf["o_orderdate"]).year.to_numpy(np.int64)),
+    ]
 
     def partial(batch: pa.Table) -> pa.Table:
-        sk_, st_, ck_, cr_, ok_, oc_, oy_ = ray.get(ref)
+        (sk_, st_), (ck_, cr_), (ok_, oc_, oy_) = ray.get(refs)
         lsk = batch["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         lok = batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         hs, is_ = _sorted_lookup(sk_, lsk)
@@ -3959,17 +3409,14 @@ def q_tpch_q8(sf_dir: str, region: str = "ASIA",
             "den": pa.array(tot, pa.float64()),
         })
 
-    parts = (
-        _read(sf_dir, "lineitem",
-              ["l_suppkey", "l_orderkey", "l_extendedprice", "l_discount"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("o_year", as_index=False)
-        .agg(num=("num", "sum"), den=("den", "sum"))
-    )
+    li = _read(sf_dir, "lineitem",
+               ["l_suppkey", "l_orderkey", "l_extendedprice", "l_discount"])
+    # the partial rows are already one per year; the group_by only merges
+    parts = _partial_agg(li, "o_year", {
+        "num": ("num", "sum"), "den": ("den", "sum"),
+    }, partial)
     parts["mkt_share"] = (parts["num"] / parts["den"]).round(6)
-    out = parts[["o_year", "mkt_share"]].sort_values("o_year")
-    return out.reset_index(drop=True)
+    return _finish(parts, "o_year", cols=["o_year", "mkt_share"])
 
 
 def q_tpch_q9(sf_dir: str, name_token: str = "red") -> pd.DataFrame:
@@ -3980,36 +3427,22 @@ def q_tpch_q9(sf_dir: str, name_token: str = "red") -> pd.DataFrame:
     Part (cost + name filter), supplier→nation and orderkey→year chains
     broadcast sorted; each lineitem batch folds (nation, year, profit)
     partials through one pyarrow group_by."""
-    import ray
-
     nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    no = np.argsort(nat["n_nationkey"].to_numpy(np.int64))
-    nk = nat["n_nationkey"].to_numpy(np.int64)[no]
-    nname = nat["n_name"].to_numpy()[no]
-
     part = _read(sf_dir, "part",
                  ["p_partkey", "p_name", "p_retailprice"]).to_pandas()
-    m = part["p_name"].str.contains(name_token, regex=False)
-    part = part[m]
-    po = np.argsort(part["p_partkey"].to_numpy(np.int64))
-    pkeys = part["p_partkey"].to_numpy(np.int64)[po]
-    pcost = part["p_retailprice"].to_numpy(np.float64)[po]
-
+    part = part[part["p_name"].str.contains(name_token, regex=False)]
     sup = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
-    so = np.argsort(sup["s_suppkey"].to_numpy(np.int64))
-    skeys = sup["s_suppkey"].to_numpy(np.int64)[so]
-    snat = nname[np.searchsorted(
-        nk, sup["s_nationkey"].to_numpy(np.int64)[so])]
-
     odf = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).to_pandas()
-    oo = np.argsort(odf["o_orderkey"].to_numpy(np.int64))
-    okeys = odf["o_orderkey"].to_numpy(np.int64)[oo]
-    oyear = pd.DatetimeIndex(odf["o_orderdate"]).year.to_numpy(np.int64)[oo]
-
-    ref = ray.put((pkeys, pcost, skeys, snat, okeys, oyear))
+    refs = [
+        _keyed_side(part, "p_partkey", "p_retailprice"),
+        _keyed_side(sup, "s_suppkey", sup["s_nationkey"].map(
+            nat.set_index("n_nationkey")["n_name"]).to_numpy()),
+        _keyed_side(odf, "o_orderkey",
+                    pd.DatetimeIndex(odf["o_orderdate"]).year.to_numpy(np.int64)),
+    ]
 
     def partial(batch: pa.Table) -> pa.Table:
-        pk_, pc_, sk_, sn_, ok_, oy_ = ray.get(ref)
+        (pk_, pc_), (sk_, sn_), (ok_, oy_) = ray.get(refs)
         lpk = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         lsk = batch["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         lok = batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4023,26 +3456,19 @@ def q_tpch_q9(sf_dir: str, name_token: str = "red") -> pd.DataFrame:
             * (1.0 - batch["l_discount"].to_numpy(zero_copy_only=False)[keep])
             - pc_[ip_[keep]] * qty
         )
-        t = pa.table({
+        return pa.table({
             "nation": pa.array(sn_[is_[keep]]),
             "o_year": pa.array(oy_[io_[keep]], pa.int64()),
-            "sum_profit": pa.array(profit, pa.float64()),
+            "profit": pa.array(profit, pa.float64()),
         })
-        g = t.group_by(["nation", "o_year"]).aggregate([("sum_profit", "sum")])
-        return _rename_agg(g, {"sum_profit_sum": "sum_profit"})
 
-    out = (
-        _read(sf_dir, "lineitem",
-              ["l_partkey", "l_suppkey", "l_orderkey", "l_quantity",
-               "l_extendedprice", "l_discount"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["nation", "o_year"], as_index=False)
-        .agg(sum_profit=("sum_profit", "sum"))
-    )
-    out["sum_profit"] = out["sum_profit"].round(4)
-    return out.sort_values(["nation", "o_year"],
-                           ascending=[True, False]).reset_index(drop=True)
+    li = _read(sf_dir, "lineitem",
+               ["l_partkey", "l_suppkey", "l_orderkey", "l_quantity",
+                "l_extendedprice", "l_discount"])
+    out = _partial_agg(li, ["nation", "o_year"],
+                       {"sum_profit": ("profit", "sum")}, partial)
+    return _finish(out, ["nation", "o_year"], r4=["sum_profit"],
+                   ascending=[True, False])
 
 
 def q_tpch_q16(sf_dir: str, excl_brand: str = "Brand#11",
@@ -4054,16 +3480,12 @@ def q_tpch_q16(sf_dir: str, excl_brand: str = "Brand#11",
     composite int keys (partkey·2²⁰ | suppkey), one Ray groupby dedupes
     globally, and only the UNIQUE pairs (bounded by |part|×suppliers-per-
     part, not by lineitem) reach the driver for the small attr rollup."""
-    import ray
-
     part = _read(sf_dir, "part",
                  ["p_partkey", "p_brand", "p_type", "p_size"]).to_pandas()
     m = ((part["p_brand"] != excl_brand) & (part["p_type"] != excl_type)
          & part["p_size"].isin([1, 5, 10, 15, 20, 25, 30, 35]))
     part = part[m]
-    po = np.argsort(part["p_partkey"].to_numpy(np.int64))
-    pkeys = part["p_partkey"].to_numpy(np.int64)[po]
-    ref = ray.put(pkeys)
+    ref = ray.put(np.sort(part["p_partkey"].to_numpy(np.int64)))
 
     def pair_partial(batch: pa.Table) -> pa.Table:
         pk_ = ray.get(ref)
@@ -4091,10 +3513,8 @@ def q_tpch_q16(sf_dir: str, excl_brand: str = "Brand#11",
     })
     out = (df.groupby(["p_brand", "p_type", "p_size"], as_index=False)
            .agg(supplier_cnt=("s", "nunique")))
-    out["supplier_cnt"] = out["supplier_cnt"].astype("int64")
-    return out.sort_values(
-        ["supplier_cnt", "p_brand", "p_type", "p_size"],
-        ascending=[False, True, True, True]).reset_index(drop=True)
+    return _finish(out, ["supplier_cnt", "p_brand", "p_type", "p_size"],
+                   ints=["supplier_cnt"], ascending=[False, True, True, True])
 
 
 def q_tpch_q20(sf_dir: str, name_prefix: str = "red",
@@ -4106,8 +3526,6 @@ def q_tpch_q20(sf_dir: str, name_prefix: str = "red",
     lineitem scan folds per-supplier quantity partials; the final
     threshold + supplier-name join happens on the supplier-sized
     result."""
-    import ray
-
     part = _read(sf_dir, "part", ["p_partkey", "p_name"]).to_pandas()
     pkeys = np.sort(part.loc[part["p_name"].str.startswith(name_prefix),
                              "p_partkey"].to_numpy(np.int64))
@@ -4125,19 +3543,15 @@ def q_tpch_q20(sf_dir: str, name_prefix: str = "red",
             "qty": pa.array(np.bincount(inv, weights=q), pa.float64()),
         })
 
-    per_supp = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("s_suppkey", as_index=False)
-        .agg(qty=("qty", "sum"))
-    )
-    per_supp = per_supp[per_supp["qty"] > min_qty]
+    li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity"])
+    # the partial rows are already one per supplier; the group_by only merges
+    per_supp = _partial_agg(li, "s_suppkey", {"total_qty": ("qty", "sum")},
+                            partial)
+    per_supp = per_supp[per_supp["total_qty"] > min_qty]
     sup = _read(sf_dir, "supplier", ["s_suppkey", "s_name"]).to_pandas()
     out = per_supp.merge(sup, on="s_suppkey")
-    out["total_qty"] = out["qty"].round(4)
-    out = out[["s_suppkey", "s_name", "total_qty"]]
-    return out.sort_values("s_name").reset_index(drop=True)
+    return _finish(out, "s_name", r4=["total_qty"],
+                   cols=["s_suppkey", "s_name", "total_qty"])
 
 
 def q_tpch_q21(sf_dir: str, k: int = 25) -> pd.DataFrame:
@@ -4151,15 +3565,9 @@ def q_tpch_q21(sf_dir: str, k: int = 25) -> pd.DataFrame:
     pair→order as (n_supp, n_late, Σ late·suppkey) — when n_late == 1
     that sum IS the guilty supplier, so the per-order supplier set
     never materializes."""
-    import ray
-    from ray.data.aggregate import Count, Max, Sum
-
     odf = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).to_pandas()
-    oo = np.argsort(odf["o_orderkey"].to_numpy(np.int64))
-    okeys = odf["o_orderkey"].to_numpy(np.int64)[oo]
-    odate = (odf["o_orderdate"].to_numpy("datetime64[us]")
-             .astype(np.int64)[oo])
-    ref = ray.put((okeys, odate))
+    ref = _keyed_side(odf, "o_orderkey", odf["o_orderdate"].to_numpy(
+        "datetime64[us]").astype(np.int64))
     late_us = 60 * 86_400_000_000
 
     def pair_partial(batch: pa.Table) -> pa.Table:
@@ -4213,23 +3621,21 @@ def q_tpch_q21(sf_dir: str, k: int = 25) -> pd.DataFrame:
                                 pa.int64()),
         })
 
-    counts = (
+    per_order = (
         pair_ds.map_batches(order_partial, batch_format="pyarrow")
         .groupby("o")
         .aggregate(Sum("n_supp", alias_name="n_supp"),
                    Sum("n_late", alias_name="n_late"),
                    Sum("late_skey", alias_name="late_skey"))
-        .map_batches(guilty_partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("s_suppkey", as_index=False)
-        .agg(numwait=("numwait", "sum"))
     )
+    # guilty_partial's rows are already one per supplier; the group_by
+    # only merges
+    counts = _partial_agg(per_order, "s_suppkey",
+                          {"numwait": ("numwait", "sum")}, guilty_partial)
     sup = _read(sf_dir, "supplier", ["s_suppkey", "s_name"]).to_pandas()
     out = counts.merge(sup, on="s_suppkey")
-    out["numwait"] = out["numwait"].astype("int64")
-    out = out[["s_name", "numwait"]].sort_values(
-        ["numwait", "s_name"], ascending=[False, True]).head(k)
-    return out.reset_index(drop=True)
+    return _finish(out, ["numwait", "s_name"], ints=["numwait"],
+                   cols=["s_name", "numwait"], ascending=[False, True]).head(k)
 
 
 def q_ntile_quartiles(sf_dir: str, n_tiles: int = 4,
@@ -4244,9 +3650,6 @@ def q_ntile_quartiles(sf_dir: str, n_tiles: int = 4,
     share a bin, so the tiebreak never crosses a partition.  SQL NTILE
     bucket widths (first n%k buckets one wider) are reproduced from the
     global rank arithmetically."""
-    import ray
-    from ray.data.aggregate import Max, Min
-
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
     mm = ds.aggregate(Min("o_totalprice", alias_name="lo"),
                       Max("o_totalprice", alias_name="hi"))
@@ -4305,9 +3708,7 @@ def q_ntile_quartiles(sf_dir: str, n_tiles: int = 4,
            .to_pandas()
            .groupby("quartile", as_index=False)
            .agg(n=("n", "sum"), sum_price=("sum_price", "sum")))
-    out["sum_price"] = out["sum_price"].round(4)
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values("quartile").reset_index(drop=True)
+    return _finish(out, "quartile", ints=["n"], r4=["sum_price"])
 
 
 def q_iqr_outliers(sf_dir: str) -> pd.DataFrame:
@@ -4342,6 +3743,22 @@ def q_iqr_outliers(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("event_type").reset_index(drop=True)
 
 
+def _add_day(batch: pa.Table) -> pa.Table:
+    day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"), pa.timestamp("us"))
+    return batch.append_column("day", day)
+
+
+def _daily(sf_dir: str, keys=("event_type",), value=False) -> pd.DataFrame:
+    """Per-(keys, day) event count ``n`` over the events table, plus
+    ``s`` = Σ value when ``value``, folded through ``_partial_agg``
+    (the (keys × days)-sized table is the bounded driver combine).  The
+    count is of the non-null ``day`` key, i.e. the group's row count."""
+    cols = [*keys, "ts", "value"] if value else [*keys, "ts"]
+    aggs = {"s": ("value", "sum")} if value else {}
+    return _partial_agg(_read(sf_dir, "events", cols), [*keys, "day"],
+                        {**aggs, "n": ("day", "count")}, _add_day)
+
+
 def q_ewma_daily(sf_dir: str, alpha: float = 0.3) -> pd.DataFrame:
     """Final-day exponentially weighted moving average of the DAILY MEAN
     value per event_type: ewma_n = Σᵢ wᵢ·mᵢ with w_first = (1−α)^(n−1)
@@ -4350,26 +3767,8 @@ def q_ewma_daily(sf_dir: str, alpha: float = 0.3) -> pd.DataFrame:
     instead of a recurrence.  Daily means fold distributed (per-batch
     (type, day, sum, cnt) partials); only the (type×day)-sized daily
     table reaches the driver."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
-                      pa.timestamp("us"))
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "day": day,
-            "s": batch["value"],
-            "c": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-        })
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [("s", "sum"), ("c", "sum")])
-        return _rename_agg(g, {"s_sum": "s", "c_sum": "c"})
-
-    daily = (_read(sf_dir, "events", ["event_type", "ts", "value"])
-             .map_batches(partial, batch_format="pyarrow")
-             .to_pandas()
-             .groupby(["event_type", "day"], as_index=False)
-             .agg(s=("s", "sum"), c=("c", "sum")))
-    daily["m"] = daily["s"] / daily["c"]
+    daily = _daily(sf_dir, value=True)
+    daily["m"] = daily["s"] / daily["n"]
     rows = []
     for etype, g in daily.groupby("event_type"):
         g = g.sort_values("day")
@@ -4379,9 +3778,7 @@ def q_ewma_daily(sf_dir: str, alpha: float = 0.3) -> pd.DataFrame:
         w[0] = np.power(1.0 - alpha, n - 1)
         rows.append({"event_type": etype, "n_days": n,
                      "ewma": round(float((w * m).sum()), 6)})
-    out = pd.DataFrame(rows)
-    out["n_days"] = out["n_days"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(pd.DataFrame(rows), "event_type", ints=["n_days"])
 
 
 def q_attribution_first_touch(sf_dir: str) -> pd.DataFrame:
@@ -4416,23 +3813,17 @@ def q_attribution_first_touch(sf_dir: str) -> pd.DataFrame:
                                   pa.float64()),
         })
 
-    def part_key(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("part", pa.array(u % n_parts, pa.int64()))
-
     out = (
-        _read(sf_dir, "events",
-              ["user_id", "event_id", "ts", "event_type", "value"])
-        .map_batches(part_key, batch_format="pyarrow")
+        _with_part(_read(sf_dir, "events", ["user_id", "event_id", "ts",
+                                            "event_type", "value"]),
+                   "user_id", n_parts)
         .groupby("part")
         .map_groups(attribute, batch_format="pyarrow")
         .to_pandas()
         .groupby("event_type", as_index=False)
         .agg(n_users=("n_users", "sum"), sum_value=("sum_value", "sum"))
     )
-    out["n_users"] = out["n_users"].astype("int64")
-    out["sum_value"] = out["sum_value"].round(4)
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(out, "event_type", ints=["n_users"], r4=["sum_value"])
 
 
 def q_column_profile(sf_dir: str) -> pd.DataFrame:
@@ -4465,22 +3856,19 @@ def q_column_profile(sf_dir: str) -> pd.DataFrame:
             "sum_v": pa.array(sm, pa.float64()),
         })
 
-    out = (_read(sf_dir, "lineitem", cols)
-           .map_batches(partial, batch_format="pyarrow")
-           .to_pandas()
-           .groupby("column", as_index=False)
-           .agg(n=("n", "sum"), n_null=("n_null", "sum"),
-                min_v=("min_v", "min"), max_v=("max_v", "max"),
-                sum_v=("sum_v", "sum")))
+    # the partial rows are already one per column; the group_by only merges
+    out = _partial_agg(_read(sf_dir, "lineitem", cols), "column", {
+        "n": ("n", "sum"), "n_null": ("n_null", "sum"),
+        "min_v": ("min_v", "min"), "max_v": ("max_v", "max"),
+        "sum_v": ("sum_v", "sum"),
+    }, partial)
     # avg from the ROUNDED sum: round(sum,4) is the cross-engine-stable
     # artifact, so deriving avg from it keeps round(avg,6) stable too
     out["sum_v"] = out["sum_v"].round(4)
     out["avg_v"] = (out["sum_v"] / (out["n"] - out["n_null"])).round(6)
     out["min_v"] = out["min_v"].round(6)
     out["max_v"] = out["max_v"].round(6)
-    out["n"] = out["n"].astype("int64")
-    out["n_null"] = out["n_null"].astype("int64")
-    return out.sort_values("column").reset_index(drop=True)
+    return _finish(out, "column", ints=["n", "n_null"])
 
 
 def q_seasonal_dow(sf_dir: str) -> pd.DataFrame:
@@ -4489,29 +3877,17 @@ def q_seasonal_dow(sf_dir: str) -> pd.DataFrame:
     dow, sum, count) partials — 7×types rows — fold in one tiny driver
     combine; means derive from global sums."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def add_dow(batch: pa.Table) -> pa.Table:
         dow = pc.add(pc.day_of_week(batch["ts"]), 1)  # arrow Monday=0
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "dow": pc.cast(dow, pa.int64()),
-            "s": batch["value"],
-            "c": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-        })
-        g = t.group_by(["event_type", "dow"]).aggregate(
-            [("s", "sum"), ("c", "sum")])
-        return _rename_agg(g, {"s_sum": "s", "c_sum": "c"})
+        return batch.append_column("dow", pc.cast(dow, pa.int64()))
 
-    out = (_read(sf_dir, "events", ["event_type", "ts", "value"])
-           .map_batches(partial, batch_format="pyarrow")
-           .to_pandas()
-           .groupby(["event_type", "dow"], as_index=False)
-           .agg(s=("s", "sum"), c=("c", "sum")))
-    out["avg_value"] = (out["s"] / out["c"]).round(6)
-    out = out.rename(columns={"c": "n"})[
-        ["event_type", "dow", "n", "avg_value"]]
-    out["n"] = out["n"].astype("int64")
-    out["dow"] = out["dow"].astype("int64")
-    return out.sort_values(["event_type", "dow"]).reset_index(drop=True)
+    keys = ["event_type", "dow"]
+    # count of the non-null key column = the group's row count
+    out = _partial_agg(_read(sf_dir, "events", ["event_type", "ts", "value"]),
+                       keys, {"s": ("value", "sum"), "n": ("dow", "count")},
+                       add_dow)
+    out["avg_value"] = (out["s"] / out["n"]).round(6)
+    return _finish(out, keys, ints=["n", "dow"], cols=[*keys, "n", "avg_value"])
 
 
 def q_label_centroids(sf_dir: str) -> pd.DataFrame:
@@ -4520,7 +3896,6 @@ def q_label_centroids(sf_dir: str) -> pd.DataFrame:
     (class prototypes, cluster seeding).  Per-batch partials are one
     (labels × dim) sum matrix + counts via the zero-copy _batch_matrix
     flatten — the driver combine is model-sized, never corpus-sized."""
-    from ..stages.similarity import _batch_matrix
 
     def partial(batch: pa.Table) -> pa.Table:
         m = _batch_matrix(batch, "embedding")
@@ -4538,16 +3913,13 @@ def q_label_centroids(sf_dir: str) -> pd.DataFrame:
             "c": pa.array(np.repeat(cnts, dim), pa.int64()),
         })
 
-    out = (_read(sf_dir, "embeddings", ["embedding", "label"])
-           .map_batches(partial, batch_format="pyarrow")
-           .to_pandas()
-           .groupby(["label", "dim"], as_index=False)
-           .agg(s=("s", "sum"), c=("c", "sum")))
+    keys = ["label", "dim"]
+    # the partial rows are already one per (label, dim); the group_by only
+    # merges
+    out = _partial_agg(_read(sf_dir, "embeddings", ["embedding", "label"]),
+                       keys, {"s": ("s", "sum"), "c": ("c", "sum")}, partial)
     out["centroid"] = (out["s"] / out["c"]).round(6)
-    out = out[["label", "dim", "centroid"]]
-    out["label"] = out["label"].astype("int64")
-    out["dim"] = out["dim"].astype("int64")
-    return out.sort_values(["label", "dim"]).reset_index(drop=True)
+    return _finish(out, keys, ints=keys, cols=[*keys, "centroid"])
 
 
 def q_conversion_lag(sf_dir: str) -> pd.DataFrame:
@@ -4580,12 +3952,8 @@ def q_conversion_lag(sf_dir: str) -> pd.DataFrame:
         return pa.table({"lag_us": pa.array(lag.astype(np.int64),
                                             pa.int64())})
 
-    def part_key(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("part", pa.array(u % n_parts, pa.int64()))
-
-    lag = (_read(sf_dir, "events", ["user_id", "ts", "event_type"])
-           .map_batches(part_key, batch_format="pyarrow")
+    lag = (_with_part(_read(sf_dir, "events", ["user_id", "ts", "event_type"]),
+                      "user_id", n_parts)
            .groupby("part")
            .map_groups(lags, batch_format="pyarrow")
            .to_pandas()["lag_us"].to_numpy(np.int64))
@@ -4628,12 +3996,10 @@ def q_ks_test_2sample(sf_dir: str, type_a: str = "click",
             "cb": pa.array(cb, pa.int64()),
         })
 
-    g = (_read(sf_dir, "events", ["event_type", "value"])
-         .map_batches(partial, batch_format="pyarrow")
-         .to_pandas()
-         .groupby("value", as_index=False)
-         .agg(ca=("ca", "sum"), cb=("cb", "sum"))
-         .sort_values("value"))
+    # the partial rows are already one per value; the group_by only merges
+    g = _partial_agg(_read(sf_dir, "events", ["event_type", "value"]),
+                     "value", {"ca": ("ca", "sum"), "cb": ("cb", "sum")},
+                     partial)
     n1, n2 = int(g["ca"].sum()), int(g["cb"].sum())
     f1 = np.cumsum(g["ca"].to_numpy(np.int64)) * 1.0 / n1
     f2 = np.cumsum(g["cb"].to_numpy(np.int64)) * 1.0 / n2
@@ -4692,13 +4058,9 @@ def q_scd2_dimension(sf_dir: str) -> pd.DataFrame:
                                  pa.timestamp("us")),
         })
 
-    def part_key(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("part", pa.array(u % n_parts, pa.int64()))
-
-    out = (_read(sf_dir, "events",
-                 ["user_id", "event_id", "ts", "event_type"])
-           .map_batches(part_key, batch_format="pyarrow")
+    out = (_with_part(_read(sf_dir, "events",
+                            ["user_id", "event_id", "ts", "event_type"]),
+                      "user_id", n_parts)
            .groupby("part")
            .map_groups(runs, batch_format="pyarrow")
            .to_pandas())
@@ -4714,13 +4076,13 @@ def q_id_gaps(sf_dir: str, event_type: str = "click",
     its internal gaps after a local sort, and the driver stitches only
     the n_bins (min, max) boundary rows — the q_ntile two-pass idea
     applied to gap detection."""
-    import ray
-    from ray.data.aggregate import Max, Min
-
     ds = _read(sf_dir, "events", ["event_id", "event_type"]).filter(
         expr=f"event_type == '{event_type}'").select_columns(["event_id"])
     mm = ds.aggregate(Min("event_id", alias_name="lo"),
                       Max("event_id", alias_name="hi"))
+    if mm["lo"] is None:  # no event of the type: no gap
+        return pd.DataFrame({c: pd.Series([], dtype="int64")
+                             for c in ("gap_start", "gap_end", "gap_len")})
     lo, hi = int(mm["lo"]), int(mm["hi"])
     width = max((hi - lo) // n_bins + 1, 1)
 
@@ -4794,13 +4156,9 @@ def q_state_asof(sf_dir: str, asof: str = "2024-01-15") -> pd.DataFrame:
                                  pa.timestamp("us")),
         })
 
-    def part_key(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("part", pa.array(u % n_parts, pa.int64()))
-
-    out = (_read(sf_dir, "events",
-                 ["user_id", "event_id", "ts", "event_type"])
-           .map_batches(part_key, batch_format="pyarrow")
+    out = (_with_part(_read(sf_dir, "events",
+                            ["user_id", "event_id", "ts", "event_type"]),
+                      "user_id", n_parts)
            .groupby("part")
            .map_groups(last_state, batch_format="pyarrow")
            .to_pandas())
@@ -4814,8 +4172,6 @@ def q_random_projection(sf_dir: str, out_dim: int = 8) -> pd.DataFrame:
     matrix arithmetically): 64-dim embeddings → ``out_dim`` components
     as one matmul per batch against the broadcast sign matrix.  Output
     long-form (vec_id, dim, value)."""
-    from ..stages.similarity import _batch_matrix
-
     i = np.arange(1, 65, dtype=np.int64)[:, None]
     j = np.arange(1, out_dim + 1, dtype=np.int64)[None, :]
     signs = (((i * 31 + j * 17) % 2) * 2 - 1).astype(np.float64)
@@ -4844,13 +4200,8 @@ def q_rank_join(sf_dir: str, k: int = 10) -> pd.DataFrame:
     The small side broadcasts sorted; each orders batch emits only ITS
     top-k partials, so the driver merge sees blocks×k rows — the join
     never materializes."""
-    import ray
-
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"]).to_pandas()
-    co = np.argsort(cust["c_custkey"].to_numpy(np.int64))
-    ckeys = cust["c_custkey"].to_numpy(np.int64)[co]
-    cbal = cust["c_acctbal"].to_numpy(np.float64)[co]
-    ref = ray.put((ckeys, cbal))
+    ref = _keyed_side(cust, "c_custkey", "c_acctbal")
 
     def partial(batch: pa.Table) -> pa.Table:
         ks, bal = ray.get(ref)
@@ -4884,14 +4235,9 @@ def q_quality_rules(sf_dir: str) -> pd.DataFrame:
     broadcast o_orderdate probe for the lateness rule), reported as
     (rule, n_violations, pct).  One scan evaluates every rule as a
     vectorized mask; per-batch partials are one row per rule."""
-    import ray
-
     odf = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).to_pandas()
-    oo = np.argsort(odf["o_orderkey"].to_numpy(np.int64))
-    okeys = odf["o_orderkey"].to_numpy(np.int64)[oo]
-    odate = (odf["o_orderdate"].to_numpy("datetime64[us]")
-             .astype(np.int64)[oo])
-    ref = ray.put((okeys, odate))
+    ref = _keyed_side(odf, "o_orderkey", odf["o_orderdate"].to_numpy(
+        "datetime64[us]").astype(np.int64))
     late_us = 60 * 86_400_000_000
     rules = ["discount_high", "quantity_high", "price_high", "ship_late"]
 
@@ -4913,18 +4259,15 @@ def q_quality_rules(sf_dir: str) -> pd.DataFrame:
             "n_rows": pa.array([batch.num_rows] * len(rules), pa.int64()),
         })
 
-    out = (_read(sf_dir, "lineitem",
-                 ["l_discount", "l_quantity", "l_extendedprice",
-                  "l_orderkey", "l_shipdate"])
-           .map_batches(partial, batch_format="pyarrow")
-           .to_pandas()
-           .groupby("rule", as_index=False)
-           .agg(n_violations=("n_violations", "sum"),
-                n_rows=("n_rows", "sum")))
+    li = _read(sf_dir, "lineitem", ["l_discount", "l_quantity",
+                                    "l_extendedprice", "l_orderkey",
+                                    "l_shipdate"])
+    # the partial rows are already one per rule; the group_by only merges
+    out = _partial_agg(li, "rule", {"n_violations": ("n_violations", "sum"),
+                                    "n_rows": ("n_rows", "sum")}, partial)
     out["pct"] = (out["n_violations"] * 1.0 / out["n_rows"]).round(6)
-    out["n_violations"] = out["n_violations"].astype("int64")
-    out = out[["rule", "n_violations", "pct"]]
-    return out.sort_values("rule").reset_index(drop=True)
+    return _finish(out, "rule", ints=["n_violations"],
+                   cols=["rule", "n_violations", "pct"])
 
 
 def q_eb_smoothed_rates(sf_dir: str, k: int = 20) -> pd.DataFrame:
@@ -4934,7 +4277,6 @@ def q_eb_smoothed_rates(sf_dir: str, k: int = 20) -> pd.DataFrame:
     ranking/ads pipeline uses.  Per-user (n, k) folds in one groupby;
     the moment sums are one more tiny aggregate; scoring is a
     broadcast-α,β vectorized pass.  Top-k users by smoothed rate."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4948,23 +4290,20 @@ def q_eb_smoothed_rates(sf_dir: str, k: int = 20) -> pd.DataFrame:
                           pa.int64()),
         })
 
-    u = (_read(sf_dir, "events", ["user_id", "event_type"])
-         .map_batches(partial, batch_format="pyarrow")
-         .to_pandas()
-         .groupby("user_id", as_index=False)
-         .agg(n=("n", "sum"), k=("k", "sum")))
+    # the partial rows are already one per user; the group_by only merges
+    u = _partial_agg(_read(sf_dir, "events", ["user_id", "event_type"]),
+                     "user_id", {"n": ("n", "sum"), "k": ("k", "sum")},
+                     partial)
     p = u["k"].to_numpy(np.float64) / u["n"].to_numpy(np.float64)
     m = float(np.mean(p))
     v = float(np.mean(p * p)) - m * m
     a = m * (m * (1 - m) / v - 1)
     b = (1 - m) * (m * (1 - m) / v - 1)
     u["smoothed"] = (u["k"] + a) / (u["n"] + a + b)
-    u = u.sort_values(["smoothed", "user_id"],
-                      ascending=[False, True]).head(k)
+    u = _finish(u, ["smoothed", "user_id"], ints=["n", "k"],
+                ascending=[False, True]).head(k)
     u["smoothed"] = u["smoothed"].round(6)
-    u["n"] = u["n"].astype("int64")
-    u["k"] = u["k"].astype("int64")
-    return u.reset_index(drop=True)
+    return u
 
 
 def q_late_orders(sf_dir: str, lateness_days: int = 365,
@@ -4979,9 +4318,6 @@ def q_late_orders(sf_dir: str, lateness_days: int = 365,
     over the bin maxes gives every bin's carry-in watermark, and pass B
     computes the in-bin running max against the broadcast carry — the
     cumulative_sum stitching pattern on the max monoid."""
-    import ray
-    from ray.data.aggregate import Max, Min
-
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]) \
         .rename_columns({"o_orderkey": "event_id", "o_orderdate": "ts"})
     mm = ds.aggregate(Min("event_id", alias_name="lo"),
@@ -5044,9 +4380,7 @@ def q_late_orders(sf_dir: str, lateness_days: int = 365,
            .to_pandas()
            .groupby("o_year", as_index=False)
            .agg(n_late=("n_late", "sum")))
-    out["n_late"] = out["n_late"].astype("int64")
-    out["o_year"] = out["o_year"].astype("int64")
-    return out.sort_values("o_year").reset_index(drop=True)
+    return _finish(out, "o_year", ints=["n_late", "o_year"])
 
 
 def q_changepoint_daily(sf_dir: str) -> pd.DataFrame:
@@ -5057,26 +4391,9 @@ def q_changepoint_daily(sf_dir: str) -> pd.DataFrame:
     driver table with cumulative sums — both engines compute the
     identical (q − s²/n) algebra.  Output (event_type, split_rn, sse,
     mean_left, mean_right)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
-                      pa.timestamp("us"))
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "day": day,
-            "c": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-        })
-        g = t.group_by(["event_type", "day"]).aggregate([("c", "sum")])
-        return _rename_agg(g, {"c_sum": "c"})
-
-    daily = (_read(sf_dir, "events", ["event_type", "ts"])
-             .map_batches(partial, batch_format="pyarrow")
-             .to_pandas()
-             .groupby(["event_type", "day"], as_index=False)
-             .agg(c=("c", "sum")))
     rows = []
-    for etype, g in daily.groupby("event_type"):
-        y = g.sort_values("day")["c"].to_numpy(np.float64)
+    for etype, g in _daily(sf_dir).groupby("event_type"):
+        y = g.sort_values("day")["n"].to_numpy(np.float64)
         n = y.size
         cs = np.cumsum(y)
         cq = np.cumsum(y * y)
@@ -5093,9 +4410,7 @@ def q_changepoint_daily(sf_dir: str) -> pd.DataFrame:
             "mean_left": round(float(s1[best] / k), 6),
             "mean_right": round(float(s2[best] / (n - k)), 6),
         })
-    out = pd.DataFrame(rows)
-    out["split_rn"] = out["split_rn"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(pd.DataFrame(rows), "event_type", ints=["split_rn"])
 
 
 def q_join_cardinality_est(sf_dir: str, rate: int = 20) -> pd.DataFrame:
@@ -5105,8 +4420,6 @@ def q_join_cardinality_est(sf_dir: str, rate: int = 20) -> pd.DataFrame:
     rows that semi-join the sample, and scale by rate; report the exact
     count beside it.  Both counts come from ONE lineitem scan folding
     two per-batch counters against the broadcast sampled-key array."""
-    import ray
-
     odf = _read(sf_dir, "orders", ["o_orderkey"]).to_pandas()
     okeys = np.sort(odf["o_orderkey"].to_numpy(np.int64))
     sampled = okeys[okeys % rate == 0]
@@ -5163,14 +4476,10 @@ def q_rendezvous_hashing(sf_dir: str, n_nodes: int = 8) -> pd.DataFrame:
                                pa.int64()),
         })
 
-    out = (_read(sf_dir, "documents", ["doc_id"])
-           .map_batches(assign, batch_format="pyarrow")
-           .to_pandas()
-           .groupby("node", as_index=False)
-           .agg(n_keys=("n_keys", "sum")))
-    out["n_keys"] = out["n_keys"].astype("int64")
-    out["node"] = out["node"].astype("int64")
-    return out.sort_values("node").reset_index(drop=True)
+    # the partial rows are already one per node; the group_by only merges
+    out = _partial_agg(_read(sf_dir, "documents", ["doc_id"]), "node",
+                       {"n_keys": ("n_keys", "sum")}, assign)
+    return _finish(out, "node", ints=["n_keys", "node"])
 
 
 def q_incremental_agg(sf_dir: str) -> pd.DataFrame:
@@ -5181,8 +4490,6 @@ def q_incremental_agg(sf_dir: str) -> pd.DataFrame:
     recompute (which is exactly what the oracle runs).  Both legs are
     ordinary partial-aggregate scans; the merge is a driver combine of
     two type-sized tables."""
-    from ray.data.aggregate import Max
-
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
     mx = pd.Timestamp(ds.aggregate(Max("ts", alias_name="mx"))["mx"])
     last_day_us = ((mx.value // 1000) // 86_400_000_000) * 86_400_000_000
@@ -5205,20 +4512,16 @@ def q_incremental_agg(sf_dir: str) -> pd.DataFrame:
             })
         return fn
 
-    def fold(which: str) -> pd.DataFrame:
-        return (ds.map_batches(partial(which), batch_format="pyarrow")
-                .to_pandas()
-                .groupby("event_type", as_index=False)
-                .agg(n=("n", "sum"), s=("s", "sum")))
-
-    base, delta = fold("base"), fold("delta")
-    merged = (pd.concat([base, delta], ignore_index=True)
+    # each leg's partial rows are already one per type; the group_by only
+    # merges
+    legs = [_partial_agg(ds, "event_type", {"n": ("n", "sum"), "s": ("s", "sum")},
+                         partial(which)) for which in ("base", "delta")]
+    merged = (pd.concat(legs, ignore_index=True)
               .groupby("event_type", as_index=False)
               .agg(n=("n", "sum"), s=("s", "sum")))
     merged["sum_value"] = merged["s"].round(4)
-    merged["n"] = merged["n"].astype("int64")
-    out = merged[["event_type", "n", "sum_value"]]
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(merged, "event_type", ints=["n"],
+                   cols=["event_type", "n", "sum_value"])
 
 
 def q_zorder_layout(sf_dir: str, k: int = 20) -> pd.DataFrame:
@@ -5248,16 +4551,12 @@ def q_zorder_layout(sf_dir: str, k: int = 20) -> pd.DataFrame:
                 pa.float64()),
         })
 
-    out = (_read(sf_dir, "lineitem", ["l_quantity", "l_extendedprice"])
-           .map_batches(partial, batch_format="pyarrow")
-           .to_pandas()
-           .groupby("zprefix", as_index=False)
-           .agg(n=("n", "sum"), sum_qty=("sum_qty", "sum")))
-    out["sum_qty"] = out["sum_qty"].round(4)
-    out["n"] = out["n"].astype("int64")
-    out = out.sort_values(["n", "zprefix"],
-                          ascending=[False, True]).head(k)
-    return out.reset_index(drop=True)
+    # the partial rows are already one per prefix; the group_by only merges
+    out = _partial_agg(
+        _read(sf_dir, "lineitem", ["l_quantity", "l_extendedprice"]),
+        "zprefix", {"n": ("n", "sum"), "sum_qty": ("sum_qty", "sum")}, partial)
+    return _finish(out, ["n", "zprefix"], ints=["n"], r4=["sum_qty"],
+                   ascending=[False, True]).head(k)
 
 
 def q_shard_move_plan(sf_dir: str, n_nodes: int = 8) -> pd.DataFrame:
@@ -5287,14 +4586,10 @@ def q_shard_move_plan(sf_dir: str, n_nodes: int = 8) -> pd.DataFrame:
                                 pa.int64()),
         })
 
-    out = (_read(sf_dir, "documents", ["doc_id"])
-           .map_batches(plan, batch_format="pyarrow")
-           .to_pandas()
-           .groupby("from_node", as_index=False)
-           .agg(n_moved=("n_moved", "sum")))
-    out["from_node"] = out["from_node"].astype("int64")
-    out["n_moved"] = out["n_moved"].astype("int64")
-    return out.sort_values("from_node").reset_index(drop=True)
+    # the partial rows are already one per node; the group_by only merges
+    out = _partial_agg(_read(sf_dir, "documents", ["doc_id"]), "from_node",
+                       {"n_moved": ("n_moved", "sum")}, plan)
+    return _finish(out, "from_node", ints=["from_node", "n_moved"])
 
 
 def q_ohlc_daily(sf_dir: str) -> pd.DataFrame:
@@ -5366,11 +4661,10 @@ def q_wilson_ci_rates(sf_dir: str, threshold: float = 100.0) -> pd.DataFrame:
                           pa.int64()),
         })
 
-    u = (_read(sf_dir, "events", ["event_type", "value"])
-         .map_batches(partial, batch_format="pyarrow")
-         .to_pandas()
-         .groupby("event_type", as_index=False)
-         .agg(n=("n", "sum"), k=("k", "sum")))
+    # the partial rows are already one per type; the group_by only merges
+    u = _partial_agg(_read(sf_dir, "events", ["event_type", "value"]),
+                     "event_type", {"n": ("n", "sum"), "k": ("k", "sum")},
+                     partial)
     z = 1.96
     n = u["n"].to_numpy(np.float64)
     p = u["k"].to_numpy(np.float64) / n
@@ -5380,9 +4674,7 @@ def q_wilson_ci_rates(sf_dir: str, threshold: float = 100.0) -> pd.DataFrame:
     u["p"] = np.round(p, 6)
     u["ci_lo"] = np.round(center - half, 6)
     u["ci_hi"] = np.round(center + half, 6)
-    u["n"] = u["n"].astype("int64")
-    u["k"] = u["k"].astype("int64")
-    return u.sort_values("event_type").reset_index(drop=True)
+    return _finish(u, "event_type", ints=["n", "k"])
 
 
 def q_psi_drift(sf_dir: str, type_a: str = "click",
@@ -5395,7 +4687,6 @@ def q_psi_drift(sf_dir: str, type_a: str = "click",
     Bucketing folds distributed (one vectorized searchsorted per
     batch against the broadcast bounds); only 10-bin count rows reach
     the driver."""
-    import ray
 
     def val_partial(batch: pa.Table) -> pa.Table:
         et = batch["event_type"].to_numpy(zero_copy_only=False)
@@ -5426,12 +4717,9 @@ def q_psi_drift(sf_dir: str, type_a: str = "click",
                 pa.int64())
         return pa.table(out)
 
-    g = (_read(sf_dir, "events", ["event_type", "value"])
-         .map_batches(bucket_partial, batch_format="pyarrow")
-         .to_pandas()
-         .groupby("bin", as_index=False)
-         .agg(ca=("ca", "sum"), cb=("cb", "sum")))
-    g = g.sort_values("bin")
+    # the partial rows are already one per bin; the group_by only merges
+    g = _partial_agg(_read(sf_dir, "events", ["event_type", "value"]), "bin",
+                     {"ca": ("ca", "sum"), "cb": ("cb", "sum")}, bucket_partial)
     ca = g["ca"].to_numpy(np.float64)
     cb = g["cb"].to_numpy(np.float64)
     pa_ = (ca + 0.5) / (ca.sum() + 5)
@@ -5451,26 +4739,8 @@ def q_seasonal_naive_mase(sf_dir: str, season: int = 7) -> pd.DataFrame:
     naive MAE — the sanity metric any forecasting pipeline reports
     before a model earns its keep.  Daily means fold distributed; the
     lag algebra runs on the (types × days) driver table."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
-                      pa.timestamp("us"))
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "day": day,
-            "s": batch["value"],
-            "c": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-        })
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [("s", "sum"), ("c", "sum")])
-        return _rename_agg(g, {"s_sum": "s", "c_sum": "c"})
-
-    daily = (_read(sf_dir, "events", ["event_type", "ts", "value"])
-             .map_batches(partial, batch_format="pyarrow")
-             .to_pandas()
-             .groupby(["event_type", "day"], as_index=False)
-             .agg(s=("s", "sum"), c=("c", "sum")))
-    daily["m"] = daily["s"] / daily["c"]
+    daily = _daily(sf_dir, value=True)
+    daily["m"] = daily["s"] / daily["n"]
     rows = []
     for etype, g in daily.groupby("event_type"):
         y = g.sort_values("day")["m"].to_numpy(np.float64)
@@ -5484,16 +4754,13 @@ def q_seasonal_naive_mase(sf_dir: str, season: int = 7) -> pd.DataFrame:
             "mae_seasonal": round(mae_seasonal, 6),
             "n_days": y.size,
         })
-    out = pd.DataFrame(rows)
-    out["n_days"] = out["n_days"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(pd.DataFrame(rows), "event_type", ints=["n_days"])
 
 
 def _seg_nation_cells(sf_dir: str) -> pd.DataFrame:
     """Observed (mktsegment x nationkey) contingency counts, folded from
     per-batch partials (the chi2_independence count shape reused by the
     mutual-information and Cramer's-V ops)."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({
@@ -5501,14 +4768,12 @@ def _seg_nation_cells(sf_dir: str) -> pd.DataFrame:
             "nat": pc.cast(batch["c_nationkey"], pa.int64()),
             "n": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
         })
-        return _rename_agg(
-            t.group_by(["seg", "nat"]).aggregate([("n", "sum")]),
-            {"n_sum": "n"})
+        return t.group_by(["seg", "nat"]).aggregate([("n", "sum")])
 
     cells = (_read(sf_dir, "customer", ["c_mktsegment", "c_nationkey"])
              .map_batches(partial, batch_format="pyarrow")
              .groupby(["seg", "nat"])
-             .aggregate(Sum("n", alias_name="n"))
+             .aggregate(Sum("n_sum", alias_name="n"))
              .to_pandas())
     cells["n"] = cells["n"].astype("int64")
     return cells
@@ -5561,7 +4826,6 @@ def _k_anon_groups(sf_dir: str, bal_bin: float = 2000.0) -> pd.DataFrame:
     keyed by (nationkey, mktsegment, floor(acctbal / bal_bin)) — the
     generalized release key.  Distributed partial counts, category-sized
     result."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         bal = batch["c_acctbal"].to_numpy(zero_copy_only=False)
@@ -5572,15 +4836,13 @@ def _k_anon_groups(sf_dir: str, bal_bin: float = 2000.0) -> pd.DataFrame:
                 np.floor(bal / bal_bin).astype(np.int64), pa.int64()),
             "n": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
         })
-        return _rename_agg(
-            t.group_by(["nat", "seg", "bal_bin"]).aggregate([("n", "sum")]),
-            {"n_sum": "n"})
+        return t.group_by(["nat", "seg", "bal_bin"]).aggregate([("n", "sum")])
 
     g = (_read(sf_dir, "customer",
                ["c_nationkey", "c_mktsegment", "c_acctbal"])
          .map_batches(partial, batch_format="pyarrow")
          .groupby(["nat", "seg", "bal_bin"])
-         .aggregate(Sum("n", alias_name="n"))
+         .aggregate(Sum("n_sum", alias_name="n"))
          .to_pandas())
     g["n"] = g["n"].astype("int64")
     return g
@@ -5641,13 +4903,7 @@ def q_ab_ztest(sf_dir: str, min_value: float = 150.0) -> pd.DataFrame:
             [("users", "sum"), ("converted", "sum")])
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "value"])
-    ds = ds.map_batches(
-        lambda b: b.append_column(
-            "part",
-            pa.array(
-                b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                % n_parts, pa.int64())),
-        batch_format="pyarrow")
+    ds = _with_part(ds, "user_id", n_parts)
     agg = (ds.groupby("part").map_groups(
         cohort_partial, batch_format="pyarrow").to_pandas()
         .groupby("cohort", as_index=False)
@@ -5755,27 +5011,9 @@ def q_holt_forecast(sf_dir: str, alpha: float = 0.5, beta: float = 0.3,
     recurrence runs on the driver from exact integer day counts, in the
     same expression order the oracle's recursive CTE states, so both
     engines walk identical IEEE doubles.  Init l1 = y1, b1 = y2 - y1."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
-                      pa.timestamp("us"))
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "day": day,
-            "y": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-        })
-        return _rename_agg(
-            t.group_by(["event_type", "day"]).aggregate([("y", "sum")]),
-            {"y_sum": "y"})
-
-    daily = (_read(sf_dir, "events", ["event_type", "ts"])
-             .map_batches(partial, batch_format="pyarrow")
-             .to_pandas()
-             .groupby(["event_type", "day"], as_index=False)
-             .agg(y=("y", "sum")))
     rows = []
-    for etype, g in daily.groupby("event_type"):
-        y = g.sort_values("day")["y"].to_numpy(np.float64)
+    for etype, g in _daily(sf_dir).groupby("event_type"):
+        y = g.sort_values("day")["n"].to_numpy(np.float64)
         if y.size < 2:
             continue
         lvl = y[0]
@@ -5791,9 +5029,7 @@ def q_holt_forecast(sf_dir: str, alpha: float = 0.5, beta: float = 0.3,
             "trend": round(float(trd), 6),
             "forecast_7": round(float(lvl + horizon * trd), 6),
         })
-    out = pd.DataFrame(rows)
-    out["n_days"] = out["n_days"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(pd.DataFrame(rows), "event_type", ints=["n_days"])
 
 
 def q_hierarchy_rollup(sf_dir: str, max_key: int = 63) -> pd.DataFrame:
@@ -5807,7 +5043,6 @@ def q_hierarchy_rollup(sf_dir: str, max_key: int = 63) -> pd.DataFrame:
     closure + rollup, linear in nodes x depth, no joins.  Depth falls
     out of the same loop.  Reported for the top of the tree
     (c_custkey < ``max_key``)."""
-    from ray.data.aggregate import Sum
 
     def explode_ancestors(batch: pa.Table) -> pa.Table:
         ck = batch["c_custkey"].to_numpy(zero_copy_only=False).astype(
@@ -5830,24 +5065,20 @@ def q_hierarchy_rollup(sf_dir: str, max_key: int = 63) -> pd.DataFrame:
                 np.ones(sum(a.size for a in ancs), np.int64), pa.int64()),
             "bal": pa.array(np.concatenate(bals), pa.float64()),
         })
-        g = t.group_by(["anc"]).aggregate([("size", "sum"), ("bal", "sum")])
-        return _rename_agg(g, {"size_sum": "size", "bal_sum": "bal"})
+        return t.group_by(["anc"]).aggregate([("size", "sum"), ("bal", "sum")])
 
     agg = (_read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
            .map_batches(explode_ancestors, batch_format="pyarrow")
            .groupby("anc")
-           .aggregate(Sum("size", alias_name="subtree_size"),
-                      Sum("bal", alias_name="subtree_bal"))
+           .aggregate(Sum("size_sum", alias_name="subtree_size"),
+                      Sum("bal_sum", alias_name="subtree_bal"))
            .to_pandas())
-    agg = agg[agg["anc"] < max_key].copy()
-    keys = agg["anc"].to_numpy(np.int64)
+    agg = agg[agg["anc"] < max_key].rename(columns={"anc": "c_custkey"})
+    keys = agg["c_custkey"].to_numpy(np.int64)
     # depth(n) = bit_length(n): halvings to reach 0
     agg["depth"] = np.ceil(np.log2(keys + 1)).astype(np.int64)
-    agg["subtree_bal"] = agg["subtree_bal"].round(4)
-    agg["subtree_size"] = agg["subtree_size"].astype("int64")
-    out = agg.rename(columns={"anc": "c_custkey"})
-    out = out[["c_custkey", "depth", "subtree_size", "subtree_bal"]]
-    return out.sort_values("c_custkey").reset_index(drop=True)
+    return _finish(agg, "c_custkey", ints=["subtree_size"], r4=["subtree_bal"],
+                   cols=["c_custkey", "depth", "subtree_size", "subtree_bal"])
 
 
 def q_partition_checksums(sf_dir: str) -> pd.DataFrame:
@@ -5858,7 +5089,6 @@ def q_partition_checksums(sf_dir: str) -> pd.DataFrame:
     stores next to each output shard so replicas / re-runs can be
     verified without row-level diffing.  groupby(day) keeps each
     partition's hash local; only (day, n_rows, sha) rows move."""
-    import hashlib
 
     def checksum(group: pa.Table) -> pa.Table:
         eid = group["event_id"].to_numpy(zero_copy_only=False).astype(
@@ -5944,21 +5174,7 @@ def q_compaction_plan(sf_dir: str, capacity: int = 1200) -> pd.DataFrame:
     object-store compactor executes.  Daily sizes fold distributed; the
     O(n_days) greedy runs on the driver in the same order the oracle's
     recursive CTE replays."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
-                      pa.timestamp("us"))
-        t = pa.table({
-            "day": day,
-            "n": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-        })
-        return _rename_agg(t.group_by(["day"]).aggregate([("n", "sum")]),
-                           {"n_sum": "n"})
-
-    daily = (_read(sf_dir, "events", ["ts"])
-             .map_batches(partial, batch_format="pyarrow")
-             .to_pandas().groupby("day", as_index=False)
-             .agg(n=("n", "sum")).sort_values("day"))
+    daily = _daily(sf_dir, keys=())
     bins, accs = [], []
     b, acc = 1, 0
     for sz in daily["n"]:
@@ -5971,7 +5187,7 @@ def q_compaction_plan(sf_dir: str, capacity: int = 1200) -> pd.DataFrame:
     daily["bin"] = pd.array(bins, dtype="int64")
     daily["bin_fill"] = pd.array(accs, dtype="int64")
     daily["n"] = daily["n"].astype("int64")
-    return daily.reset_index(drop=True)
+    return daily
 
 
 def q_rolling_median_smooth(sf_dir: str, window: int = 7,
@@ -5987,25 +5203,8 @@ def q_rolling_median_smooth(sf_dir: str, window: int = 7,
     exact integer in both engines.  Daily means fold distributed; the
     rolling pass is O(days x types) on the driver."""
     half = window // 2
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
-                      pa.timestamp("us"))
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "day": day,
-            "s": batch["value"],
-            "c": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-        })
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [("s", "sum"), ("c", "sum")])
-        return _rename_agg(g, {"s_sum": "s", "c_sum": "c"})
-
-    daily = (_read(sf_dir, "events", ["event_type", "ts", "value"])
-             .map_batches(partial, batch_format="pyarrow")
-             .to_pandas().groupby(["event_type", "day"], as_index=False)
-             .agg(s=("s", "sum"), c=("c", "sum")))
-    daily["m"] = (daily["s"] / daily["c"]).round(6)
+    daily = _daily(sf_dir, value=True)
+    daily["m"] = (daily["s"] / daily["n"]).round(6)
     spike2 = int(round(2 * spike * 1_000_000))
     rows = []
     for etype, g in daily.groupby("event_type"):
@@ -6020,9 +5219,8 @@ def q_rolling_median_smooth(sf_dir: str, window: int = 7,
                 "m": round(float(m[i]), 6), "med2_micro": med2,
                 "is_spike": bool(abs(2 * int(mi[i]) - med2) > spike2),
             })
-    out = pd.DataFrame(rows)
-    out["med2_micro"] = out["med2_micro"].astype("int64")
-    return (out.sort_values(["event_type", "day"]).reset_index(drop=True))
+    return _finish(pd.DataFrame(rows), ["event_type", "day"],
+                   ints=["med2_micro"])
 
 
 def q_clamped_balance(sf_dir: str, top: int = 25) -> pd.DataFrame:
@@ -6071,13 +5269,7 @@ def q_clamped_balance(sf_dir: str, top: int = 25) -> pd.DataFrame:
 
     ds = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value"])
-    ds = ds.map_batches(
-        lambda b: b.append_column(
-            "part",
-            pa.array(
-                b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                % n_parts, pa.int64())),
-        batch_format="pyarrow")
+    ds = _with_part(ds, "user_id", n_parts)
     out = (ds.groupby("part").map_groups(
         scan_partition, batch_format="pyarrow").to_pandas())
     out = out.sort_values(["balance_cents", "user_id"],
@@ -6093,25 +5285,8 @@ def q_theil_sen(sf_dir: str) -> pd.DataFrame:
     .5e-6 half-rounding boundary where the engines' round() modes
     differ).  Daily means fold distributed; the O(days^2) pair set is
     per-type tiny and replayed identically by the oracle's self-join."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
-                      pa.timestamp("us"))
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "day": day,
-            "s": batch["value"],
-            "c": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-        })
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [("s", "sum"), ("c", "sum")])
-        return _rename_agg(g, {"s_sum": "s", "c_sum": "c"})
-
-    daily = (_read(sf_dir, "events", ["event_type", "ts", "value"])
-             .map_batches(partial, batch_format="pyarrow")
-             .to_pandas().groupby(["event_type", "day"], as_index=False)
-             .agg(s=("s", "sum"), c=("c", "sum")))
-    daily["m"] = (daily["s"] / daily["c"]).round(6)
+    daily = _daily(sf_dir, value=True)
+    daily["m"] = (daily["s"] / daily["n"]).round(6)
     rows = []
     for etype, g in daily.groupby("event_type"):
         g = g.sort_values("day").reset_index(drop=True)
@@ -6127,9 +5302,7 @@ def q_theil_sen(sf_dir: str) -> pd.DataFrame:
             "n_pairs": int(sl.size),
             "slope2_micro": round(med2, 6),
         })
-    out = pd.DataFrame(rows)
-    out["n_pairs"] = out["n_pairs"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(pd.DataFrame(rows), "event_type", ints=["n_pairs"])
 
 
 def _bit_length(z: np.ndarray) -> np.ndarray:
@@ -6184,13 +5357,7 @@ def q_ts_dod_bits(sf_dir: str) -> pd.DataFrame:
         })
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    ds = ds.map_batches(
-        lambda b: b.append_column(
-            "part",
-            pa.array(
-                b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                % n_parts, pa.int64())),
-        batch_format="pyarrow")
+    ds = _with_part(ds, "user_id", n_parts)
     out = (ds.groupby("part").map_groups(
         dod_partition, batch_format="pyarrow").to_pandas())
     return out.sort_values("user_id").reset_index(drop=True)
@@ -6207,26 +5374,9 @@ def q_kleinberg_burst(sf_dir: str, rate_mult: float = 2.0,
     driver over the distributed daily histogram, in the oracle as a
     recursive CTE — so the min() comparisons see bit-identical doubles.
     Per type: final costs and the count of days the burst state led."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
-                      pa.timestamp("us"))
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "day": day,
-            "y": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-        })
-        return _rename_agg(
-            t.group_by(["event_type", "day"]).aggregate([("y", "sum")]),
-            {"y_sum": "y"})
-
-    daily = (_read(sf_dir, "events", ["event_type", "ts"])
-             .map_batches(partial, batch_format="pyarrow")
-             .to_pandas().groupby(["event_type", "day"], as_index=False)
-             .agg(y=("y", "sum")))
     rows = []
-    for etype, g in daily.groupby("event_type"):
-        y = g.sort_values("day")["y"].to_numpy(np.float64)
+    for etype, g in _daily(sf_dir).groupby("event_type"):
+        y = g.sort_values("day")["n"].to_numpy(np.float64)
         n = y.size
         p0 = y.sum() / n
         p1 = rate_mult * p0
@@ -6247,10 +5397,8 @@ def q_kleinberg_burst(sf_dir: str, rate_mult: float = 2.0,
             "cost_burst": round(float(c1), 6),
             "burst_days": int(burst_led),
         })
-    out = pd.DataFrame(rows)
-    out[["n_days", "burst_days"]] = out[["n_days", "burst_days"]].astype(
-        "int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(pd.DataFrame(rows), "event_type",
+                   ints=["n_days", "burst_days"])
 
 
 def q_zone_map_prune(sf_dir: str, lo: float = 80.0,
@@ -6264,7 +5412,6 @@ def q_zone_map_prune(sf_dir: str, lo: float = 80.0,
     full value range) — this op quantifies exactly what the Z-order
     layout-profiling key argues for.  One distributed min/max groupby;
     the audit table is partition-count-sized."""
-    from ray.data.aggregate import Max, Min, Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         v = batch["value"].to_numpy(zero_copy_only=False)
@@ -6275,25 +5422,21 @@ def q_zone_map_prune(sf_dir: str, lo: float = 80.0,
             "hi_v": batch["value"],
             "n": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
         })
-        g = t.group_by(["val_bucket"]).aggregate(
+        return t.group_by(["val_bucket"]).aggregate(
             [("lo_v", "min"), ("hi_v", "max"), ("n", "sum")])
-        return _rename_agg(g, {"lo_v_min": "lo_v", "hi_v_max": "hi_v",
-                               "n_sum": "n"})
 
     agg = (_read(sf_dir, "events", ["value"])
            .map_batches(partial, batch_format="pyarrow")
            .groupby("val_bucket")
-           .aggregate(Min("lo_v", alias_name="min_v"),
-                      Max("hi_v", alias_name="max_v"),
-                      Sum("n", alias_name="n"))
+           .aggregate(Min("lo_v_min", alias_name="min_v"),
+                      Max("hi_v_max", alias_name="max_v"),
+                      Sum("n_sum", alias_name="n"))
            .to_pandas())
     agg["min_v"] = agg["min_v"].round(6)
     agg["max_v"] = agg["max_v"].round(6)
     agg["prunable"] = (agg["max_v"] < lo) | (agg["min_v"] > hi)
-    agg["n"] = agg["n"].astype("int64")
-    agg["val_bucket"] = agg["val_bucket"].astype("int64")
-    return (agg[["val_bucket", "n", "min_v", "max_v", "prunable"]]
-            .sort_values("val_bucket").reset_index(drop=True))
+    return _finish(agg, "val_bucket", ints=["n", "val_bucket"],
+                   cols=["val_bucket", "n", "min_v", "max_v", "prunable"])
 
 
 def q_kmv_distinct(sf_dir: str, k: int = 64) -> pd.DataFrame:
@@ -6306,7 +5449,6 @@ def q_kmv_distinct(sf_dir: str, k: int = 64) -> pd.DataFrame:
     merge is k-sized, and the oracle recomputes the identical sha-based
     hashes so the estimate is bit-reproducible, alongside the exact
     count it approximates."""
-    import hashlib
 
     def partial(batch: pa.Table) -> pa.Table:
         keys = np.unique(
@@ -6348,8 +5490,6 @@ def q_orphan_keys(sf_dir: str) -> pd.DataFrame:
     warehouse load monitors before applying fact batches.  The present-
     key set broadcasts once (dimension-sized); the probe is a sorted
     searchsorted membership per batch."""
-    import ray
-
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"]).to_pandas()
     present = np.sort(
         cust.loc[cust["c_acctbal"] >= 0, "c_custkey"].to_numpy(np.int64))
@@ -6363,22 +5503,17 @@ def q_orphan_keys(sf_dir: str) -> pd.DataFrame:
         month = pc.cast(pc.floor_temporal(batch["o_orderdate"],
                                           unit="month"),
                         pa.timestamp("us"))
-        t = pa.table({
+        return pa.table({
             "month": month,
-            "n": pa.array(np.ones(len(ck), np.int64), pa.int64()),
-            "orphans": pa.array((~hit).astype(np.int64), pa.int64()),
+            "orphan": pa.array((~hit).astype(np.int64), pa.int64()),
         })
-        g = t.group_by(["month"]).aggregate(
-            [("n", "sum"), ("orphans", "sum")])
-        return _rename_agg(g, {"n_sum": "n", "orphans_sum": "orphans"})
 
-    out = (_read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-           .map_batches(audit, batch_format="pyarrow")
-           .to_pandas().groupby("month", as_index=False)
-           .agg(n=("n", "sum"), orphans=("orphans", "sum")))
+    # count of the non-null key column = the group's row count
+    out = _partial_agg(_read(sf_dir, "orders", ["o_custkey", "o_orderdate"]),
+                       "month", {"n": ("month", "count"),
+                                 "orphans": ("orphan", "sum")}, audit)
     out["orphan_rate"] = (out["orphans"] / out["n"]).round(6)
-    out[["n", "orphans"]] = out[["n", "orphans"]].astype("int64")
-    return out.sort_values("month").reset_index(drop=True)
+    return _finish(out, "month", ints=["n", "orphans"])
 
 
 def q_cumulative_users(sf_dir: str) -> pd.DataFrame:
@@ -6391,7 +5526,6 @@ def q_cumulative_users(sf_dir: str) -> pd.DataFrame:
     driver (O(days)), and the cumulative sum of that histogram IS the
     running distinct count — linear, no prefix re-scans, the same trick
     Heaps-law vocabulary growth uses."""
-    from ray.data.aggregate import Min
 
     def partial(batch: pa.Table) -> pa.Table:
         day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
@@ -6399,14 +5533,13 @@ def q_cumulative_users(sf_dir: str) -> pd.DataFrame:
         t = pa.table({"user_id": batch["user_id"],
                       "event_type": batch["event_type"],
                       "first_day": day})
-        g = t.group_by(["user_id", "event_type"]).aggregate(
+        return t.group_by(["user_id", "event_type"]).aggregate(
             [("first_day", "min")])
-        return _rename_agg(g, {"first_day_min": "first_day"})
 
     first = (_read(sf_dir, "events", ["user_id", "event_type", "ts"])
              .map_batches(partial, batch_format="pyarrow")
              .groupby(["user_id", "event_type"])
-             .aggregate(Min("first_day", alias_name="first_day"))
+             .aggregate(Min("first_day_min", alias_name="first_day"))
              .to_pandas())
     hist = (first.groupby("first_day").size()
             .reset_index(name="new_pairs").sort_values("first_day"))
@@ -6426,24 +5559,16 @@ def q_decayed_counts(sf_dir: str, half_life_days: float = 7.0) -> pd.DataFrame:
     histogram.  Ages are whole days from integer-µs floors; the weight
     expression 0.5^(age / half_life) is evaluated identically by the
     oracle."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
-                      pa.timestamp("us"))
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "day": day,
-            "n": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-        })
-        return _rename_agg(
-            t.group_by(["event_type", "day"]).aggregate([("n", "sum")]),
-            {"n_sum": "n"})
+        t = _add_day(batch).append_column(
+            "n", pa.array(np.ones(batch.num_rows, np.int64), pa.int64()))
+        return t.group_by(["event_type", "day"]).aggregate([("n", "sum")])
 
     daily = (_read(sf_dir, "events", ["event_type", "ts"])
              .map_batches(partial, batch_format="pyarrow")
              .groupby(["event_type", "day"])
-             .aggregate(Sum("n", alias_name="n"))
+             .aggregate(Sum("n_sum", alias_name="n"))
              .to_pandas())
     max_day = daily["day"].max()
     age = (max_day - daily["day"]).dt.days.to_numpy(np.float64)
@@ -6452,8 +5577,7 @@ def q_decayed_counts(sf_dir: str, half_life_days: float = 7.0) -> pd.DataFrame:
     out = (daily.groupby("event_type", as_index=False)
            .agg(n_total=("n", "sum"), decayed=("wn", "sum")))
     out["decayed"] = out["decayed"].round(6)
-    out["n_total"] = out["n_total"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(out, "event_type", ints=["n_total"])
 
 
 def q_geo_harmonic_means(sf_dir: str) -> pd.DataFrame:
@@ -6464,29 +5588,23 @@ def q_geo_harmonic_means(sf_dir: str) -> pd.DataFrame:
     group on the driver.  Values are strictly positive in this stream,
     the precondition both means require."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         v = batch["value"].to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
-            "n": pa.array(np.ones(v.size, np.int64), pa.int64()),
-            "sum_ln": pa.array(np.log(v), pa.float64()),
-            "sum_inv": pa.array(1.0 / v, pa.float64()),
+            "ln": pa.array(np.log(v), pa.float64()),
+            "inv": pa.array(1.0 / v, pa.float64()),
         })
-        g = t.group_by(["event_type"]).aggregate(
-            [("n", "sum"), ("sum_ln", "sum"), ("sum_inv", "sum")])
-        return _rename_agg(g, {"n_sum": "n", "sum_ln_sum": "sum_ln",
-                               "sum_inv_sum": "sum_inv"})
 
-    agg = (_read(sf_dir, "events", ["event_type", "value"])
-           .map_batches(partial, batch_format="pyarrow")
-           .to_pandas().groupby("event_type", as_index=False)
-           .agg(n=("n", "sum"), sum_ln=("sum_ln", "sum"),
-                sum_inv=("sum_inv", "sum")))
+    # count of the non-null key column = the group's row count
+    agg = _partial_agg(_read(sf_dir, "events", ["event_type", "value"]),
+                       "event_type", {"n": ("event_type", "count"),
+                                      "sum_ln": ("ln", "sum"),
+                                      "sum_inv": ("inv", "sum")}, prep)
     agg["geo_mean"] = np.round(np.exp(agg["sum_ln"] / agg["n"]), 4)
     agg["harm_mean"] = np.round(agg["n"] / agg["sum_inv"], 4)
-    agg["n"] = agg["n"].astype("int64")
-    return (agg[["event_type", "n", "geo_mean", "harm_mean"]]
-            .sort_values("event_type").reset_index(drop=True))
+    return _finish(agg, "event_type", ints=["n"],
+                   cols=["event_type", "n", "geo_mean", "harm_mean"])
 
 
 def q_weighted_median(sf_dir: str) -> pd.DataFrame:
@@ -6497,17 +5615,12 @@ def q_weighted_median(sf_dir: str) -> pd.DataFrame:
     total/2 under (price, orderkey) order) so both engines pick an
     actual data value, no interpolation ambiguity.  Low-cardinality
     segment partition -> per-segment vectorized sort + cumsum."""
-    import ray
-
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
-    order = np.argsort(cust["c_custkey"].to_numpy(np.int64))
-    keys = cust["c_custkey"].to_numpy(np.int64)[order]
-    segs, seg_codes = np.unique(
-        cust["c_mktsegment"].to_numpy()[order], return_inverse=True)
-    ref = ray.put((keys, seg_codes.astype(np.int64), segs))
+    sg, seg_codes = np.unique(cust["c_mktsegment"], return_inverse=True)
+    ref = _keyed_side(cust, "c_custkey", seg_codes)
 
     def tag(batch: pa.Table) -> pa.Table:
-        ks, codes, sg = ray.get(ref)
+        ks, codes = ray.get(ref)
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(
             np.int64)
         hit, idx = _sorted_lookup(ks, ck)
@@ -6552,7 +5665,6 @@ def q_kaplan_meier(sf_dir: str) -> pd.DataFrame:
     is a plain cumulative-sum window in both engines.  The per-user
     lifetime fold is one user-keyed groupby; the KM table is
     O(distinct lifetimes)."""
-    from ray.data.aggregate import Max, Min
 
     def partial(batch: pa.Table) -> pa.Table:
         day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
@@ -6560,15 +5672,14 @@ def q_kaplan_meier(sf_dir: str) -> pd.DataFrame:
         t = pa.table({"user_id": batch["user_id"],
                       "event_type": batch["event_type"],
                       "lo": day, "hi": day})
-        g = t.group_by(["user_id", "event_type"]).aggregate(
+        return t.group_by(["user_id", "event_type"]).aggregate(
             [("lo", "min"), ("hi", "max")])
-        return _rename_agg(g, {"lo_min": "lo", "hi_max": "hi"})
 
     users = (_read(sf_dir, "events", ["user_id", "event_type", "ts"])
              .map_batches(partial, batch_format="pyarrow")
              .groupby(["user_id", "event_type"])
-             .aggregate(Min("lo", alias_name="lo"),
-                        Max("hi", alias_name="hi"))
+             .aggregate(Min("lo_min", alias_name="lo"),
+                        Max("hi_max", alias_name="hi"))
              .to_pandas())
     max_day = users["hi"].max()
     users["lifetime"] = (users["hi"] - users["lo"]).dt.days
@@ -6597,20 +5708,8 @@ def q_hhi_concentration(sf_dir: str) -> pd.DataFrame:
     total value)^2 — the market-concentration audit of a traffic
     stream.  Per-(type,user) sums fold inside the one shuffle; shares
     square on the driver over the (type x user)-sized table."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "user_id": batch["user_id"],
-            "v": batch["value"],
-        })
-        g = t.group_by(["event_type", "user_id"]).aggregate([("v", "sum")])
-        return _rename_agg(g, {"v_sum": "v"})
-
-    agg = (_read(sf_dir, "events", ["event_type", "user_id", "value"])
-           .map_batches(partial, batch_format="pyarrow")
-           .to_pandas().groupby(["event_type", "user_id"], as_index=False)
-           .agg(v=("v", "sum")))
+    agg = _partial_agg(_read(sf_dir, "events", ["event_type", "user_id", "value"]),
+                       ["event_type", "user_id"], {"v": ("value", "sum")})
     rows = []
     for etype, g in agg.groupby("event_type"):
         tot = g["v"].sum()
@@ -6620,9 +5719,7 @@ def q_hhi_concentration(sf_dir: str) -> pd.DataFrame:
             "n_users": int(len(g)),
             "hhi": round(float((sh * sh).sum()), 6),
         })
-    out = pd.DataFrame(rows)
-    out["n_users"] = out["n_users"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _finish(pd.DataFrame(rows), "event_type", ints=["n_users"])
 
 
 def q_cross_correlation(sf_dir: str, type_a: str = "view",
@@ -6636,23 +5733,7 @@ def q_cross_correlation(sf_dir: str, type_a: str = "view",
     histograms fold distributed; the O(days x lags) pass is driver-side
     arithmetic the oracle replays with a self-join on shifted day
     indices."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch["ts"], unit="day"),
-                      pa.timestamp("us"))
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "day": day,
-            "n": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-        })
-        return _rename_agg(
-            t.group_by(["event_type", "day"]).aggregate([("n", "sum")]),
-            {"n_sum": "n"})
-
-    daily = (_read(sf_dir, "events", ["event_type", "ts"])
-             .map_batches(partial, batch_format="pyarrow")
-             .to_pandas().groupby(["event_type", "day"], as_index=False)
-             .agg(n=("n", "sum")))
+    daily = _daily(sf_dir)
     days = sorted(daily["day"].unique())
     idx = {d: i for i, d in enumerate(days)}
     a = np.zeros(len(days))
@@ -6675,9 +5756,7 @@ def q_cross_correlation(sf_dir: str, type_a: str = "view",
         den = np.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy))
         rows.append({"lag": lag, "n_days": int(n),
                      "r": round(float(num / den), 6)})
-    out = pd.DataFrame(rows)
-    out[["lag", "n_days"]] = out[["lag", "n_days"]].astype("int64")
-    return out.sort_values("lag").reset_index(drop=True)
+    return _finish(pd.DataFrame(rows), "lag", ints=["lag", "n_days"])
 
 
 def q_blocking_quality(sf_dir: str) -> pd.DataFrame:
@@ -6689,20 +5768,18 @@ def q_blocking_quality(sf_dir: str) -> pd.DataFrame:
     Everything reduces to count arithmetic over (name), (brand) and
     (brand, name) group sizes — three distributed count folds, pair
     counts via C(c,2) sums, no pair materialization anywhere."""
-    from ray.data.aggregate import Sum
 
     def counts(cols):
         def partial(batch: pa.Table) -> pa.Table:
             t = batch.select(cols).append_column(
                 "c", pa.array(np.ones(batch.num_rows, np.int64),
                               pa.int64()))
-            return _rename_agg(
-                t.group_by(cols).aggregate([("c", "sum")]), {"c_sum": "c"})
+            return t.group_by(cols).aggregate([("c", "sum")])
 
         return (_read(sf_dir, "part", ["p_brand", "p_name"])
                 .map_batches(partial, batch_format="pyarrow")
                 .groupby(cols)
-                .aggregate(Sum("c", alias_name="c"))
+                .aggregate(Sum("c_sum", alias_name="c"))
                 .to_pandas())
 
     def pairs(series) -> int:
@@ -6757,7 +5834,4 @@ def q_fd_discovery(sf_dir: str) -> pd.DataFrame:
             "violations": int((per_lhs > 1).sum()),
             "holds": bool((per_lhs <= 1).all()),
         })
-    out = pd.DataFrame(rows)
-    out[["n_lhs", "violations"]] = out[["n_lhs", "violations"]].astype(
-        "int64")
-    return out.sort_values("candidate").reset_index(drop=True)
+    return _finish(pd.DataFrame(rows), "candidate", ints=["n_lhs", "violations"])

@@ -1,9 +1,19 @@
 """Broadcast-join probe guards (ADVICE r3: empty build side raised
-IndexError in the searchsorted+clamp idiom)."""
+IndexError in the searchsorted+clamp idiom), the partial-aggregate
+helper and the empty-input guards of the folded bodies."""
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
 
-from nadry_search_engine_be_ray.pipelines.relational import _sorted_lookup
+from nadry_search_engine_be_ray.pipelines import relational as rel
+from nadry_search_engine_be_ray.pipelines.relational import (
+    _partial_agg,
+    _sorted_lookup,
+)
+
+SF001 = "/root/testdata/sf0.001"
 
 
 def test_sorted_lookup_empty_build_side():
@@ -28,6 +38,73 @@ def test_sorted_lookup_empty_probe():
     vals = np.array([], dtype=np.int64)
     hit, idx = _sorted_lookup(ks, vals)
     assert hit.size == 0 and idx.size == 0
+
+
+def test_partial_agg_matches_pandas_groupby(ray_session):
+    """Multi-block input, every combine kind: the per-block partials plus
+    the driver combine equal one pandas groupby of the collected input."""
+    import ray
+
+    rng = np.random.default_rng(7)
+    n = 4000
+    df = pd.DataFrame({
+        "k": rng.choice(["a", "b", "c"], n),
+        "j": rng.integers(0, 4, n),
+        "x": rng.integers(-50, 50, n).astype(np.int64),
+        "y": rng.normal(size=n),
+    })
+    ds = ray.data.from_pandas([df.iloc[i:i + 500] for i in range(0, n, 500)])
+    assert ds.num_blocks() > 1
+
+    def prep(batch: pa.Table) -> pa.Table:
+        return batch.append_column("y2", pa.compute.multiply(batch["y"], 2.0))
+
+    got = _partial_agg(ds, ["k", "j"], {
+        "s": ("x", "sum"), "n": ("x", "count"), "lo": ("y", "min"),
+        "hi": ("y", "max"), "s2": ("y2", "sum"),
+    }, prep)
+    exp = df.groupby(["k", "j"], as_index=False).agg(
+        s=("x", "sum"), n=("x", "count"), lo=("y", "min"), hi=("y", "max"),
+        s2=("y", "sum"))
+    exp["s2"] *= 2.0
+    assert list(got.columns) == ["k", "j", "s", "n", "lo", "hi", "s2"]
+    assert got[["k", "j", "s", "n", "lo", "hi"]].equals(
+        exp[["k", "j", "s", "n", "lo", "hi"]])
+    assert np.allclose(got["s2"], exp["s2"], rtol=0, atol=1e-9)
+
+
+def test_partial_agg_all_empty_partials(ray_session):
+    """A prep that keeps no row: Ray collects all-empty partials as a
+    frame with no columns; the helper returns 0 rows with the key and
+    alias columns instead of raising KeyError in the combine."""
+    import ray
+
+    ds = ray.data.from_pandas(pd.DataFrame({"k": ["a", "b"], "v": [1, 2]}))
+    got = _partial_agg(ds, "k", {"total": ("v", "sum"), "n": ("v", "count")},
+                       lambda b: b.slice(0, 0))
+    assert len(got) == 0
+    assert list(got.columns) == ["k", "total", "n"]
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("q_tpch_q9", {"name_token": "zzzz"}),
+    ("q_tpch_q20", {"name_prefix": "zzzz"}),
+    ("q_tpch_q8", {"region": "NOWHERE"}),
+    ("q_id_gaps", {"event_type": "nope"}),
+])
+def test_empty_selection_returns_no_rows(ray_session, name, kwargs):
+    """A filter that selects nothing returns 0 rows with the default
+    call's columns (these raised KeyError / IndexError / TypeError)."""
+    fn = getattr(rel, name)
+    got = fn(SF001, **kwargs)
+    assert len(got) == 0
+    assert list(got.columns) == list(fn(SF001).columns)
+
+
+def test_tpch_q17_brand_without_parts(ray_session):
+    """A brand with no parts sums over no rows: avg_yearly 0.0."""
+    got = rel.q_tpch_q17(SF001, brand="Brand#99")
+    assert got["avg_yearly"].tolist() == [0.0]
 
 
 def test_tpch_q5_matches_duckdb(ray_session):
