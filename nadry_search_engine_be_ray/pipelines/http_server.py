@@ -118,44 +118,14 @@ def make_handler(api: SearchAPI):
                     self._send({"success": True, "results": rows,
                                 "next_cursor": nxt})
                 elif parts.path == "/api/explain":
-                    import math as _math
-                    from collections import Counter
-
-                    import numpy as _np
-
-                    eng = api.engine
-                    q, doc_hex = arg("query", ""), arg("doc_id", "")
-                    di = int(doc_hex[:15], 16)
-                    n = eng.stats["n_docs"]
-                    avgdl = eng.stats["avgdl"] or 1.0
-                    terms_out = []
-                    for t, m in sorted(
-                        Counter(eng.tokenizer.tokenize(q)).items()
-                    ):
-                        pl = eng.reader.postings(t)
-                        if pl is None:
-                            continue
-                        i = int(_np.searchsorted(pl.docs, di))
-                        if i >= pl.docs.size or pl.docs[i] != di:
-                            continue
-                        idf = _math.log(
-                            (n - pl.df_stale + 0.5) / (pl.df_stale + 0.5)
-                            + 1.0
-                        )
-                        tf = float(pl.tfs[i])
-                        tw, _ = eng.docs.lookup(pl.docs[i : i + 1])
-                        dl = float(tw[0])
-                        c = m * idf * (tf * (1.2 + 1)) / (
-                            tf + 1.2 * (1 - 0.75 + 0.75 * dl / avgdl)
-                        )
-                        terms_out.append(
-                            {"term": t, "tf": int(tf), "df": pl.df_stale,
-                             "idf": idf, "contribution": c}
-                        )
+                    doc_hex = arg("doc_id", "")
+                    terms = [{"term": t, "tf": tf, "df": df, "idf": idf,
+                              "contribution": c}
+                             for t, _, tf, df, idf, c in api.engine.explain(
+                                 arg("query", ""), [int(doc_hex[:15], 16)])]
                     self._send({"success": True, "doc_id": doc_hex,
-                                "terms": terms_out,
-                                "score": sum(x["contribution"]
-                                             for x in terms_out)})
+                                "terms": terms,
+                                "score": sum(x["contribution"] for x in terms)})
                 elif parts.path == "/api/sloppy":
                     hits = api.engine.sloppy_phrase_search(
                         arg("query", ""), slop=int(arg("slop", "1")),

@@ -9,10 +9,14 @@ Implements the reference's three query paths (SURVEY.md §3.3):
 * ``phrase_search`` — field-local positional adjacency chain
                       (SearchWrapper.java:266-397, J2)
 * ``additive_search`` / ``bm25_search`` — additive Σweight scorer
-                      (SearchEngine.java:37-67, A9) and BM25, each with a
-                      vectorized TAAT evaluator and a block-max WAND DAAT
-                      evaluator (the fast path; exact same top-k, verified in
-                      tests)
+                      (SearchEngine.java:37-67, A9) and BM25, evaluated by
+                      the vectorized TAAT accumulator.  The block-max WAND
+                      DAAT evaluator (``use_wand=True``, same top-k, verified
+                      in tests) skips no decode and is slower; it stays only
+                      while perfbench/workloads.py still times it.
+
+The BM25 arithmetic (``bm25_idf``, ``bm25_tf``) lives here once; the serve
+modes and the HTTP explain route score through it.
 
 State layout (T5 analog): a ``SearchEngine`` owns SegmentReader(s) plus
 doc-stat arrays loaded once.  ``serve.QueryEvalActor``/``batch_search``
@@ -28,6 +32,7 @@ import math
 import os
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +54,23 @@ QUERY_CACHE_ENTRIES = 1024
 
 _DETAIL_COLS = ["doc_int", "repo", "path", "commit", "title", "description"]
 _EMPTY = np.zeros(0, dtype=np.int64)
+
+# BM25 (Robertson/Zaragoza) saturation constants, Lucene's defaults
+K1, B = 1.2, 0.75
+
+
+def bm25_idf(n: int, df: int) -> float:
+    """BM25 idf (Lucene's +1 variant, never negative)."""
+    return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+
+
+def bm25_tf(tf, dl, avgdl):
+    """BM25's saturated tf part, elementwise over arrays."""
+    return (tf * (K1 + 1)) / (tf + K1 * (1 - B + B * dl / avgdl))
+
+
+def _empty_page(page: int) -> dict:
+    return {"results": [], "total_results": 0, "total_pages": 0, "page": page}
 
 
 @dataclass(frozen=True)
@@ -244,6 +266,8 @@ class SearchEngine:
         self.docs = DocStore.load(index_dir)
         with open(os.path.join(index_dir, "stats.json")) as f:
             self.stats = json.load(f)
+        self.n_docs = self.stats["n_docs"]
+        self.avgdl = self.stats["avgdl"] or 1.0
         self.tokenizer = Tokenizer()
         # T4 analog: ranked pages ("t"/"p" keys) and SearchAPI's enriched
         # pages ("api" keys); values are shared with callers, read-only
@@ -251,13 +275,38 @@ class SearchEngine:
 
     def metrics(self) -> dict:
         """Hit/miss/eviction counts, size and cap of each cache.  A sharded
-        engine's posting and row-group caches live in its shard actors, so
-        it reports the query cache only."""
-        out = {"query_cache": self._cache.metrics()}
+        engine's row-group caches live in its shard actors, so it reports
+        the query cache and its gathered-posting cache only."""
+        out = {"query_cache": self._cache.metrics(),
+               "posting_cache": self.reader._pl_cache.metrics()}
         if isinstance(self.reader, SegmentReader):
-            out["posting_cache"] = self.reader._pl_cache.metrics()
             out["rowgroup_cache"] = self.reader._rg_cache.metrics()
         return out
+
+    def _postings(self, terms) -> dict[str, PostingList]:
+        """The posting lists of ``terms`` the index holds, by term, in
+        first-seen order: the one fetch of a query's terms, which the
+        sharded engine overrides with its scatter/gather."""
+        return {t: pl for t in dict.fromkeys(terms)
+                if (pl := self.reader.postings(t)) is not None}
+
+    @staticmethod
+    def _accumulate(parts) -> tuple[np.ndarray, np.ndarray]:
+        """TAAT accumulator over per-term ``(docs, scores)`` parts:
+        ``(docs, acc)`` with the sorted union of the docs, each doc's
+        scores added in the order of ``parts``."""
+        if not parts:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        docs = np.unique(np.concatenate([d for d, _ in parts]))
+        acc = np.zeros(docs.size, dtype=np.float64)
+        for d, s in parts:
+            np.add.at(acc, np.searchsorted(docs, d), s)
+        return docs, acc
+
+    def _saturate(self, docs: np.ndarray, tf: np.ndarray) -> np.ndarray:
+        """``bm25_tf`` of each posting at ``docs``, against its doc length."""
+        tw, _ = self.docs.lookup(docs)
+        return bm25_tf(tf, tw.astype(np.float64), self.avgdl)
 
     # ------------------------------------------------------------------
     # reference scorer path
@@ -272,20 +321,11 @@ class SearchEngine:
         return res
 
     def _term_page(self, query: str, page: int, page_size: int) -> dict:
-        tokens = self.tokenizer.tokenize(query)
-        if not tokens:
-            return {"results": [], "total_results": 0, "total_pages": 0, "page": page}
-
-        query_bag: dict[str, int] = {}
-        for t in tokens:
-            query_bag[t] = query_bag.get(t, 0) + 1
-
+        query_bag = Counter(self.tokenizer.tokenize(query))
         # candidate union with per-doc tf merge (J1, SearchWrapper.java:169-185)
-        term_pls = {
-            t: pl for t in query_bag if (pl := self.reader.postings(t)) is not None
-        }
+        term_pls = self._postings(query_bag)
         if not term_pls:
-            return {"results": [], "total_results": 0, "total_pages": 0, "page": page}
+            return _empty_page(page)
         all_docs = np.unique(np.concatenate([pl.docs for pl in term_pls.values()]))
         term_postings = {
             t: (np.searchsorted(all_docs, pl.docs), pl.tfs)
@@ -318,67 +358,60 @@ class SearchEngine:
 
     def _phrase_page(self, phrase: str, page: int, page_size: int) -> dict:
         tokens = self.tokenizer.tokenize(phrase)
-        if not tokens:
-            return {"results": [], "total_results": 0, "total_pages": 0, "page": page}
         if len(tokens) == 1:
             return self._term_page(tokens[0], page, page_size)
+        all_docs = self._phrase_docs(tokens, 1)
+        if not all_docs.size:
+            return _empty_page(page)
+        # phrase path: tf=1 per phrase token (SearchWrapper.java:357-366)
+        idx = np.arange(all_docs.size)
+        ones = np.ones(all_docs.size, dtype=np.int64)
+        query_bag = Counter(tokens)
+        term_postings = {t: (idx, ones) for t in query_bag}
+        return self._rank_and_page(query_bag, all_docs, term_postings, page, page_size)
 
-        # Intersect doc sets FIRST (a doc missing any phrase term can never
-        # survive adjacency — SearchWrapper.java:313-316 empty-on-missing),
-        # then batch-decode positions for the intersection only: one
-        # vectorized varint pass per term instead of one per (doc, term).
-        pls = []
-        for term in tokens:
-            pl = self.reader.postings(term)
-            if pl is None:
-                return {"results": [], "total_results": 0, "total_pages": 0,
-                        "page": page}
-            pls.append(pl)
+    def _phrase_docs(self, tokens: list[str], slop: int) -> np.ndarray:
+        """Sorted doc_ints where ``tokens`` appear IN ORDER in one field,
+        each consecutive pair at a positional gap in [1, ``slop``] (slop=1
+        is the exact adjacency chain, SearchWrapper.java:266-397; the chain
+        never crosses fields).  Doc sets are intersected FIRST (a doc
+        missing any term can never match, SearchWrapper.java:313-316),
+        then positions decoded for the intersection only, one vectorized
+        ``positions_for_many`` per term, and each chain step is one
+        searchsorted window probe per field."""
+        got = self._postings(tokens)
+        if not got or len(got) < len(set(tokens)):
+            return _EMPTY
+        pls = [got[t] for t in tokens]
         common = pls[0].docs
         for pl in pls[1:]:
             common = self._sorted_intersect(common, pl.docs)
             if common.size == 0:
-                break
-        if common.size == 0:
-            return {"results": [], "total_results": 0, "total_pages": 0, "page": page}
-
+                return _EMPTY
         fields_per_term = [
             pl.positions_for_many(np.searchsorted(pl.docs, common)) for pl in pls
         ]
-
-        # per-doc chained positional adjacency, per field, never crossing
-        # fields (SearchWrapper.java:266-397)
-        matches: dict[int, dict[int, np.ndarray]] = {}
-        for k, di in enumerate(common.tolist()):
+        matched = np.zeros(common.size, dtype=bool)
+        for k in range(common.size):
             prev = fields_per_term[0][k]
-            for ti in range(1, len(pls)):
-                cur = fields_per_term[ti][k]
+            for fields in fields_per_term[1:]:
+                cur = fields[k]
                 surv: dict[int, np.ndarray] = {}
-                for f, prev_pos in prev.items():
+                for f, pp in prev.items():
                     cp = cur.get(f)
                     if cp is None:
                         continue
-                    hit = self._sorted_intersect(prev_pos + 1, cp)
+                    # q survives iff some prev position in [q-slop, q-1]
+                    lo = np.searchsorted(pp, cp - slop, side="left")
+                    hi = np.searchsorted(pp, cp - 1, side="right")
+                    hit = cp[hi > lo]
                     if hit.size:
                         surv[f] = hit
                 prev = surv
                 if not prev:
                     break
-            if prev:
-                matches[int(di)] = prev
-
-        if not matches:
-            return {"results": [], "total_results": 0, "total_pages": 0, "page": page}
-
-        query_bag: dict[str, int] = {}
-        for t in tokens:
-            query_bag[t] = query_bag.get(t, 0) + 1
-        # phrase path: tf=1 per phrase token (SearchWrapper.java:357-366)
-        all_docs = np.array(sorted(matches), dtype=np.int64)
-        idx = np.arange(all_docs.size)
-        ones = np.ones(all_docs.size, dtype=np.int64)
-        term_postings = {t: (idx, ones) for t in query_bag}
-        return self._rank_and_page(query_bag, all_docs, term_postings, page, page_size)
+            matched[k] = bool(prev)
+        return common[matched]
 
     def search_auto(self, raw_query: str, page: int = 0, page_size: int = 10) -> dict:
         """SearchController.search: quoted phrase -> phraseSearch, else
@@ -433,36 +466,25 @@ class SearchEngine:
         }
 
     # ------------------------------------------------------------------
-    # additive (A9) + BM25 scorers: TAAT exact and block-max WAND fast path
+    # additive (A9) + BM25 scorers: the TAAT accumulator (and block-max
+    # WAND, kept while perfbench/workloads.py times it)
     # ------------------------------------------------------------------
 
-    def _term_arrays(self, query: str, scorer: str):
-        tokens = self.tokenizer.tokenize(query)
-        pls: list[tuple[PostingList, float]] = []
-        n = self.stats["n_docs"]
-        avgdl = self.stats["avgdl"] or 1.0
-        for t in tokens:  # duplicates keep duplicate contribution (A9 loop)
-            pl = self.reader.postings(t)
-            if pl is None:
-                continue
-            if scorer == "additive":
-                pls.append((pl, 1.0))
-            else:  # bm25: weight postings by idf at query time.
-                # df_stale = docFreq INCLUDING tombstoned docs (Lucene's
-                # documented semantics — stats stay stale until purge,
-                # state/deletes.py); equals df when no deletes exist.
-                idf = math.log(
-                    (n - pl.df_stale + 0.5) / (pl.df_stale + 0.5) + 1.0
-                )
-                pls.append((pl, idf))
-        return pls, avgdl
+    def _term_arrays(self, terms: list[str], scorer: str):
+        """``(term, posting list, idf)`` per entry of ``terms`` the index
+        holds, duplicates kept (duplicate contribution, A9 loop).  The
+        additive scorer weighs every term 1.0; bm25 weighs postings by idf
+        at query time over df_stale = docFreq INCLUDING tombstoned docs
+        (Lucene's documented semantics — stats stay stale until purge,
+        state/deletes.py), which equals df when no deletes exist."""
+        got = self._postings(terms)
+        return [(t, got[t], 1.0 if scorer == "additive"
+                 else bm25_idf(self.n_docs, got[t].df_stale))
+                for t in terms if t in got]
 
-    def _scores_for(self, pl: PostingList, idf: float, scorer: str,
-                    avgdl: float, k1: float = 1.2, b: float = 0.75) -> np.ndarray:
+    def _scores_for(self, pl: PostingList, idf: float, scorer: str) -> np.ndarray:
         if scorer == "additive":
             return pl.weights
-        tw, _ = self.docs.lookup(pl.docs)
-        dl = tw.astype(np.float64)
         if scorer == "bm25f":
             # simple BM25F (Robertson/Zaragoza §3.3): the per-field
             # boosted tf sum feeds ONE saturation — and that weighted tf
@@ -472,12 +494,29 @@ class SearchEngine:
             tf = pl.weights
         else:
             tf = pl.tfs.astype(np.float64)
-        sat = (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avgdl))
+        sat = self._saturate(pl.docs, tf)
         if scorer == "bm25plus":
             # BM25+ (Lv & Zhai CIKM'11): a lower-bound delta per matched
             # term fixes BM25's long-document tf underflow
             return idf * (sat + 1.0)
         return idf * sat
+
+    def explain(self, query: str, doc_ints) -> list[tuple]:
+        """Lucene's explain over plain BM25: one ``(term, doc_int, tf,
+        df_stale, idf, contribution)`` row per (distinct query term, doc
+        of the SORTED UNIQUE ``doc_ints`` holding it), terms sorted, docs
+        ascending.  A doc's contributions (multiplicity x idf x saturated
+        tf) sum to its ``bm25`` score up to addition order."""
+        docs = np.asarray(doc_ints, dtype=np.int64)
+        mult = Counter(self.tokenizer.tokenize(query))
+        rows = []
+        for t, pl, idf in self._term_arrays(sorted(mult), "bm25"):
+            hit = self._sorted_intersect(docs, pl.docs)
+            tf = pl.tfs[np.searchsorted(pl.docs, hit)].astype(np.float64)
+            contrib = mult[t] * idf * self._saturate(hit, tf)
+            rows += [(t, d, int(f), int(pl.df_stale), idf, float(c))
+                     for d, f, c in zip(hit.tolist(), tf, contrib)]
+        return rows
 
     def representative_terms(self, doc_ints, n: int,
                              exclude=frozenset()) -> list[str]:
@@ -496,15 +535,10 @@ class SearchEngine:
         """Exact score of EVERY candidate doc: ``(docs, scores)`` sorted by
         doc_int — the TAAT accumulator before any top-k cut; shared by
         topk_taat, keyset pagination and result collapsing."""
-        pls, avgdl = self._term_arrays(query, scorer)
-        if not pls:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        all_docs = np.unique(np.concatenate([pl.docs for pl, _ in pls]))
-        acc = np.zeros(all_docs.size, dtype=np.float64)
-        for pl, idf in pls:
-            idx = np.searchsorted(all_docs, pl.docs)
-            np.add.at(acc, idx, self._scores_for(pl, idf, scorer, avgdl))
-        return all_docs, acc
+        return self._accumulate([
+            (pl.docs, self._scores_for(pl, idf, scorer))
+            for _, pl, idf in self._term_arrays(
+                self.tokenizer.tokenize(query), scorer)])
 
     def all_scores_weighted(self, weights: dict[str, float],
                             scorer: str = "bm25"):
@@ -513,25 +547,9 @@ class SearchEngine:
         idf(t) * bm25-tf-part — the plain query is the special case
         weights = token multiplicities.  Returns ``(docs, scores)`` sorted
         by doc_int."""
-        n = self.stats["n_docs"]
-        avgdl = self.stats["avgdl"] or 1.0
-        pls: list[tuple[PostingList, float, float]] = []
-        for t in sorted(weights):
-            pl = self.reader.postings(t)
-            if pl is None:
-                continue
-            idf = 1.0 if scorer == "additive" else math.log(
-                (n - pl.df_stale + 0.5) / (pl.df_stale + 0.5) + 1.0
-            )
-            pls.append((pl, idf, float(weights[t])))
-        if not pls:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        all_docs = np.unique(np.concatenate([pl.docs for pl, _, _ in pls]))
-        acc = np.zeros(all_docs.size, dtype=np.float64)
-        for pl, idf, w in pls:
-            idx = np.searchsorted(all_docs, pl.docs)
-            np.add.at(acc, idx, w * self._scores_for(pl, idf, scorer, avgdl))
-        return all_docs, acc
+        return self._accumulate([
+            (pl.docs, float(weights[t]) * self._scores_for(pl, idf, scorer))
+            for t, pl, idf in self._term_arrays(sorted(weights), scorer)])
 
     def topk_taat(self, query: str, k: int = 10, scorer: str = "additive") -> list[tuple[int, float]]:
         """Vectorized term-at-a-time exact evaluation."""
@@ -543,64 +561,20 @@ class SearchEngine:
 
     def sloppy_phrase_search(self, phrase: str, slop: int = 1,
                              k: int = 10) -> list[tuple[int, float]]:
-        """Sloppy phrase ("a b"~slop, Lucene slop analog): consecutive
-        tokens must appear IN ORDER in the same field with positional gap
-        in [1, slop] — slop=1 is exactly phrase_search's adjacency chain.
-        Matching docs are ranked by plain BM25 over the phrase tokens
-        (full tf; the reference's tf=1 phrase quirk stays exclusive to
-        the reference-parity phrase path).  Candidates are pruned by doc
-        intersection FIRST, positions decoded for the intersection only,
-        and the chain step is one searchsorted window probe per field."""
+        """Sloppy phrase ("a b"~slop, Lucene slop analog): the docs of the
+        phrase walk ``_phrase_docs(tokens, slop)`` — slop=1 is exactly
+        phrase_search's adjacency chain — ranked by plain BM25 over the
+        phrase tokens (full tf; the reference's tf=1 phrase quirk stays
+        exclusive to the reference-parity phrase path)."""
         tokens = self.tokenizer.tokenize(phrase)
-        if not tokens:
-            return []
         if len(tokens) == 1:
             return self.topk_taat(tokens[0], k, "bm25")
-        pls = []
-        for term in tokens:
-            pl = self.reader.postings(term)
-            if pl is None:
-                return []
-            pls.append(pl)
-        common = pls[0].docs
-        for pl in pls[1:]:
-            common = self._sorted_intersect(common, pl.docs)
-            if common.size == 0:
-                return []
-        fields_per_term = [
-            pl.positions_for_many(np.searchsorted(pl.docs, common))
-            for pl in pls
-        ]
-        matched: list[int] = []
-        for ki, di in enumerate(common.tolist()):
-            prev = fields_per_term[0][ki]
-            for ti in range(1, len(pls)):
-                cur = fields_per_term[ti][ki]
-                surv: dict[int, np.ndarray] = {}
-                for f, pp in prev.items():
-                    cp = cur.get(f)
-                    if cp is None:
-                        continue
-                    # q survives iff some prev position in [q-slop, q-1]
-                    lo = np.searchsorted(pp, cp - slop, side="left")
-                    hi = np.searchsorted(pp, cp - 1, side="right")
-                    hit = cp[hi > lo]
-                    if hit.size:
-                        surv[f] = hit
-                prev = surv
-                if not prev:
-                    break
-            if prev:
-                matched.append(int(di))
-        if not matched:
+        m = self._phrase_docs(tokens, slop)
+        if not m.size:
             return []
-        from collections import Counter
-
-        weights = {t: float(m) for t, m in Counter(tokens).items()}
+        weights = {t: float(c) for t, c in Counter(tokens).items()}
         docs, acc = self.all_scores_weighted(weights, "bm25")
-        m = np.array(matched, dtype=np.int64)
-        sel = np.searchsorted(docs, m)
-        acc_m = acc[sel]
+        acc_m = acc[np.searchsorted(docs, m)]
         order = np.lexsort((m, -acc_m))[:k]
         return [(int(m[i]), float(acc_m[i])) for i in order]
 
@@ -626,7 +600,7 @@ class SearchEngine:
         return [(int(docs[i]), float(acc[i])) for i in order]
 
     def topk_wand(self, query: str, k: int = 10, scorer: str = "additive") -> list[tuple[int, float]]:
-        """Block-max WAND document-at-a-time evaluation (A9 fast path).
+        """Block-max WAND document-at-a-time evaluation (A9).
 
         Upper bounds come from the decoded per-doc scores: each term's
         posting list is scored in full, then split into 128-doc blocks whose
@@ -634,13 +608,12 @@ class SearchEngine:
         store no block metadata, so the bounds skip no decode.  Exact top-k:
         a candidate doc is fully scored before entering the heap.
         """
-        pls, avgdl = self._term_arrays(query, scorer)
-        if not pls:
+        arrays = self._term_arrays(self.tokenizer.tokenize(query), scorer)
+        if not arrays:
             return []
-        k1, b = 1.2, 0.75
-
+        pls = [pl for _, pl, _ in arrays]
         per_doc_scores: list[np.ndarray] = [
-            self._scores_for(pl, idf, scorer, avgdl) for pl, idf in pls
+            self._scores_for(pl, idf, scorer) for _, pl, idf in arrays
         ]
         # per-block upper bounds on the per-doc score arrays
         bs = 128
@@ -654,7 +627,7 @@ class SearchEngine:
             ubs.append(np.maximum.accumulate(bm[::-1])[::-1])
 
         cursors = [0] * len(pls)
-        sizes = [pl.docs.size for pl, _ in pls]
+        sizes = [pl.docs.size for pl in pls]
         heap: list[tuple[float, int]] = []  # (score, doc) min-heap of top-k
 
         def term_ub(t: int) -> float:
@@ -668,7 +641,7 @@ class SearchEngine:
             if not live:
                 break
             # sort live terms by current doc id
-            live.sort(key=lambda t: pls[t][0].docs[cursors[t]])
+            live.sort(key=lambda t: pls[t].docs[cursors[t]])
             threshold = heap[0][0] if len(heap) >= k else -math.inf
             # find pivot: smallest prefix whose UB sum exceeds threshold
             ub_sum = 0.0
@@ -680,13 +653,13 @@ class SearchEngine:
                     break
             if pivot is None:
                 break  # no doc can beat the threshold
-            pivot_doc = int(pls[pivot][0].docs[cursors[pivot]])
-            first_doc = int(pls[live[0]][0].docs[cursors[live[0]]])
+            pivot_doc = int(pls[pivot].docs[cursors[pivot]])
+            first_doc = int(pls[live[0]].docs[cursors[live[0]]])
             if first_doc == pivot_doc:
                 # fully score pivot_doc
                 score = 0.0
                 for t in live:
-                    d = pls[t][0].docs
+                    d = pls[t].docs
                     c = cursors[t]
                     if c < sizes[t] and int(d[c]) == pivot_doc:
                         score += float(per_doc_scores[t][c])
@@ -705,7 +678,7 @@ class SearchEngine:
                 for t in live:
                     if t == pivot:
                         break
-                    d = pls[t][0].docs
+                    d = pls[t].docs
                     cursors[t] = int(np.searchsorted(d, pivot_doc))
 
         out = sorted(((-d, s) for s, d in heap), key=lambda x: (-x[1], x[0]))
@@ -1851,16 +1824,8 @@ def more_like_this(index_dir: str, doc_int: int, *, n_terms: int = 5,
     sel = engine.representative_terms([doc_int], n_terms)
     if not sel:
         return out_schema.empty_table()
-    docs_parts, w_parts = [], []
-    for t in sel:
-        pl = engine.reader.postings(t)
-        docs_parts.append(pl.docs)
-        w_parts.append(pl.weights)
-    docs_all = np.concatenate(docs_parts)
-    w_all = np.concatenate(w_parts)
-    uniq, inv = np.unique(docs_all, return_inverse=True)
-    scores = np.zeros(uniq.size)
-    np.add.at(scores, inv, w_all)
+    uniq, scores = engine._accumulate(
+        [(pl.docs, pl.weights) for pl in engine._postings(sel).values()])
     keep = uniq != doc_int
     uniq, scores = uniq[keep], scores[keep]
     top = np.lexsort((uniq, -scores))[:k]

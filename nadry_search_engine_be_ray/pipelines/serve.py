@@ -25,7 +25,6 @@ reexpressed Ray-Data-first, two layers:
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import shutil
@@ -41,8 +40,8 @@ import ray.data
 from ..functions.codec import decode_doc_positions_flat
 from ..stages.tokenize import term_shard
 from ..state.deletes import live_mask
-from ..state.segments import PostingList
-from .query import SearchEngine
+from ..state.segments import LRU, POSTING_CACHE_ENTRIES, PostingList
+from .query import SearchEngine, bm25_idf
 
 _RANK = ("rank", pa.int32())
 _DOC = ("doc_id", pa.string())
@@ -56,11 +55,6 @@ def _top(docs: np.ndarray, acc: np.ndarray, k: int, *extra) -> list[tuple]:
     order = np.lexsort((docs, -acc))[:k]
     return [(i, f"{int(docs[j]):015x}", float(acc[j]),
              *(int(x[j]) for x in extra)) for i, j in enumerate(order)]
-
-
-def _idf(n: int, df: int) -> float:
-    """BM25 idf (Lucene's +1 variant, never negative)."""
-    return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
 
 
 def _reference(engine, index_dir):
@@ -239,8 +233,7 @@ def field_postings(engine, term: str, field: int):
     if not keep.any():
         return None
     docs = pl.docs[keep]
-    return docs, tf[keep].astype(np.float64), _idf(engine.stats["n_docs"],
-                                                   docs.size)
+    return docs, tf[keep].astype(np.float64), bm25_idf(engine.n_docs, docs.size)
 
 
 def _field(engine, index_dir, field=0, k=10):
@@ -252,26 +245,13 @@ def _field(engine, index_dir, field=0, k=10):
     100 TB note: a production fielded tier would materialize per-field
     posting lists at build time; this query-time derivation trades one
     positions decode per (term, query) for zero extra index bytes."""
-    avgdl = engine.stats["avgdl"] or 1.0
-
     def run(q, page, size):
         # duplicates keep duplicate contribution
         parts = [fp for t in engine.tokenizer.tokenize(q)
                  if (fp := field_postings(engine, t, field)) is not None]
-        if not parts:
-            return []
-        all_docs = np.unique(np.concatenate([d for d, _, _ in parts]))
-        acc = np.zeros(all_docs.size, dtype=np.float64)
-        for docs, tff, idf in parts:
-            tw, _ = engine.docs.lookup(docs)
-            dl = tw.astype(np.float64)
-            # written as (1.2 + 1) / (1 - 0.75 + ...) to stay
-            # bit-identical with the SQL oracle's expression tree
-            s = idf * (tff * (1.2 + 1)) / (
-                tff + 1.2 * (1 - 0.75 + 0.75 * dl / avgdl)
-            )
-            np.add.at(acc, np.searchsorted(all_docs, docs), s)
-        return _top(all_docs, acc, k)
+        return _top(*engine._accumulate(
+            [(docs, idf * engine._saturate(docs, tff))
+             for docs, tff, idf in parts]), k)
     return _RANKED, run
 
 
@@ -281,36 +261,10 @@ def _explain(engine, index_dir, n_docs=3):
     breakdown (tf, stale df, idf, saturated tf part, weighted
     contribution) — the rows sum to the hit's score, which the oracle
     recomputes independently term-by-term."""
-    n = engine.stats["n_docs"]
-    avgdl = engine.stats["avgdl"] or 1.0
-
     def run(q, page, size):
-        hits = engine.topk_taat(q, k=n_docs, scorer="bm25")
-        if not hits:
-            return []
-        top_docs = np.array(sorted(d for d, _ in hits), dtype=np.int64)
-        rows = []
-        for t, m in sorted(Counter(engine.tokenizer.tokenize(q)).items()):
-            pl = engine.reader.postings(t)
-            if pl is None:
-                continue
-            idf = _idf(n, pl.df_stale)
-            idx = np.searchsorted(pl.docs, top_docs)
-            idx[idx == pl.docs.size] = 0
-            hit = pl.docs[idx] == top_docs
-            if not hit.any():
-                continue
-            docs_h = top_docs[hit]
-            tf = pl.tfs[idx[hit]].astype(np.float64)
-            tw, _ = engine.docs.lookup(docs_h)
-            dl = tw.astype(np.float64)
-            contrib = float(m) * idf * (tf * (1.2 + 1)) / (
-                tf + 1.2 * (1 - 0.75 + 0.75 * dl / avgdl)
-            )
-            rows += [(f"{int(d):015x}", t, int(tf[j]), int(pl.df_stale),
-                      round(idf, 9), round(float(contrib[j]), 9))
-                     for j, d in enumerate(docs_h)]
-        return rows
+        top = sorted(d for d, _ in engine.topk_taat(q, k=n_docs, scorer="bm25"))
+        return [(f"{d:015x}", t, tf, df, round(idf, 9), round(c, 9))
+                for t, d, tf, df, idf, c in engine.explain(q, top)]
     return [_DOC, ("term", pa.string()), ("tf", pa.int64()),
             ("df", pa.int64()), ("idf", pa.float64()),
             ("contribution", pa.float64())], run
@@ -351,8 +305,6 @@ def _champion_tier(engine, index_dir, m):
         raise RuntimeError("champion tier missing — call "
                            "ensure_champion_tier() before the actors start")
     tier = pads.dataset(champ_dir, format="parquet")
-    n = engine.stats["n_docs"]
-    avgdl = engine.stats["avgdl"] or 1.0
 
     def read(mult: Counter):
         tbl = tier.to_table(
@@ -367,24 +319,14 @@ def _champion_tier(engine, index_dir, m):
 
     def score(mult: Counter, rows, k: int) -> list[tuple]:
         terms_col, docs_col, w_col = rows
-        if not docs_col.size:
-            return []
-        cand = np.unique(docs_col)
-        tws, _ = engine.docs.lookup(cand)
-        dl = tws.astype(np.float64)
-        acc = np.zeros(cand.size, dtype=np.float64)
+        parts = []
         for t in sorted(mult):   # fixed term order -> deterministic
             sel = terms_col == t
-            if not sel.any():
-                continue
-            idf = _idf(n, engine.reader.df(t))
-            idx = np.searchsorted(cand, docs_col[sel])
-            w = w_col[sel]
-            sat = (w * (1.2 + 1)) / (
-                w + 1.2 * (1 - 0.75 + 0.75 * dl[idx] / avgdl)
-            )
-            np.add.at(acc, idx, mult[t] * idf * sat)
-        return _top(cand, acc, k)
+            if sel.any():
+                idf = bm25_idf(engine.n_docs, engine.reader.df(t))
+                parts.append((docs_col[sel], mult[t] * idf
+                              * engine._saturate(docs_col[sel], w_col[sel])))
+        return _top(*engine._accumulate(parts), k)
     return read, score
 
 
@@ -506,10 +448,10 @@ def _min_should_match(engine, index_dir, ratio=0.5, k=10):
 
 
 # mode -> set-up ``(engine, index_dir, **params) -> (fields, run)``.
-# TAAT is the fast path at in-memory posting sizes; WAND wins when lists
-# are disk-resident/huge (kept for that regime and verified equal in
-# tests).  bm25f scores the stored accumulated field weight through the
-# same saturation.
+# Every scorer mode evaluates with TAAT: block-max WAND skips no decode
+# here and is slower, so no mode uses it (it stays in SearchEngine only
+# while perfbench/workloads.py times it).  bm25f scores the stored
+# accumulated field weight through the same saturation.
 MODES = {
     "reference": _reference,
     "bm25": _taat("bm25"),
@@ -593,83 +535,57 @@ def _make_shard_actor():
     return ShardSegmentActor
 
 
+# cache value of a term the index lacks, since the LRU stores no None
+_ABSENT = ()
+
+
 class _ShardScatterReader:
-    """SegmentReader-compatible facade that scatters term lookups to the
-    per-shard actors and caches gathered postings.  ``prefetch`` fans one
-    query's terms out in parallel; stray ``postings`` calls fall back to a
-    single synchronous fetch."""
+    """The gather side of the per-shard actors: fetches terms from their
+    ``term_shard`` owners and keeps the gathered lists, and the terms no
+    shard holds, in a bounded LRU (``POSTING_CACHE_ENTRIES``, like
+    ``SegmentReader``'s own cache)."""
 
-    def __init__(self, index_dir: str, num_shards: int, actors: dict):
-        self.index_dir = index_dir
-        self.num_shards = num_shards
+    def __init__(self, actors: dict):
         self.actors = actors
-        self._cache: dict[str, PostingList | None] = {}
+        self._pl_cache = LRU(POSTING_CACHE_ENTRIES)
 
-    def shard_for(self, term: str) -> int:
-        return term_shard(term, self.num_shards)
-
-    def prefetch(self, terms: list[str]) -> None:
+    def prefetch(self, terms) -> dict[str, PostingList | None]:
+        """Every distinct term of ``terms`` -> its posting list (None when
+        absent), in first-seen order.  The uncached terms go out as one
+        ``fetch`` per owning shard, all shards in parallel; the result
+        holds them, so no read depends on the cache keeping them."""
         import ray
 
-        need = [t for t in set(terms) if t not in self._cache]
-        if not need:
-            return
+        out = {t: self._pl_cache.get(t) for t in dict.fromkeys(terms)}
         by_shard: dict[int, list[str]] = {}
-        for t in need:
-            by_shard.setdefault(self.shard_for(t), []).append(t)
-        futures = [
-            self.actors[s].fetch.remote(ts) for s, ts in by_shard.items()
-        ]
+        for t, pl in out.items():
+            if pl is None:
+                by_shard.setdefault(term_shard(t, len(self.actors)), []).append(t)
+        futures = [self.actors[s].fetch.remote(ts) for s, ts in by_shard.items()]
         for ts, pls in zip(by_shard.values(), ray.get(futures)):
-            self._cache.update(zip(ts, pls))
+            for t, pl in zip(ts, pls):
+                out[t] = pl
+                self._pl_cache.put(t, _ABSENT if pl is None else pl)
+        return {t: None if pl is _ABSENT else pl for t, pl in out.items()}
 
-    def postings(self, term: str):
-        if term not in self._cache:
-            self.prefetch([term])
-        return self._cache[term]
-
-    def has_term(self, term: str) -> bool:
-        return self.postings(term) is not None
+    def postings(self, term: str) -> PostingList | None:
+        return self.prefetch([term])[term]
 
 
 class ShardedSearchEngine(SearchEngine):
     """SearchEngine whose posting reads scatter/gather across per-shard
-    actors — the multi-node serving topology, runnable single-node.  All
-    scoring arithmetic is inherited, so results match the single-process
-    engine exactly."""
+    actors — the multi-node serving topology, runnable single-node.  Only
+    the query's posting fetch (``_postings``) differs; all scoring
+    arithmetic is inherited, so results match the single-process engine
+    exactly."""
 
     def __init__(self, index_dir: str):
-        import ray
-
         super().__init__(index_dir, shards=[])   # no local segment state
-        with open(os.path.join(index_dir, "stats.json")) as f:
-            num_shards = int(json.load(f)["num_shards"])
         Actor = _make_shard_actor()
-        actors = {
-            s: Actor.remote(index_dir, s) for s in range(num_shards)
-        }
-        self.reader = _ShardScatterReader(index_dir, num_shards, actors)
+        self.reader = _ShardScatterReader({
+            s: Actor.remote(index_dir, s)
+            for s in range(int(self.stats["num_shards"]))})
 
-    def _prefetch_query(self, query: str) -> None:
-        # strip only the quote characters so phrase terms prefetch too
-        self.reader.prefetch(self.tokenizer.tokenize((query or "").replace('"', " ")))
-
-    def search(self, query: str, page: int = 0, page_size: int = 10):
-        self._prefetch_query(query)
-        return super().search(query, page, page_size)
-
-    def phrase_search(self, phrase: str, page: int = 0, page_size: int = 10):
-        self._prefetch_query(phrase)
-        return super().phrase_search(phrase, page, page_size)
-
-    def search_auto(self, query: str, page: int = 0, page_size: int = 10):
-        self._prefetch_query(query)
-        return super().search_auto(query, page, page_size)
-
-    def bm25_search(self, query: str, k: int = 10, **kw):
-        self._prefetch_query(query)
-        return super().bm25_search(query, k=k, **kw)
-
-    def additive_search(self, query: str, k: int = 10, **kw):
-        self._prefetch_query(query)
-        return super().additive_search(query, k=k, **kw)
+    def _postings(self, terms) -> dict[str, PostingList]:
+        return {t: pl for t, pl in self.reader.prefetch(terms).items()
+                if pl is not None}

@@ -110,6 +110,27 @@ def test_explain_endpoint_sums_to_score(server):
     assert abs(ex["score"] - p1["results"][0]["score"]) < 1e-9
 
 
+def test_explain_endpoint_matches_explain_mode(server, built_index):
+    """/api/explain and the ``explain`` serve mode report the same rows for
+    the same (query, doc): term, tf, df, and idf and contribution at 9 dp."""
+    import pyarrow as pa
+
+    from nadry_search_engine_be_ray.pipelines.serve import QueryEvalActor
+
+    q = "search engine query"
+    rows = QueryEvalActor(built_index, "explain")(
+        pa.table({"query": [q]})).to_pylist()
+    assert rows
+    for doc in sorted({r["doc_id"] for r in rows}):
+        status, ex = _get(
+            server, f"/api/explain?query=search+engine+query&doc_id={doc}")
+        assert status == 200 and ex["success"]
+        assert [(t["term"], t["tf"], t["df"], round(t["idf"], 9),
+                 round(t["contribution"], 9)) for t in ex["terms"]] == [
+            (r["term"], r["tf"], r["df"], r["idf"], r["contribution"])
+            for r in rows if r["doc_id"] == doc], doc
+
+
 def test_sloppy_endpoint(server):
     status, out = _get(server, "/api/sloppy?query=item+order&slop=3&limit=5")
     assert status == 200 and out["success"]

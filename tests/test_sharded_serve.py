@@ -2,12 +2,16 @@
 scoring must return results identical to the single-process engine."""
 
 import math
+from collections import Counter
 
 import pytest
 
+from nadry_search_engine_be_ray.pipelines import serve
 from nadry_search_engine_be_ray.pipelines.query import SearchEngine
 from nadry_search_engine_be_ray.pipelines.serve import ShardedSearchEngine
 from nadry_search_engine_be_ray.sources.corpus import reference_queries
+from nadry_search_engine_be_ray.stages.tokenize import term_shard
+from nadry_search_engine_be_ray.state.segments import LRU
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +146,86 @@ def test_sharded_ships_df_total_for_deleted_index(ray_session, built_index,
         pl_s = sharded.reader.postings("search")
         assert pl_l.df_stale == pl_s.df_stale
         assert pl_l.df_stale > pl_l.df  # deletes actually masked some docs
+
+
+class _CountingActor:
+    """Stands in for one shard actor handle: records the shard of every
+    ``fetch.remote`` call, then forwards it."""
+
+    def __init__(self, handle, shard: int, calls: list):
+        self.handle, self.shard, self.calls = handle, shard, calls
+        self.fetch = self
+
+    def remote(self, terms):
+        self.calls.append(self.shard)
+        return self.handle.fetch.remote(terms)
+
+
+def _plain(res):
+    return [a.tolist() for a in res] if isinstance(res, tuple) else res
+
+
+def test_sharded_fetches_once_per_shard(engines, monkeypatch):
+    """On a cold gather cache, each query's terms go out as at most one
+    ``fetch`` per owning shard, and the results equal the local engine's.
+    Every query has two distinct terms owned by the same shard, so a
+    term-by-term fetch would send that shard two calls."""
+    local, sharded = engines
+    calls: list[int] = []
+    monkeypatch.setattr(sharded.reader, "actors", {
+        s: _CountingActor(h, s, calls)
+        for s, h in sharded.reader.actors.items()})
+    explain_docs = sorted(
+        d for d, _ in local.topk_taat("search engine query", k=5,
+                                      scorer="bm25"))
+    weights = {"data": 1.0, "search": 0.5, "engin": 2.0}
+    cases = [
+        (["search", "engin", "queri"],
+         lambda e: e.topk_taat("search engine query", k=10, scorer="bm25f")),
+        (["item", "order", "arriv"],
+         lambda e: e.sloppy_phrase_search("item order arrived", 3, k=10)),
+        (list(weights), lambda e: e.all_scores_weighted(weights, "bm25")),
+        (["search", "engin", "queri"],
+         lambda e: e.explain("search engine query", explain_docs)),
+    ]
+    for terms, run in cases:
+        shards = [term_shard(t, len(sharded.reader.actors)) for t in terms]
+        assert len(set(shards)) < len(shards), terms
+        monkeypatch.setattr(sharded.reader, "_pl_cache",
+                            LRU(serve.POSTING_CACHE_ENTRIES))
+        calls.clear()
+        want = _plain(run(local))
+        assert want and len(want[0]), terms
+        assert _plain(run(sharded)) == want, terms
+        assert calls and max(Counter(calls).values()) == 1, (terms, calls)
+        assert set(calls) <= set(shards), (terms, calls)
+
+    # a term no shard holds is cached too: a repeat sends no fetch
+    monkeypatch.setattr(sharded.reader, "_pl_cache",
+                        LRU(serve.POSTING_CACHE_ENTRIES))
+    calls.clear()
+    for _ in range(2):
+        assert sharded.topk_taat("search zzzznope", k=10) == \
+            local.topk_taat("search zzzznope", k=10)
+    assert len(calls) == len({term_shard(t, len(sharded.reader.actors))
+                              for t in local.tokenizer.tokenize(
+                                  "search zzzznope")})
+
+
+def test_sharded_posting_cache_is_bounded(ray_session, built_index,
+                                          monkeypatch):
+    """The gather-side posting cache holds at most POSTING_CACHE_ENTRIES
+    lists (lowered to 3 here) over many more distinct terms, and a query
+    with more terms than the cap still reads all its lists."""
+    monkeypatch.setattr(serve, "POSTING_CACHE_ENTRIES", 3)
+    local, sharded = SearchEngine(built_index), ShardedSearchEngine(built_index)
+    queries = ["search engine query", "item order arrived",
+               "national community", "order arrived late",
+               "query search engine index"]
+    for q in queries:
+        assert local.bm25_search(q, k=10) == sharded.bm25_search(q, k=10)
+        _same_results(local.search_auto(f'"{q}"'),
+                      sharded.search_auto(f'"{q}"'))
+        assert len(sharded.reader._pl_cache) <= 3
+    m = sharded.metrics()["posting_cache"]
+    assert m["cap"] == 3 and m["size"] <= 3 and m["evictions"] > 0
